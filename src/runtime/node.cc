@@ -48,7 +48,11 @@ NodeRuntime::NodeRuntime(NodeConfig cfg, ProtocolFactory protocol_factory,
   registry_.add_collector([this](obs::Registry& r) { collect_metrics(r); });
   // The checkpoint (if any) must be in the state machine before the
   // protocol exists: start() replays the WAL only above recovery_floor().
-  storage_.restore_into(*sm_);
+  // The executed count resumes from the checkpoint's, so replaying the WAL
+  // suffix on top lands on the count of a node that never restarted.
+  if (storage_.restore_into(*sm_)) {
+    executed_.store(storage_.checkpoint()->applied, std::memory_order_relaxed);
+  }
   proto_ = protocol_factory(*this, cfg_.id);  // caches tracer() — after it
   transport_.register_handler([this](const Message& m) { on_peer_message(m); });
   transport_.set_client_handlers(
@@ -177,6 +181,7 @@ void NodeRuntime::collect_metrics(obs::Registry& r) {
   sink("crsm_storage_syncs_total", ss.syncs);
   sink("crsm_storage_held_messages_total", ss.held_messages);
   sink("crsm_storage_checkpoints_total", ss.checkpoints);
+  sink("crsm_log_records", storage_.log().size());
   sink("crsm_storage_max_batch", ss.max_batch);
 
   sink("crsm_executed_total", executed_.load(std::memory_order_relaxed));
@@ -314,6 +319,8 @@ void NodeRuntime::schedule_after(Tick delay_us, std::function<void()> fn) {
 
 void NodeRuntime::install_checkpoint(std::string_view blob) {
   storage_.install_checkpoint(blob, *sm_);
+  // The peer's snapshot replaces everything executed here so far.
+  executed_.store(storage_.checkpoint()->applied, std::memory_order_relaxed);
 }
 
 void NodeRuntime::deliver(const Command& cmd, Timestamp ts, bool local_origin) {
@@ -329,7 +336,7 @@ void NodeRuntime::deliver(const Command& cmd, Timestamp ts, bool local_origin) {
   // One checkpoint decision per delivered entry, after the whole batch has
   // applied: a mid-batch checkpoint would cover ts with only a prefix of
   // the batch in the snapshot.
-  storage_.note_commit(*sm_, ts);
+  storage_.note_commit(*sm_, ts, executed_.load(std::memory_order_relaxed));
 }
 
 void NodeRuntime::apply_and_reply(const Command& cmd, Timestamp ts,

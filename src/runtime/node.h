@@ -21,7 +21,10 @@
 // acknowledges, at one fsync per pass instead of one per append. On boot
 // the node restores the checkpoint (if any) into the state machine and the
 // hosted protocol replays the WAL; Clock-RSM with catchup_on_recovery then
-// fetches whatever it missed from live peers (see clock_rsm.h).
+// fetches whatever it missed from live peers (see clock_rsm.h). Durable or
+// not, the node checkpoints every StorageOptions::checkpoint_every commits
+// and drops the covered log prefix, so its memory tracks its state and
+// in-flight work, not its history.
 #pragma once
 
 #include <atomic>
@@ -162,6 +165,8 @@ class NodeRuntime final : private StorageBackedEnv {
   // the log; either way the read hook fires with the output.
   void submit_read(Command cmd);
 
+  // Commands this replica's state reflects, including those covered by a
+  // restored or installed checkpoint: equal on every caught-up replica.
   [[nodiscard]] std::uint64_t executed() const {
     return executed_.load(std::memory_order_relaxed);
   }

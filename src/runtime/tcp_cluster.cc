@@ -28,10 +28,10 @@ std::unique_ptr<NodeRuntime> TcpCluster::make_node(ReplicaId id,
   }
   cfg.obs = opt_.obs;
   cfg.obs.metrics_port = 0;  // per-node ephemeral; fixed ports would collide
+  cfg.storage.checkpoint_every = opt_.checkpoint_every;
   if (!opt_.log_dir.empty()) {
     cfg.storage.dir = opt_.log_dir + "/node-" + std::to_string(id);
     cfg.storage.group_commit = opt_.group_commit;
-    cfg.storage.checkpoint_every = opt_.checkpoint_every;
     cfg.storage.test_fsync_delay_us = opt_.test_fsync_delay_us;
   }
   return std::make_unique<NodeRuntime>(cfg, protocol_factory_, sm_factory_);

@@ -31,7 +31,8 @@ struct TcpClusterOptions {
   // crash-restart story its in-process harness.
   std::string log_dir;
   bool group_commit = true;
-  std::uint64_t checkpoint_every = 0;
+  // Applied to durable and volatile nodes alike (see StorageOptions).
+  std::uint64_t checkpoint_every = StorageOptions{}.checkpoint_every;
   // I/O backend for every node's event loop. kUring falls back to epoll
   // (logged, counted in stats().uring_fallbacks) when the kernel refuses.
   net::IoBackend io_backend = net::IoBackend::kEpoll;

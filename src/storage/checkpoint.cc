@@ -19,6 +19,7 @@ std::string Checkpoint::encode() const {
   e.timestamp(last_applied);
   e.var(epoch);
   e.bytes(state);
+  e.var(applied);
   return out;
 }
 
@@ -28,16 +29,19 @@ Checkpoint Checkpoint::decode(const std::string& blob) {
   cp.last_applied = d.timestamp();
   cp.epoch = d.var();
   cp.state = d.bytes();
+  // Checkpoints written before the applied count existed end here.
+  if (!d.done()) cp.applied = d.var();
   if (!d.done()) throw CodecError("trailing bytes in Checkpoint");
   return cp;
 }
 
 Checkpoint take_checkpoint(const StateMachine& sm, Timestamp last_applied,
-                           Epoch epoch) {
+                           Epoch epoch, std::uint64_t applied) {
   Checkpoint cp;
   cp.last_applied = last_applied;
   cp.epoch = epoch;
   cp.state = sm.snapshot();
+  cp.applied = applied;
   return cp;
 }
 

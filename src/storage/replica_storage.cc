@@ -105,16 +105,12 @@ void ReplicaStorage::install_checkpoint(std::string_view blob,
                                         StateMachine& sm) {
   Checkpoint cp = Checkpoint::decode(std::string(blob));
   sm.restore(cp.state);
-  checkpoint_ = std::move(cp);
-  // Persist before truncating the covered WAL prefix (same order as
-  // note_commit): a crash between the two must leave the prefix in at
-  // least one of the checkpoint file or the log, never neither.
-  if (durable()) persist_checkpoint(*checkpoint_);
-  log_->truncate_prefix(checkpoint_->last_applied);
+  adopt_checkpoint(std::move(cp));
 }
 
-void ReplicaStorage::note_commit(const StateMachine& sm, Timestamp ts) {
-  if (!durable() || opt_.checkpoint_every == 0) return;
+void ReplicaStorage::note_commit(const StateMachine& sm, Timestamp ts,
+                                 std::uint64_t applied) {
+  if (opt_.checkpoint_every == 0) return;
   if (++commits_since_checkpoint_ < opt_.checkpoint_every) return;
   commits_since_checkpoint_ = 0;
   // `ts` is the commit timestamp of the command just executed; execution is
@@ -123,15 +119,19 @@ void ReplicaStorage::note_commit(const StateMachine& sm, Timestamp ts) {
   // runs reconfiguration-free (epoch 0), and recovery only consumes
   // last_applied; plumb the live epoch through ProtocolEnv before enabling
   // reconfig + durability together.
-  Checkpoint cp = take_checkpoint(sm, ts, checkpoint_ ? checkpoint_->epoch : 0);
-  persist_checkpoint(cp);
-  checkpoint_ = std::move(cp);
-  truncate_covered_prefix(*log_, *checkpoint_);
+  adopt_checkpoint(take_checkpoint(sm, ts, checkpoint_ ? checkpoint_->epoch : 0,
+                                   applied));
 }
 
-void ReplicaStorage::persist_checkpoint(const Checkpoint& cp) {
-  write_checkpoint_file(checkpoint_path(), cp);
+void ReplicaStorage::adopt_checkpoint(Checkpoint cp) {
+  // Persist before truncating the covered WAL prefix: a crash between the
+  // two must leave the prefix in at least one of the checkpoint file or the
+  // log, never neither. A volatile replica has no crash to survive and keeps
+  // the checkpoint in memory only, for catch-up to serve.
+  if (durable()) write_checkpoint_file(checkpoint_path(), cp);
+  checkpoint_ = std::move(cp);
   checkpoints_.fetch_add(1, std::memory_order_relaxed);
+  truncate_covered_prefix(*log_, *checkpoint_);
 }
 
 StorageStats ReplicaStorage::stats() const {

@@ -8,6 +8,11 @@
 // experiments; a directory selects a FileLog WAL plus an atomically written
 // checkpoint file, and the replica becomes restartable.
 //
+// Either way the replica checkpoints every `checkpoint_every` commits and
+// drops the covered log prefix (a volatile replica keeps its checkpoint in
+// memory only), so its memory is O(checkpoint_every + pending + state)
+// rather than O(history).
+//
 // Durability cost is managed with group commit: the protocol requests a
 // durability point per PREPARE (CommandLog::sync()), but GroupCommitLog
 // defers the fdatasync; the runtime calls flush() once per event-loop pass,
@@ -33,16 +38,17 @@
 namespace crsm {
 
 struct StorageOptions {
-  // Empty: volatile MemLog, no checkpoints (PR 3 behavior, and the paper's
+  // Empty: volatile MemLog with in-memory checkpoints (the paper's
   // local-cluster throughput setup). Non-empty: the replica's durable state
   // lives in this directory (created if absent) as wal.log + checkpoint.bin.
   std::string dir;
   // FileLog only: batch fdatasyncs per runtime pass instead of syncing on
   // every protocol durability request.
   bool group_commit = true;
-  // Committed commands between checkpoints (0 = never checkpoint). Each
-  // checkpoint truncates the covered log prefix.
-  std::uint64_t checkpoint_every = 0;
+  // Committed log entries between checkpoints (0 = never checkpoint). Each
+  // checkpoint truncates the covered log prefix. NodeRuntime, TcpCluster and
+  // crsm_node's --checkpoint-every all take their default from here.
+  std::uint64_t checkpoint_every = 10000;
   // Fault injection (tests only): sleep this long before every fsync batch,
   // emulating a slow or stalling device under this replica's WAL. Multi-group
   // isolation tests stall one group's storage and assert the others keep
@@ -58,7 +64,7 @@ struct StorageStats {
   std::uint64_t syncs = 0;          // fdatasync batches actually issued
   std::uint64_t max_batch = 0;      // largest appends-per-fsync batch
   std::uint64_t held_messages = 0;  // sends held until the durability point
-  std::uint64_t checkpoints = 0;    // checkpoints taken + persisted
+  std::uint64_t checkpoints = 0;    // checkpoints taken or installed
 };
 
 // CommandLog decorator implementing group commit. In deferred mode, sync()
@@ -134,10 +140,11 @@ class ReplicaStorage {
   // checkpoint so the next restart starts from it. Throws CodecError on a
   // malformed blob.
   void install_checkpoint(std::string_view blob, StateMachine& sm);
-  // Called once per executed command, in execution order. Takes + persists
-  // a checkpoint of `sm` every `checkpoint_every` commands (covering `ts`,
-  // the command's commit timestamp) and truncates the covered log prefix.
-  void note_commit(const StateMachine& sm, Timestamp ts);
+  // Called once per executed log entry, in execution order, with `applied`
+  // commands executed so far. Every `checkpoint_every` entries takes a
+  // checkpoint of `sm` (covering `ts`, the entry's commit timestamp),
+  // persists it when durable, and truncates the covered log prefix.
+  void note_commit(const StateMachine& sm, Timestamp ts, std::uint64_t applied);
 
   void count_held_message() {
     held_messages_.fetch_add(1, std::memory_order_relaxed);
@@ -145,7 +152,7 @@ class ReplicaStorage {
   [[nodiscard]] StorageStats stats() const;
 
  private:
-  void persist_checkpoint(const Checkpoint& cp);
+  void adopt_checkpoint(Checkpoint cp);
   [[nodiscard]] std::string wal_path() const;
   [[nodiscard]] std::string checkpoint_path() const;
 

@@ -7,6 +7,7 @@
 #include <filesystem>
 
 #include "clockrsm/clock_rsm.h"
+#include "common/codec.h"
 #include "kv/kv_store.h"
 #include "storage/checkpoint.h"
 #include "test_util.h"
@@ -54,11 +55,30 @@ TEST(KvSnapshot, RestoreReplacesExistingState) {
 
 TEST(Checkpoint, EncodeDecodeRoundTrip) {
   const KvStore kv = store_with({{"a", "b"}});
-  const Checkpoint cp = take_checkpoint(kv, Timestamp{99, 2}, 7);
+  const Checkpoint cp = take_checkpoint(kv, Timestamp{99, 2}, 7, /*applied=*/41);
   const Checkpoint rt = Checkpoint::decode(cp.encode());
   EXPECT_EQ(rt, cp);
   EXPECT_EQ(rt.last_applied, (Timestamp{99, 2}));
   EXPECT_EQ(rt.epoch, 7u);
+  EXPECT_EQ(rt.applied, 41u);
+}
+
+TEST(Checkpoint, DecodesBlobWithoutAppliedCount) {
+  // Checkpoints written before the applied count existed end after `state`;
+  // a restart after upgrade must still read them (count 0).
+  const KvStore kv = store_with({{"a", "b"}});
+  std::string legacy;
+  Encoder e(&legacy);
+  e.timestamp(Timestamp{5, 1});
+  e.var(3);
+  e.bytes(kv.snapshot());
+  const Checkpoint rt = Checkpoint::decode(legacy);
+  EXPECT_EQ(rt.last_applied, (Timestamp{5, 1}));
+  EXPECT_EQ(rt.epoch, 3u);
+  EXPECT_EQ(rt.state, kv.snapshot());
+  EXPECT_EQ(rt.applied, 0u);
+  EXPECT_THROW((void)Checkpoint::decode(legacy + std::string(1, '\x01') + "x"),
+               CodecError);
 }
 
 TEST(Checkpoint, TruncatesCoveredPrefix) {

@@ -255,10 +255,13 @@ TEST_P(DurableClusterTest, RestartFromCheckpointPlusLogSuffix) {
   }
   ASSERT_TRUE(eventually([&] { return replies.load() == kPhaseA + kPhaseB; }));
 
-  // The restarted node converges to the same state; its executed count is
-  // smaller than the total when the checkpoint covered part of the history.
+  // The restarted node converges to the same state and the same executed
+  // count: the commands its checkpoint covers count as executed.
+  const std::uint64_t total = kPhaseA + kPhaseB;
   ASSERT_TRUE(eventually([&] {
-    return cluster.node(0).state_digest() == cluster.node(2).state_digest();
+    return cluster.executed(0) == total && cluster.executed(1) == total &&
+           cluster.executed(2) == total &&
+           cluster.node(0).state_digest() == cluster.node(2).state_digest();
   })) << "executed 0/1/2: " << cluster.executed(0) << "/" << cluster.executed(1)
       << "/" << cluster.executed(2) << [&] {
         std::lock_guard<std::mutex> lk(trace_mu);
@@ -273,6 +276,7 @@ TEST_P(DurableClusterTest, RestartFromCheckpointPlusLogSuffix) {
   const std::uint64_t digest0 = cluster.node(0).state_digest();
   EXPECT_EQ(cluster.node(1).state_digest(), digest0);
   EXPECT_EQ(cluster.node(2).state_digest(), digest0);
+  EXPECT_EQ(cluster.executed(2), cluster.executed(0));
   cluster.stop();
 }
 

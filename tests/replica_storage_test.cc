@@ -4,10 +4,12 @@
 
 #include <unistd.h>
 
+#include <algorithm>
 #include <filesystem>
 #include <memory>
 #include <string>
 
+#include "common/message.h"
 #include "kv/kv_store.h"
 #include "storage/replica_storage.h"
 
@@ -142,7 +144,7 @@ TEST_F(ReplicaStorageTest, CheckpointEveryNTruncatesAndRestores) {
       s.log().append(LogRecord::prepare(ts, cmd(i)));
       s.log().append(LogRecord::commit(ts));
       sm.apply(cmd(i));
-      s.note_commit(sm, ts);
+      s.note_commit(sm, ts, /*applied=*/i);
     }
     s.flush();
     // Two checkpoints fired (at 4 and 8); the covered prefix is gone.
@@ -151,6 +153,7 @@ TEST_F(ReplicaStorageTest, CheckpointEveryNTruncatesAndRestores) {
       EXPECT_GT(r.ts, (Timestamp{8, 0}));
     }
     EXPECT_EQ(s.stats().checkpoints, 2u);
+    EXPECT_EQ(s.checkpoint()->applied, 8u);
     EXPECT_FALSE(s.encoded_checkpoint().empty());
   }
 
@@ -159,6 +162,7 @@ TEST_F(ReplicaStorageTest, CheckpointEveryNTruncatesAndRestores) {
   ReplicaStorage reopened{durable(4)};
   EXPECT_TRUE(reopened.recovering());
   EXPECT_EQ(reopened.recovery_floor(), (Timestamp{8, 0}));
+  EXPECT_EQ(reopened.checkpoint()->applied, 8u);
   KvStore recovered;
   ASSERT_TRUE(reopened.restore_into(recovered));
   for (const LogRecord& r : reopened.log().records()) {
@@ -192,6 +196,72 @@ TEST_F(ReplicaStorageTest, InstallCheckpointFromPeerBlob) {
   KvStore sm2;
   ASSERT_TRUE(reopened.restore_into(sm2));
   EXPECT_EQ(sm2.state_digest(), peer_sm.state_digest());
+}
+
+// Node memory is O(cadence + pending + state), not O(history): across many
+// checkpoint cadences the log never holds more than one cadence of committed
+// entries (a PREPARE and a COMMIT mark each) plus the PREPAREs still
+// pending, and the WAL file never holds more than those records. PREPAREs
+// run kPending ahead of the commit point, as they do under pipelined load.
+void drive_past_many_checkpoints(ReplicaStorage& s, const std::string& wal) {
+  constexpr std::uint64_t kCadence = 50;
+  constexpr std::uint64_t kPending = 8;
+  constexpr std::uint64_t kCommits = 20 * kCadence;
+  constexpr std::size_t kBound = 2 * kCadence + kPending;
+  std::size_t max_frame = 0;  // largest record as framed in the WAL
+  const auto prepare = [&](std::uint64_t i) {
+    const LogRecord r = LogRecord::prepare(Timestamp{i, 0}, cmd(i));
+    std::string body;
+    encode_log_record(r, &body);
+    max_frame = std::max(max_frame, body.size() + 10);  // + varint length
+    s.log().append(r);
+  };
+  KvStore sm;
+  for (std::uint64_t i = 1; i <= kPending; ++i) prepare(i);
+  for (std::uint64_t i = 1; i <= kCommits; ++i) {
+    prepare(i + kPending);
+    s.log().sync();
+    const Timestamp ts{i, 0};
+    s.log().append(LogRecord::commit(ts));
+    sm.apply(cmd(i));
+    s.note_commit(sm, ts, /*applied=*/i);
+    s.flush();
+    ASSERT_LE(s.log().size(), kBound) << "after commit " << i;
+    if (!wal.empty()) {
+      ASSERT_LE(std::filesystem::file_size(wal), kBound * max_frame)
+          << "after commit " << i;
+    }
+  }
+  EXPECT_EQ(s.stats().checkpoints, kCommits / kCadence);
+  EXPECT_EQ(s.recovery_floor(), (Timestamp{kCommits, 0}));
+  EXPECT_EQ(s.log().size(), kPending) << "only the pending PREPAREs remain";
+  ASSERT_TRUE(s.checkpoint().has_value());
+  EXPECT_EQ(s.checkpoint()->applied, kCommits);
+  KvStore restored;
+  restored.restore(s.checkpoint()->state);
+  EXPECT_EQ(restored.state_digest(), sm.state_digest());
+}
+
+TEST_F(ReplicaStorageTest, CheckpointingIsOnByDefault) {
+  EXPECT_EQ(StorageOptions{}.checkpoint_every, 10000u);
+}
+
+TEST_F(ReplicaStorageTest, DurableLogStaysBoundedAcrossCheckpoints) {
+  StorageOptions o = durable(/*checkpoint_every=*/50);
+  ReplicaStorage s{o};
+  drive_past_many_checkpoints(s, o.dir + "/wal.log");
+}
+
+TEST_F(ReplicaStorageTest, VolatileLogStaysBoundedAcrossCheckpoints) {
+  StorageOptions o;
+  o.checkpoint_every = 50;
+  ReplicaStorage s{o};
+  drive_past_many_checkpoints(s, /*wal=*/"");
+  // The checkpoint lives in memory only, and serves catch-up like a durable
+  // node's.
+  EXPECT_FALSE(std::filesystem::exists(dir_));
+  EXPECT_FALSE(s.encoded_checkpoint().empty());
+  EXPECT_EQ(Checkpoint::decode(s.encoded_checkpoint()), *s.checkpoint());
 }
 
 }  // namespace

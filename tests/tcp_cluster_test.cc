@@ -590,6 +590,15 @@ TEST_P(TcpBackendTest, MetricsScrapeAgreesWithStatsAndIsMonotone) {
   EXPECT_LE(appends, s2.appends);
   EXPECT_EQ(snap1.counter_value("crsm_executed_total"), 30u);
   EXPECT_GT(snap1.counter_value("crsm_trace_spans_total"), 0u);
+  // The in-memory log length sits beside the checkpoint counter: 30 commits
+  // stay under the default cadence, so nothing was truncated and the log
+  // holds every record ever appended.
+  const obs::MetricValue* log_records = snap1.find("crsm_log_records");
+  ASSERT_NE(log_records, nullptr);
+  EXPECT_EQ(log_records->kind, obs::MetricKind::kGauge);
+  EXPECT_EQ(snap1.counter_value("crsm_storage_checkpoints_total"), 0u);
+  EXPECT_GE(log_records->gauge, static_cast<double>(s1.appends));
+  EXPECT_LE(log_records->gauge, static_cast<double>(s2.appends));
 
   // (c) Monotone across scrapes with load in between; stage histograms fill.
   for (int i = 0; i < 20; ++i) cluster.submit(0, kv_put(1, 31 + i, "k", "v"));

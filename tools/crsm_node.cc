@@ -32,12 +32,17 @@
 // pipeline (0 disables tracing); --slow-ms prints a rate-limited per-stage
 // breakdown for traced commands slower than MS milliseconds.
 //
+// Every node checkpoints its state machine every N committed log entries
+// (--checkpoint-every, default 10000, 0 = never) and drops the covered log
+// prefix, so its memory stays proportional to its state and in-flight work
+// rather than its history. A volatile node keeps the checkpoint in memory.
+//
 // With --log-dir the node is durable and restartable: commands are logged
-// to DIR/wal.log (group-commit fsync batching unless --no-group-commit), a
-// checkpoint of the state machine is written to DIR/checkpoint.bin every N
-// committed commands (--checkpoint-every, 0 = never), and a restarted node
-// recovers from checkpoint + WAL, then (Clock-RSM) catches up over TCP from
-// live peers. See docs/OPERATIONS.md for the full walkthrough.
+// to DIR/wal.log (group-commit fsync batching unless --no-group-commit),
+// each checkpoint is written to DIR/checkpoint.bin before the WAL prefix it
+// covers is truncated, and a restarted node recovers from checkpoint + WAL,
+// then (Clock-RSM) catches up over TCP from live peers. See
+// docs/OPERATIONS.md for the full walkthrough.
 //
 // --io-backend uring drives the node's event loop through io_uring
 // (multishot recv, one submit per pass); on a kernel without io_uring the
@@ -78,15 +83,17 @@ void on_signal(int) { g_stop.store(true); }
                "usage: %s --id N --peers host:port,host:port,... \\\n"
                "          [--protocol clockrsm|paxos|paxos-bcast|mencius] "
                "[--stats-every SECONDS] \\\n"
-               "          [--log-dir DIR] [--checkpoint-every N] "
-               "[--no-group-commit] \\\n"
+               "          [--log-dir DIR] [--checkpoint-every N (default %llu, "
+               "0 = never)] [--no-group-commit] \\\n"
                "          [--io-backend epoll|uring] "
                "[--max-coalesce-bytes N] \\\n"
                "          [--max-batch-cmds N] [--max-batch-bytes N] \\\n"
                "          [--groups N] [--pin-cores] \\\n"
                "          [--metrics-port P] [--trace-sample N] "
                "[--slow-ms MS]\n",
-               argv0);
+               argv0,
+               static_cast<unsigned long long>(
+                   crsm::StorageOptions{}.checkpoint_every));
   std::exit(2);
 }
 

@@ -6,7 +6,9 @@
 # SIGKILLs one process — taking one replica of EVERY group down at once —
 # restarts it from its --log-dir and drives load again through the
 # restarted process, which only accepts submissions once recovery and
-# catch-up complete on each group. Exercises exactly the path
+# catch-up complete on each group. Once load stops, every replica of a
+# group must report the same crsm_executed_total: the restarted one counts
+# the commands its checkpoint covers. Exercises exactly the path
 # docs/OPERATIONS.md documents; CI runs it against the Release build.
 #
 # usage: tools/kill_restart_smoke.sh [BUILD_DIR]   (default: build)
@@ -92,6 +94,11 @@ print(f"  {sys.argv[1]}: {len(series)} series, {len(hist_types)} histograms, "
 EOF
 }
 
+executed_total() {  # $1 = replica id, $2 = group: its crsm_executed_total
+  curl -fsS --max-time 5 "http://127.0.0.1:$(( MBASE + $1 * GROUPS_N + $2 ))/metrics" \
+    | awk '$1 ~ /^crsm_executed_total/ { print $2 }'
+}
+
 wait_for_port() {  # $1 = port
   for _ in $(seq 1 100); do
     if (exec 3<>"/dev/tcp/127.0.0.1/$1") 2>/dev/null; then exec 3>&-; return 0; fi
@@ -168,6 +175,21 @@ for ln in open(sys.argv[1]):
 else:
     sys.exit(f"restarted group {sys.argv[2]} exports no crsm_executed_total")
 EOF
+done
+
+echo "== every replica of each group agrees on crsm_executed_total"
+for g in 0 1; do
+  agreed=0
+  for _ in $(seq 1 50); do
+    counts=("$(executed_total 0 "$g")" "$(executed_total 1 "$g")" "$(executed_total 2 "$g")")
+    if [[ -n ${counts[0]} && ${counts[0]} == "${counts[1]}" && ${counts[1]} == "${counts[2]}" ]]; then
+      agreed=1; break
+    fi
+    sleep 0.2
+  done
+  [[ $agreed = 1 ]] \
+    || { echo "group $g: replicas 0/1/2 executed ${counts[*]} commands"; exit 1; }
+  echo "  group $g: every replica executed ${counts[0]} commands"
 done
 
 echo "== smoke OK: killed process rejoined and served traffic on both groups"
