@@ -744,6 +744,13 @@ void ClockRsmReplica::handle_catchup_req(const Message& m) {
   // prepares with an actual COMMIT mark may travel below the bound: a
   // replica mid-recovery can hold stale pre-crash prepares under an
   // already-advanced bound that never committed anywhere.
+  const Tick now = env_.clock_now();
+  auto [prev, first] = catchup_answered_.try_emplace(m.from);
+  if (!first && prev->second.epoch == m.epoch && prev->second.ts == m.ts &&
+      now >= prev->second.at && now - prev->second.at < opt_.catchup_interval_us) {
+    return;  // answered this very request less than an interval ago
+  }
+  prev->second = CatchupAnswer{m.epoch, m.ts, now};
   Message r;
   r.type = MsgType::kCatchupReply;
   r.epoch = epoch_;

@@ -256,6 +256,16 @@ class ClockRsmReplica final : public ReplicaProtocol {
   // this machine: it can never reach majority and is dropped (the client
   // retries), or it would head-block pending_ forever.
   std::set<Timestamp> catchup_restaged_;
+  // The last CATCHUPREQ answered per requester. An identical request
+  // (same epoch and commit bound) within one catchup interval is not
+  // answered again: polls that queued while the requester's links were
+  // down arrive back to back, and each reply can be the whole log.
+  struct CatchupAnswer {
+    Epoch epoch = 0;
+    Timestamp ts;
+    Tick at = 0;
+  };
+  std::unordered_map<ReplicaId, CatchupAnswer> catchup_answered_;
 
   Stats stats_;
 };

@@ -21,11 +21,22 @@ void Connector::start(OnConnected on_connected) {
   stop();
   on_connected_ = std::move(on_connected);
   connecting_ = true;
+  retry_now();
+}
+
+void Connector::stop() {
+  cancel_attempt();
+  connecting_ = false;
+}
+
+void Connector::retry_now() {
+  if (!connecting_) return;
+  cancel_attempt();
   backoff_us_ = opt_.initial_backoff_us;
   attempt();
 }
 
-void Connector::stop() {
+void Connector::cancel_attempt() {
   if (fd_registered_) {
     loop_.del_fd(sock_.fd());
     fd_registered_ = false;
@@ -35,7 +46,6 @@ void Connector::stop() {
     loop_.cancel_timer(retry_timer_);
     retry_timer_ = 0;
   }
-  connecting_ = false;
 }
 
 void Connector::attempt() {

@@ -5,7 +5,8 @@
 // exponentially growing backoff (with the EventLoop's timer) before trying
 // again — forever, until stop() or success. The owner re-arms it after a
 // established connection later dies, which is what gives TcpTransport links
-// automatic reconnect.
+// automatic reconnect. retry_now() short-circuits the backoff when the owner
+// learns out of band that the far end is back (TcpTransport's wake).
 #pragma once
 
 #include <cstdint>
@@ -40,11 +41,17 @@ class Connector {
   // connected non-blocking socket.
   void start(OnConnected on_connected);
   void stop();
+  // Dials at once if still trying: cancels the pending backoff timer and
+  // any in-flight attempt (which may be stuck in SYN retransmits towards a
+  // host that was down) and resets the backoff. No-op when not connecting.
+  // Loop-thread only.
+  void retry_now();
 
   [[nodiscard]] bool connecting() const { return connecting_; }
   [[nodiscard]] std::uint64_t attempts() const { return attempts_; }
 
  private:
+  void cancel_attempt();  // drops the in-flight socket and backoff timer
   void attempt();
   void on_writable();
   void retry_later();

@@ -168,6 +168,10 @@ void NodeRuntime::collect_metrics(obs::Registry& r) {
   sink("crsm_transport_wire_flushes_total", ts.wire_flushes);
   sink("crsm_transport_frames_flushed_total", ts.frames_flushed);
   sink("crsm_io_uring_fallbacks_total", ts.uring_fallbacks);
+  sink("crsm_transport_wakes_sent_total", ts.wakes_sent);
+  sink("crsm_transport_wakes_received_total", ts.wakes_received);
+  sink("crsm_transport_connected_peers", transport_.connected_peers());
+  sink("crsm_transport_backlog_bytes", transport_.backlog_bytes());
 
   const net::IoRingStats rs = loop_->ring_stats();
   sink("crsm_io_sqe_submits_total", rs.sqe_submits);

@@ -16,6 +16,7 @@ std::unique_ptr<NodeRuntime> TcpCluster::make_node(ReplicaId id,
   cfg.transport.max_pending_bytes = opt_.max_pending_bytes;
   cfg.transport.policy = opt_.policy;
   cfg.transport.max_coalesce_bytes = opt_.max_coalesce_bytes;
+  cfg.transport.reconnect = opt_.reconnect;
   cfg.io_backend = opt_.io_backend;
   cfg.max_batch_cmds = opt_.max_batch_cmds;
   cfg.max_batch_bytes = opt_.max_batch_bytes;
@@ -160,6 +161,8 @@ TransportStats TcpCluster::stats() const {
     total.sqe_submits += s.sqe_submits;
     total.sqes_submitted += s.sqes_submitted;
     total.uring_fallbacks += s.uring_fallbacks;
+    total.wakes_sent += s.wakes_sent;
+    total.wakes_received += s.wakes_received;
   }
   return total;
 }

@@ -39,6 +39,8 @@ struct TcpClusterOptions {
   // Per-pass wire coalescing budget per connection; 0 disables coalescing
   // (every send flushes immediately). See TcpTransportOptions.
   std::size_t max_coalesce_bytes = 256 * 1024;
+  // Peer-link redial backoff for every node (see TcpTransportOptions).
+  net::ConnectorOptions reconnect;
   // Protocol-level command batching, applied to every node (see
   // NodeConfig::max_batch_cmds / max_batch_bytes). 1 = batching off.
   std::size_t max_batch_cmds = 1;

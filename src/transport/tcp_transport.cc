@@ -61,7 +61,11 @@ void TcpTransport::start(std::vector<TcpPeer> peers) {
   acceptor_.start([this](net::Socket&& s) { on_accept(std::move(s)); });
   // Deterministic dial direction — the lower id dials the higher — gives
   // each unordered pair exactly one socket regardless of startup order.
-  for (ReplicaId j = self_ + 1; j < peers_.size(); ++j) dial(j);
+  // Lower ids are dialed too, but only to wake them: if we restarted, their
+  // links to us are down and in reconnect backoff.
+  for (ReplicaId j = 0; j < peers_.size(); ++j) {
+    if (j != self_) dial(j);
+  }
 }
 
 void TcpTransport::shutdown() {
@@ -73,7 +77,9 @@ void TcpTransport::shutdown() {
   routes_.clear();
   for (PeerLink& link : peers_) {
     if (link.connector) link.connector->stop();
+    cancel_redial(link);
     link.conn.reset();
+    link.wake.reset();
     link.backlog.clear();
     link.backlog_bytes = 0;
   }
@@ -90,8 +96,75 @@ void TcpTransport::dial(ReplicaId to) {
         loop_, link.addr.host, link.addr.port, opt_.reconnect);
   }
   link.connector->start([this, to](net::Socket&& s) {
-    adopt_peer_conn(to, make_conn(std::move(s)), /*needs_start=*/true);
+    if (to > self_) {
+      adopt_peer_conn(to, make_conn(std::move(s)), /*needs_start=*/true);
+    } else {
+      send_wake(to, make_conn(std::move(s)));
+    }
   });
+}
+
+void TcpTransport::schedule_redial(ReplicaId to) {
+  PeerLink& link = peers_[to];
+  link.redial_delay_us = std::clamp<std::uint64_t>(
+      link.redial_delay_us * 2, opt_.reconnect.initial_backoff_us,
+      opt_.reconnect.max_backoff_us);
+  cancel_redial(link);
+  link.redial_timer = loop_.schedule_after(link.redial_delay_us, [this, to] {
+    peers_[to].redial_timer = 0;
+    if (!shut_down_ && !peers_[to].conn) dial(to);
+  });
+}
+
+void TcpTransport::cancel_redial(PeerLink& link) {
+  if (link.redial_timer == 0) return;
+  loop_.cancel_timer(link.redial_timer);
+  link.redial_timer = 0;
+}
+
+void TcpTransport::send_wake(ReplicaId to,
+                             std::unique_ptr<net::FrameConn> conn) {
+  net::FrameConn* raw = conn.get();
+  peers_[to].wake = std::move(conn);
+  wakes_sent_.fetch_add(1, std::memory_order_relaxed);
+  // Our hello is the whole message. The peer's hello (or its close) ends
+  // the exchange; closing then, rather than waiting for the peer to, also
+  // makes an older peer — which adopts any hello as the link — drop this
+  // socket and redial us the normal way.
+  raw->start(
+      self_, [this, to, raw](std::uint32_t) { end_wake(to, raw); },
+      [](const Message&) {}, [this, to, raw] { end_wake(to, raw); });
+}
+
+void TcpTransport::end_wake(ReplicaId to, net::FrameConn* raw) {
+  PeerLink& link = peers_[to];
+  if (link.wake.get() != raw) return;
+  bury(std::move(link.wake));
+  // Wake again, with backoff, until the peer's redial gives us the link.
+  if (!shut_down_ && !link.conn) schedule_redial(to);
+}
+
+void TcpTransport::on_wake(ReplicaId from,
+                           std::unique_ptr<net::FrameConn> conn) {
+  wakes_received_.fetch_add(1, std::memory_order_relaxed);
+  bury(std::move(conn));
+  PeerLink& link = peers_[from];
+  if (shut_down_ || link.conn) return;
+  if (link.redial_timer != 0) {
+    cancel_redial(link);
+    dial(from);
+  } else if (link.connector) {
+    link.connector->retry_now();
+  }
+}
+
+void TcpTransport::requeue_unsent(PeerLink& link) {
+  auto unsent = link.conn->take_pending();
+  while (!unsent.empty()) {
+    link.backlog_bytes += unsent.back()->size();
+    link.backlog.push_front(std::move(unsent.back()));
+    unsent.pop_back();
+  }
 }
 
 void TcpTransport::adopt_peer_conn(ReplicaId id,
@@ -99,17 +172,18 @@ void TcpTransport::adopt_peer_conn(ReplicaId id,
                                    bool needs_start) {
   PeerLink& link = peers_[id];
   if (link.conn) {
-    // Simultaneous repair (both sides raced): keep the newest socket and
-    // requeue whatever the old one had not fully written.
+    // The peer redialed before we saw its old socket die: keep the newest
+    // socket and requeue whatever the old one had not fully written.
     routes_.erase(link.conn.get());
-    auto unsent = link.conn->take_pending();
-    while (!unsent.empty()) {
-      link.backlog_bytes += unsent.back()->size();
-      link.backlog.push_front(std::move(unsent.back()));
-      unsent.pop_back();
-    }
+    requeue_unsent(link);
     connected_count_.fetch_sub(1, std::memory_order_relaxed);
     bury(std::move(link.conn));
+  }
+  if (id < self_) {
+    // The peer redialed us: stop waking it.
+    if (link.connector) link.connector->stop();
+    cancel_redial(link);
+    bury(std::move(link.wake));
   }
   net::FrameConn* raw = conn.get();
   link.conn = std::move(conn);
@@ -174,9 +248,13 @@ void TcpTransport::on_accept(net::Socket&& sock) {
           clients_.emplace(conn_id, std::move(owned));
           return;
         }
-        if (hello < peers_.size() && hello != self_) {
+        if (hello < self_) {
           adopt_peer_conn(static_cast<ReplicaId>(hello), std::move(owned),
                           /*needs_start=*/false);
+          return;
+        }
+        if (hello > self_ && hello < peers_.size()) {
+          on_wake(static_cast<ReplicaId>(hello), std::move(owned));
           return;
         }
         owned->close();  // nonsense hello
@@ -221,27 +299,15 @@ void TcpTransport::on_conn_closed(net::FrameConn* raw) {
   PeerLink& link = peers_[id];
   if (link.conn.get() != raw) return;  // already replaced
   raw->close();
-  auto unsent = link.conn->take_pending();
-  while (!unsent.empty()) {
-    link.backlog_bytes += unsent.back()->size();
-    link.backlog.push_front(std::move(unsent.back()));
-    unsent.pop_back();
-  }
+  requeue_unsent(link);
   connected_count_.fetch_sub(1, std::memory_order_relaxed);
   bury(std::move(link.conn));
   // Automatic reconnect: the dial side re-arms its Connector; the accept
-  // side waits for the peer to redial. The Connector's own backoff only
-  // covers failed connects, so throttle here too — a connection that
-  // establishes and then immediately dies (wrong hello, flapping peer)
-  // must not redial at line rate.
-  if (!shut_down_ && self_ < id) {
-    link.redial_delay_us = std::clamp<std::uint64_t>(
-        link.redial_delay_us * 2, opt_.reconnect.initial_backoff_us,
-        opt_.reconnect.max_backoff_us);
-    (void)loop_.schedule_after(link.redial_delay_us, [this, id] {
-      if (!shut_down_ && !peers_[id].conn) dial(id);
-    });
-  }
+  // side waits for the peer to redial (a restarted peer wakes us instead).
+  // The Connector's own backoff only covers failed connects, so throttle
+  // here too — a connection that establishes and then immediately dies
+  // (wrong hello, flapping peer) must not redial at line rate.
+  if (!shut_down_ && self_ < id) schedule_redial(id);
 }
 
 void TcpTransport::bury(std::unique_ptr<net::FrameConn> conn) {
@@ -371,6 +437,12 @@ std::size_t TcpTransport::connected_peers() const {
   return connected_count_.load(std::memory_order_relaxed);
 }
 
+std::size_t TcpTransport::backlog_bytes() const {
+  std::size_t total = 0;
+  for (const PeerLink& link : peers_) total += link.backlog_bytes;
+  return total;
+}
+
 TransportStats TcpTransport::stats() const {
   TransportStats s;
   s.messages_sent = messages_sent_.load(std::memory_order_relaxed);
@@ -379,6 +451,8 @@ TransportStats TcpTransport::stats() const {
   s.bytes_sent = bytes_sent_.load(std::memory_order_relaxed);
   s.encode_calls = encode_calls_.load(std::memory_order_relaxed);
   s.backpressure_blocks = backpressure_blocks_.load(std::memory_order_relaxed);
+  s.wakes_sent = wakes_sent_.load(std::memory_order_relaxed);
+  s.wakes_received = wakes_received_.load(std::memory_order_relaxed);
   s.wire_flushes = wire_metrics_.flushes.load(std::memory_order_relaxed);
   s.frames_flushed =
       wire_metrics_.frames_flushed.load(std::memory_order_relaxed);

@@ -8,6 +8,14 @@
 // drivers; an 8-byte hello preamble exchanged on every connection tells the
 // acceptor who dialed and tells clients which replica answered.
 //
+// Rejoin is event-driven: at start() a replica also dials each lower-id
+// peer, but only to deliver its hello as a *wake* — the lower side closes
+// that socket and, if its own link to us is down, redials at once
+// (Connector::retry_now) instead of waiting out its reconnect backoff. A
+// restarted replica is therefore redialed about two round trips after it
+// comes up, however long it was down. Wakes repeat with the usual backoff
+// until the link is up, then stop.
+//
 // Hot-path properties, matching the other transports:
 //  * Fan-out encode-once: a multicast serializes its Message a single time
 //    (WireFrame shared encoding); every peer link queues a reference to the
@@ -67,6 +75,7 @@ struct TcpTransportOptions {
   // once a connection's pending bytes reach this budget. 0 = off (every
   // send flushes immediately, the pre-coalescing behaviour).
   std::size_t max_coalesce_bytes = 256 * 1024;
+  // Redial backoff for peer links, and for wakes until their link is up.
   net::ConnectorOptions reconnect;
   // Accepted connections must identify themselves within this window or be
   // dropped — otherwise silent connections (port scanners, wedged peers)
@@ -97,8 +106,9 @@ class TcpTransport final : public Transport {
     client_close_ = std::move(on_close);
   }
 
-  // Loop-thread only: starts accepting and dials every peer with a higher
-  // id than ours (peers[self] is our own entry and is ignored).
+  // Loop-thread only: starts accepting, dials every peer with a higher id
+  // than ours and wakes every peer with a lower one (peers[self] is our own
+  // entry and is ignored).
   void start(std::vector<TcpPeer> peers);
   // Loop-thread only: closes every connection and stops redialing.
   void shutdown();
@@ -114,6 +124,8 @@ class TcpTransport final : public Transport {
 
   // Live peer links (connected and past the hello), for tests/monitoring.
   [[nodiscard]] std::size_t connected_peers() const;
+  // Bytes queued for peer links that are down. Loop-thread only.
+  [[nodiscard]] std::size_t backlog_bytes() const;
 
   [[nodiscard]] std::uint64_t messages_sent() const {
     return messages_sent_.load(std::memory_order_relaxed);
@@ -131,16 +143,20 @@ class TcpTransport final : public Transport {
  private:
   struct PeerLink {
     TcpPeer addr;
-    std::unique_ptr<net::Connector> connector;  // dial side only (self < id)
-    std::unique_ptr<net::FrameConn> conn;       // the pair's one socket
+    // self < id: dials the link. self > id: dials wakes until the peer's
+    // link to us is up.
+    std::unique_ptr<net::Connector> connector;
+    std::unique_ptr<net::FrameConn> conn;  // the pair's one socket
+    std::unique_ptr<net::FrameConn> wake;  // self > id: the wake in flight
     // Frames awaiting a live connection (or requeued after one died).
     std::deque<std::shared_ptr<const std::string>> backlog;
     std::size_t backlog_bytes = 0;
-    // Delay before the next redial after an established connection died.
-    // Doubles per consecutive death (a connect-then-die cycle — e.g. a
-    // miswired mesh answering with the wrong hello — must not churn
-    // unthrottled) and resets once a link proves healthy.
+    // Delay before the next redial after an established connection (link
+    // or wake) died. Doubles per consecutive death (a connect-then-die
+    // cycle — e.g. a miswired mesh answering with the wrong hello — must
+    // not churn unthrottled) and resets once a link proves healthy.
     std::uint64_t redial_delay_us = 0;
+    net::TimerId redial_timer = 0;  // armed redial, 0 = none
   };
 
   // What a live connection is: the peer link it serves or the client id it
@@ -163,7 +179,17 @@ class TcpTransport final : public Transport {
   void flush_pass();
 
   void send_on_loop(ReplicaId to, std::shared_ptr<const std::string> bytes);
+  // Starts the peer's Connector: the link when to > self, a wake otherwise.
   void dial(ReplicaId to);
+  // Redials `to` after the link's throttled redial delay.
+  void schedule_redial(ReplicaId to);
+  void cancel_redial(PeerLink& link);
+  void send_wake(ReplicaId to, std::unique_ptr<net::FrameConn> conn);
+  void end_wake(ReplicaId to, net::FrameConn* raw);
+  // A higher-id peer's hello arrived on an accepted socket: it (re)started.
+  void on_wake(ReplicaId from, std::unique_ptr<net::FrameConn> conn);
+  // Moves a dead link's unsent frames to the front of its backlog.
+  void requeue_unsent(PeerLink& link);
   void adopt_peer_conn(ReplicaId id, std::unique_ptr<net::FrameConn> conn,
                        bool needs_start);
   void on_accept(net::Socket&& sock);
@@ -212,6 +238,8 @@ class TcpTransport final : public Transport {
   std::atomic<std::uint64_t> bytes_sent_{0};
   std::atomic<std::uint64_t> encode_calls_{0};
   std::atomic<std::uint64_t> backpressure_blocks_{0};
+  std::atomic<std::uint64_t> wakes_sent_{0};
+  std::atomic<std::uint64_t> wakes_received_{0};
 };
 
 }  // namespace crsm

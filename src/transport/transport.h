@@ -54,6 +54,13 @@ struct TransportStats {
   // Times a node asked for the uring backend and was handed epoll instead
   // (kernel/seccomp refused io_uring).
   std::uint64_t uring_fallbacks = 0;
+  // TcpTransport rejoin: wake connections this node opened to lower-id
+  // peers (its hello sent), and wakes it got from higher-id peers (each one
+  // a peer that (re)started and asked to be redialed now rather than after
+  // reconnect backoff). A wake made moot by the link coming up first may be
+  // torn down unread, so received can trail sent.
+  std::uint64_t wakes_sent = 0;
+  std::uint64_t wakes_received = 0;
 };
 
 // What a bounded send queue does when an outbound link is over its byte

@@ -288,6 +288,50 @@ TEST(ClockRsmUnit, RetrieveCmdsReturnsCommittedRequestedRangeOnly) {
   EXPECT_EQ(replies[0].to, 2u);
 }
 
+TEST(ClockRsmUnit, CatchupRequestAnsweredOncePerIntervalPerRequester) {
+  // A restarted replica polls every catchup interval; polls that queued
+  // while its links were down arrive back to back, and each reply may carry
+  // the whole log. Identical requests within one interval get one reply; a
+  // repeat after the interval (the first reply may have died with a
+  // connection) and any request that moved on are answered again.
+  Fixture f;
+  f.env.set_clock(5000);
+  f.replica.on_message(prepare(1, Timestamp{1000, 1}, 1));
+  f.env.clear_sent();
+
+  Message req;
+  req.type = MsgType::kCatchupReq;
+  req.from = 2;
+  req.epoch = 1;
+  req.ts = kZeroTimestamp;
+  for (int i = 0; i < 10; ++i) f.replica.on_message(req);
+  auto replies = f.env.sent_of(MsgType::kCatchupReply);
+  ASSERT_EQ(replies.size(), 1u);
+  EXPECT_EQ(replies[0].to, 2u);
+  EXPECT_EQ(replies[0].msg.records.size(), 1u);
+
+  // Another requester is tracked on its own.
+  Message other = req;
+  other.from = 1;
+  f.replica.on_message(other);
+  EXPECT_EQ(f.env.count_sent(MsgType::kCatchupReply), 2u);
+
+  // A request whose commit bound advanced is a new request.
+  Message advanced = req;
+  advanced.ts = Timestamp{500, 1};
+  f.replica.on_message(advanced);
+  EXPECT_EQ(f.env.count_sent(MsgType::kCatchupReply), 3u);
+
+  // The same request once a full interval has passed is answered again.
+  f.replica.on_message(advanced);
+  EXPECT_EQ(f.env.count_sent(MsgType::kCatchupReply), 3u);
+  f.env.set_clock(f.env.clock() + ClockRsmOptions{}.catchup_interval_us);
+  f.replica.on_message(advanced);
+  replies = f.env.sent_of(MsgType::kCatchupReply);
+  ASSERT_EQ(replies.size(), 4u);
+  EXPECT_EQ(replies[3].to, 2u);
+}
+
 TEST(ClockRsmUnit, DeliversLocalOriginOnlyForOwnCommands) {
   Fixture f;
   f.env.set_clock(100);

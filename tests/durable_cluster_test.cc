@@ -11,8 +11,11 @@
 #include <atomic>
 #include <chrono>
 #include <filesystem>
+#include <fstream>
 #include <map>
 #include <mutex>
+#include <set>
+#include <sstream>
 #include <string>
 #include <string_view>
 #include <thread>
@@ -22,6 +25,7 @@
 #include "clockrsm/clock_rsm.h"
 #include "common/batch.h"
 #include "kv/kv_store.h"
+#include "rsm/history.h"
 #include "rsm/linearizability.h"
 #include "runtime/tcp_cluster.h"
 #include "storage/command_log.h"
@@ -44,6 +48,37 @@ bool eventually(Pred pred, std::chrono::milliseconds deadline =
     std::this_thread::sleep_for(std::chrono::milliseconds(5));
   }
   return pred();
+}
+
+Tick now_us() {
+  return static_cast<Tick>(
+      std::chrono::duration_cast<std::chrono::microseconds>(
+          std::chrono::steady_clock::now().time_since_epoch())
+          .count());
+}
+
+// Established sockets dialed to one of the cluster's listening ports, read
+// from the kernel's TCP table. With one socket per replica pair this is
+// n(n-1)/2; a wake socket counts only until it is answered and closed.
+std::size_t established_links(const TcpCluster& cluster) {
+  std::set<std::uint16_t> ports;
+  for (ReplicaId r = 0; r < cluster.num_replicas(); ++r) {
+    ports.insert(cluster.port(r));
+  }
+  std::ifstream table("/proc/net/tcp");
+  EXPECT_TRUE(table.is_open());
+  std::string line;
+  std::getline(table, line);  // header
+  std::size_t links = 0;
+  while (std::getline(table, line)) {
+    std::istringstream fields(line);
+    std::string slot, local, remote, state;
+    fields >> slot >> local >> remote >> state;
+    const auto port = static_cast<std::uint16_t>(
+        std::stoul(remote.substr(remote.find(':') + 1), nullptr, 16));
+    if (state == "01" && ports.contains(port)) ++links;  // 01 = ESTABLISHED
+  }
+  return links;
 }
 
 // Clock-RSM with crash-restart catch-up on, polling fast for test speed.
@@ -122,13 +157,6 @@ TEST_P(DurableClusterTest, KilledReplicaRestartsCatchesUpAndHistoryLinearizable)
   std::mutex mu;
   std::map<std::pair<ClientId, std::uint64_t>, PendingOp> ops;
   std::vector<std::pair<ClientId, std::uint64_t>> total_order;  // replica 0's
-
-  const auto now_us = [] {
-    return static_cast<Tick>(
-        std::chrono::duration_cast<std::chrono::microseconds>(
-            std::chrono::steady_clock::now().time_since_epoch())
-            .count());
-  };
 
   cluster.set_reply_hook([&](ReplicaId, const Command& cmd) {
     std::lock_guard<std::mutex> lk(mu);
@@ -214,6 +242,101 @@ TEST_P(DurableClusterTest, KilledReplicaRestartsCatchesUpAndHistoryLinearizable)
   }
   const LinearizabilityResult result = check_real_time_order(std::move(records));
   EXPECT_TRUE(result.ok) << result.violation;
+}
+
+// Rejoin is event-driven: the restarted replica wakes the survivors, which
+// redial at once instead of waiting out their reconnect backoff. With a
+// 200 ms initial / 2 s max backoff and a 1 s outage, the survivors' next
+// scheduled attempt would land ~600 ms after the restart; the wake must
+// have every link back within 150 ms, keep one socket per replica pair,
+// and leave a linearizable history.
+TEST_P(DurableClusterTest, RestartedReplicaRejoinsWithoutWaitingOutBackoff) {
+  TcpClusterOptions o = durable_opts();
+  o.reconnect.initial_backoff_us = 200'000;
+  o.reconnect.max_backoff_us = 2'000'000;
+  TcpCluster cluster(3, durable_clock_rsm_factory(3), kv_factory(), o);
+
+  std::mutex mu;
+  HistoryChecker history;
+  std::set<std::pair<ClientId, std::uint64_t>> replied;
+  cluster.set_reply_hook([&](ReplicaId, const Command& cmd) {
+    std::lock_guard<std::mutex> lk(mu);
+    history.on_response(cmd.client, cmd.seq, now_us());
+    replied.emplace(cmd.client, cmd.seq);
+  });
+  cluster.set_commit_hook([&](ReplicaId r, const Command& cmd, Timestamp, bool) {
+    if (r != 0) return;  // replica 0 never dies: its order is the total order
+    std::lock_guard<std::mutex> lk(mu);
+    history.on_commit(cmd.client, cmd.seq);
+  });
+  const auto all_linked = [&] {
+    for (ReplicaId r = 0; r < 3; ++r) {
+      if (cluster.node(r).transport().connected_peers() != 2) return false;
+    }
+    return true;
+  };
+  cluster.start();
+  ASSERT_TRUE(eventually(all_linked));
+
+  // Closed-loop clients at the survivors; their commits stall while
+  // replica 2 is down and resume once it rejoins.
+  constexpr int kOpsPerClient = 24;
+  std::vector<std::thread> clients;
+  for (ReplicaId r = 0; r < 2; ++r) {
+    clients.emplace_back([&, r] {
+      const ClientId id = make_client_id(r, 0);
+      for (std::uint64_t seq = 1; seq <= kOpsPerClient; ++seq) {
+        {
+          std::lock_guard<std::mutex> lk(mu);
+          history.on_invoke(id, seq, now_us());
+        }
+        cluster.submit(r, kv_put(id, seq, "key" + std::to_string(r),
+                                 std::to_string(seq)));
+        while (true) {
+          {
+            std::lock_guard<std::mutex> lk(mu);
+            if (replied.contains({id, seq})) break;
+          }
+          std::this_thread::sleep_for(std::chrono::milliseconds(1));
+        }
+      }
+    });
+  }
+
+  ASSERT_TRUE(eventually([&] { return cluster.executed(0) >= 8; }));
+  cluster.kill(2);
+  // Past the survivors' first redial and well into their backoff.
+  std::this_thread::sleep_for(std::chrono::milliseconds(1000));
+  cluster.restart(2);
+  const auto t0 = std::chrono::steady_clock::now();
+  ASSERT_TRUE(eventually(all_linked, std::chrono::milliseconds(5000)));
+  const auto rejoin = std::chrono::duration_cast<std::chrono::milliseconds>(
+      std::chrono::steady_clock::now() - t0);
+  EXPECT_LE(rejoin.count(), 150) << "links back " << rejoin.count()
+                                 << " ms after the restart";
+  EXPECT_GE(cluster.node(2).transport_stats().wakes_sent, 2u);
+  // Every wake socket closes once answered: one socket per pair remains.
+  EXPECT_TRUE(eventually([&] { return established_links(cluster) == 3; }))
+      << established_links(cluster) << " sockets among 3 replicas";
+  EXPECT_TRUE(all_linked());
+
+  for (auto& t : clients) t.join();
+  const std::uint64_t total = 2 * kOpsPerClient;
+  ASSERT_TRUE(eventually([&] {
+    return cluster.executed(0) == total && cluster.executed(1) == total &&
+           cluster.executed(2) == total;
+  })) << "executed: " << cluster.executed(0) << "/" << cluster.executed(1)
+      << "/" << cluster.executed(2);
+  std::vector<std::uint64_t> digests;
+  for (ReplicaId r = 0; r < 3; ++r) digests.push_back(cluster.node(r).state_digest());
+  cluster.stop();
+  EXPECT_EQ(digests[1], digests[0]);
+  EXPECT_EQ(digests[2], digests[0]);
+
+  std::lock_guard<std::mutex> lk(mu);
+  const HistoryChecker::Report report = history.check();
+  EXPECT_TRUE(report.ok) << report.violation;
+  EXPECT_EQ(report.completed, total);
 }
 
 // Restart driven by checkpoint + log: with periodic checkpointing the

@@ -322,6 +322,65 @@ TEST_P(NetBackendTest, ConnectorConnectsAfterListenerAppears) {
   ASSERT_TRUE(eventually([&] { return cleaned.load(); }));
 }
 
+// A connector deep in backoff (the far end was down) must dial at once on
+// retry_now(): the transport calls it when a restarted peer wakes it, so
+// the link comes back without waiting out the timer.
+TEST_P(NetBackendTest, RetryNowSkipsBackoffOnceListenerExists) {
+  LoopThread lt(GetParam());
+  EventLoop& loop = lt.loop();
+
+  std::uint16_t port = 0;
+  {
+    Socket probe = net::tcp_listen("127.0.0.1", 0);
+    port = net::local_port(probe.fd());
+  }
+
+  // A backoff far longer than the test: only retry_now() can connect.
+  std::unique_ptr<Connector> connector;
+  std::atomic<bool> connected{false};
+  std::atomic<std::uint64_t> attempts_at_connect{0};
+  loop.post([&] {
+    net::ConnectorOptions copt;
+    copt.initial_backoff_us = 60'000'000;
+    copt.max_backoff_us = 60'000'000;
+    connector = std::make_unique<Connector>(loop, "127.0.0.1", port, copt);
+    connector->start([&](Socket&&) {
+      attempts_at_connect = connector->attempts();
+      connected = true;
+    });
+  });
+
+  std::unique_ptr<Acceptor> acceptor;
+  std::atomic<bool> accepted{false};
+  loop.post([&] {
+    acceptor = std::make_unique<Acceptor>(loop, "127.0.0.1", port);
+    acceptor->start([&](Socket&&) { accepted = true; });
+  });
+  // The first attempt was refused before the listener existed; the
+  // connector now sleeps out its backoff.
+  std::this_thread::sleep_for(std::chrono::milliseconds(50));
+  EXPECT_FALSE(connected.load());
+
+  loop.post([&] { connector->retry_now(); });
+  ASSERT_TRUE(eventually([&] { return connected.load() && accepted.load(); },
+                         std::chrono::milliseconds(2000)));
+  EXPECT_EQ(attempts_at_connect.load(), 2u);
+
+  // Once connected it is idle: retry_now() must not dial again.
+  std::atomic<bool> checked{false};
+  std::atomic<std::uint64_t> attempts_after{0};
+  loop.post([&] {
+    connector->retry_now();
+    attempts_after = connector->attempts();
+    EXPECT_FALSE(connector->connecting());
+    connector.reset();
+    acceptor.reset();
+    checked = true;
+  });
+  ASSERT_TRUE(eventually([&] { return checked.load(); }));
+  EXPECT_EQ(attempts_after.load(), 2u);
+}
+
 // --- Torn coalesced writev: exact-tail requeue ------------------------------
 
 // A coalesced flush over a socket with a tiny send buffer is guaranteed to

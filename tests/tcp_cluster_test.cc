@@ -590,6 +590,24 @@ TEST_P(TcpBackendTest, MetricsScrapeAgreesWithStatsAndIsMonotone) {
   EXPECT_LE(appends, s2.appends);
   EXPECT_EQ(snap1.counter_value("crsm_executed_total"), 30u);
   EXPECT_GT(snap1.counter_value("crsm_trace_spans_total"), 0u);
+  // Link health: both peer links up, nothing queued for a down link. Node 0
+  // has no lower-id peer to wake; the wakes it got (its peers' start-up
+  // wakes) agree with the raw stats.
+  const obs::MetricValue* peers = snap1.find("crsm_transport_connected_peers");
+  ASSERT_NE(peers, nullptr);
+  EXPECT_EQ(peers->kind, obs::MetricKind::kGauge);
+  EXPECT_EQ(peers->gauge, 2.0);
+  const obs::MetricValue* backlog = snap1.find("crsm_transport_backlog_bytes");
+  ASSERT_NE(backlog, nullptr);
+  EXPECT_EQ(backlog->kind, obs::MetricKind::kGauge);
+  EXPECT_EQ(backlog->gauge, 0.0);
+  ASSERT_NE(snap1.find("crsm_transport_wakes_sent_total"), nullptr);
+  ASSERT_NE(snap1.find("crsm_transport_wakes_received_total"), nullptr);
+  EXPECT_EQ(snap1.counter_value("crsm_transport_wakes_sent_total"), 0u);
+  const std::uint64_t wakes =
+      snap1.counter_value("crsm_transport_wakes_received_total");
+  EXPECT_GE(wakes, t1.wakes_received);
+  EXPECT_LE(wakes, t2.wakes_received);
   // The in-memory log length sits beside the checkpoint counter: 30 commits
   // stay under the default cadence, so nothing was truncated and the log
   // holds every record ever appended.

@@ -6,10 +6,14 @@
 # SIGKILLs one process — taking one replica of EVERY group down at once —
 # restarts it from its --log-dir and drives load again through the
 # restarted process, which only accepts submissions once recovery and
-# catch-up complete on each group. Once load stops, every replica of a
-# group must report the same crsm_executed_total: the restarted one counts
-# the commands its checkpoint covers. Exercises exactly the path
-# docs/OPERATIONS.md documents; CI runs it against the Release build.
+# catch-up complete on each group. The process stays down past the
+# survivors' 1 s maximum reconnect backoff, yet each restarted group must
+# be relinked to both peers within 0.5 s of coming up: it wakes the
+# survivors' redial rather than waiting for their backoff. Once load stops,
+# every replica of a group must report the same crsm_executed_total: the
+# restarted one counts the commands its checkpoint covers. Exercises
+# exactly the path docs/OPERATIONS.md documents; CI runs it against the
+# Release build.
 #
 # usage: tools/kill_restart_smoke.sh [BUILD_DIR]   (default: build)
 set -euo pipefail
@@ -99,6 +103,11 @@ executed_total() {  # $1 = replica id, $2 = group: its crsm_executed_total
     | awk '$1 ~ /^crsm_executed_total/ { print $2 }'
 }
 
+connected_peers() {  # $1 = replica id, $2 = group: its crsm_transport_connected_peers
+  curl -fsS --max-time 1 "http://127.0.0.1:$(( MBASE + $1 * GROUPS_N + $2 ))/metrics" 2>/dev/null \
+    | awk '$1 ~ /^crsm_transport_connected_peers/ { print $2 }' || true
+}
+
 wait_for_port() {  # $1 = port
   for _ in $(seq 1 100); do
     if (exec 3<>"/dev/tcp/127.0.0.1/$1") 2>/dev/null; then exec 3>&-; return 0; fi
@@ -143,11 +152,26 @@ done
 echo "== kill -9 process 2 (one replica of BOTH groups at once)"
 kill -9 "${PIDS[2]}"
 wait "${PIDS[2]}" 2>/dev/null || true
-sleep 0.5
+# Longer than the survivors' 1 s maximum reconnect backoff: without the
+# restarted process's wake they would redial it up to 1 s late.
+sleep 1.5
 
 echo "== restart process 2 from $WORK/node-2"
 start_node 2; PIDS[2]=$NODE_PID
 for g in 0 1; do wait_for_port $(( $(base_port 2) + g )); done
+
+echo "== each restarted group relinks to both peers within 0.5 s"
+deadline=$(( $(date +%s%N) + 500000000 ))
+for g in 0 1; do
+  until [[ $(connected_peers 2 "$g") == 2 ]]; do
+    if (( $(date +%s%N) > deadline )); then
+      echo "restarted group $g: $(connected_peers 2 "$g") of 2 peer links after 0.5 s"
+      exit 1
+    fi
+    sleep 0.02
+  done
+  echo "  group $g: crsm_transport_connected_peers 2"
+done
 
 echo "== phase 2: drive sharded load through the RESTARTED process 2"
 # Each group of process 2 defers client submissions until its WAL replay +
