@@ -49,6 +49,9 @@ LatencyExperimentResult run_latency_experiment(
   wopt.seed = opt.seed;
   wopt.jitter_ms = opt.jitter_ms;
   wopt.clock_skew_ms = opt.clock_skew_ms;
+  // Commits are observed through the commit hook below; the per-replica
+  // execution trace would only grow with the run.
+  wopt.record_execution = false;
 
   SimWorld world(wopt, factory, [] { return std::make_unique<KvStore>(); });
 

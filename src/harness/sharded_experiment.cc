@@ -42,6 +42,7 @@ ShardedExperimentResult run_sharded_experiment(
   copt.world.seed = opt.seed;
   copt.world.jitter_ms = opt.jitter_ms;
   copt.world.clock_skew_ms = opt.clock_skew_ms;
+  copt.world.record_execution = false;  // commits arrive via the commit hook
 
   ShardedCluster cluster(copt, factory, [] { return std::make_unique<KvStore>(); });
 

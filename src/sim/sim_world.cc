@@ -1,11 +1,11 @@
 #include "sim/sim_world.h"
 
-#include <optional>
 #include <stdexcept>
+#include <string>
 #include <utility>
 
 #include "common/batch.h"
-#include "storage/checkpoint.h"
+#include "storage/replica_storage.h"
 
 namespace crsm {
 
@@ -15,17 +15,45 @@ struct SimWorld::ReplicaCtx final : public ProtocolEnv {
   SimWorld* world = nullptr;
   ReplicaId id = kNoReplica;
   std::unique_ptr<SimClock> clk;
-  std::unique_ptr<CommandLog> log_store;
+  std::unique_ptr<ReplicaStorage> storage;  // durable across crash/restart
   std::unique_ptr<StateMachine> sm;
   std::unique_ptr<ReplicaProtocol> proto;
-  std::vector<ExecRecord> executed;
-  std::uint64_t reads_served = 0;  // cumulative, survives restart()
+  std::vector<ExecRecord> executed;  // only when opt.record_execution
+  std::uint64_t applied = 0;         // commands the state machine reflects
+  std::uint64_t reads_served = 0;    // cumulative, survives restart()
   bool alive = true;
   std::uint64_t generation = 0;
-  std::optional<Checkpoint> checkpoint;  // durable across crash/restart
-  Timestamp floor = kZeroTimestamp;      // installed checkpoint's coverage
-  std::string log_path;                  // non-empty when file-backed
-  CrashLossyLog* lossy_log = nullptr;    // set when opt.lossy_crash
+  CrashLossyLog* lossy_log = nullptr;  // set when opt.lossy_crash
+
+  // Opens replica `id`'s storage: from disk when file-backed (a restart
+  // reopens what the crash left there), else in memory.
+  void open_storage() {
+    const SimWorldOptions& o = world->opt_;
+    StorageOptions so;
+    // The simulator has no event-loop pass to batch fsyncs over: every
+    // durability request syncs at once, as the protocols expect.
+    so.group_commit = false;
+    if (!o.log_dir.empty()) {
+      so.dir = o.log_dir + "/replica-" + std::to_string(id);
+      storage = std::make_unique<ReplicaStorage>(std::move(so));
+      return;
+    }
+    std::unique_ptr<CrashLossyLog> lossy;
+    if (o.lossy_crash) {
+      lossy = std::make_unique<CrashLossyLog>();
+      lossy->set_sync_is_noop(o.sync_is_noop);
+      lossy_log = lossy.get();
+    }
+    storage = std::make_unique<ReplicaStorage>(std::move(so), std::move(lossy));
+  }
+
+  // Fresh volatile state over the stable storage: the state machine starts
+  // from the checkpoint (if any); start() replays the log above it.
+  void boot() {
+    sm = world->sm_factory_();
+    applied = storage->restore_into(*sm) ? storage->checkpoint()->applied : 0;
+    proto = world->protocol_factory_(*this, id);
+  }
 
   // Submit-side batch accumulator (opt.max_batch_cmds > 1). The flush is a
   // same-time simulator event scheduled when the buffer goes non-empty, so
@@ -91,9 +119,20 @@ struct SimWorld::ReplicaCtx final : public ProtocolEnv {
                       });
   }
 
-  [[nodiscard]] CommandLog& log() override { return *log_store; }
+  [[nodiscard]] CommandLog& log() override { return storage->log(); }
 
-  [[nodiscard]] Timestamp recovery_floor() const override { return floor; }
+  [[nodiscard]] Timestamp recovery_floor() const override {
+    return storage->recovery_floor();
+  }
+
+  [[nodiscard]] std::string encoded_checkpoint() const override {
+    return storage->encoded_checkpoint();
+  }
+
+  void install_checkpoint(std::string_view blob) override {
+    storage->install_checkpoint(blob, *sm);
+    applied = storage->checkpoint()->applied;
+  }
 
   void deliver(const Command& cmd, Timestamp ts, bool local_origin) override {
     if (is_batch(cmd)) {
@@ -101,15 +140,21 @@ struct SimWorld::ReplicaCtx final : public ProtocolEnv {
       for (const Command& member : split_batch(cmd)) {
         apply_one(member, ts, sub++, local_origin);
       }
-      return;
+    } else {
+      apply_one(cmd, ts, 0, local_origin);
     }
-    apply_one(cmd, ts, 0, local_origin);
+    // One checkpoint decision per delivered entry, after the whole batch,
+    // exactly as NodeRuntime::deliver does.
+    storage->note_commit(*sm, ts, applied);
   }
 
   void apply_one(const Command& cmd, Timestamp ts, std::uint32_t sub,
                  bool local_origin) {
-    const std::string out = sm->apply(cmd);
-    executed.push_back(ExecRecord{ts, cmd, world->sim_.now(), sub});
+    (void)sm->apply(cmd);
+    ++applied;
+    if (world->opt_.record_execution) {
+      executed.push_back(ExecRecord{ts, cmd, world->sim_.now(), sub});
+    }
     if (world->commit_hook_) world->commit_hook_(id, cmd, ts, local_origin);
   }
 
@@ -147,19 +192,8 @@ SimWorld::SimWorld(SimWorldOptions opt, ProtocolFactory protocol_factory,
             ? 1.0 + clock_rng.uniform(-opt_.clock_drift, opt_.clock_drift)
             : 1.0;
     ctx->clk = std::make_unique<SimClock>([this] { return sim_.now(); }, skew_us, rate);
-    if (opt_.log_dir.empty() && opt_.lossy_crash) {
-      auto lossy = std::make_unique<CrashLossyLog>();
-      lossy->set_sync_is_noop(opt_.sync_is_noop);
-      ctx->lossy_log = lossy.get();
-      ctx->log_store = std::move(lossy);
-    } else if (opt_.log_dir.empty()) {
-      ctx->log_store = std::make_unique<MemLog>();
-    } else {
-      ctx->log_path = opt_.log_dir + "/replica-" + std::to_string(i) + ".log";
-      ctx->log_store = std::make_unique<FileLog>(ctx->log_path);
-    }
-    ctx->sm = sm_factory_();
-    ctx->proto = protocol_factory_(*ctx, ctx->id);
+    ctx->open_storage();
+    ctx->boot();
     replicas_.push_back(std::move(ctx));
   }
 
@@ -179,7 +213,7 @@ void SimWorld::start() {
 
 ReplicaProtocol& SimWorld::protocol(ReplicaId i) { return *replicas_.at(i)->proto; }
 StateMachine& SimWorld::state_machine(ReplicaId i) { return *replicas_.at(i)->sm; }
-CommandLog& SimWorld::log(ReplicaId i) { return *replicas_.at(i)->log_store; }
+CommandLog& SimWorld::log(ReplicaId i) { return replicas_.at(i)->storage->log(); }
 SimClock& SimWorld::clock(ReplicaId i) { return *replicas_.at(i)->clk; }
 
 void SimWorld::submit(ReplicaId i, Command cmd) {
@@ -224,31 +258,23 @@ void SimWorld::restart(ReplicaId i) {
   ++ctx->generation;
   ctx->alive = true;
   ctx->executed.clear();
-  ctx->sm = sm_factory_();  // volatile state is lost; rebuilt below
-  if (!ctx->log_path.empty()) {
-    // Genuine restart: close and reopen the on-disk log, replaying it.
-    ctx->log_store.reset();
-    ctx->log_store = std::make_unique<FileLog>(ctx->log_path);
+  if (!opt_.log_dir.empty()) {
+    // Genuine restart: close the on-disk storage and reopen it.
+    ctx->storage.reset();
+    ctx->open_storage();
   }
-  if (ctx->checkpoint) {
-    ctx->sm->restore(ctx->checkpoint->state);
-    ctx->floor = ctx->checkpoint->last_applied;
-  } else {
-    ctx->floor = kZeroTimestamp;
-  }
-  ctx->proto = protocol_factory_(*ctx, ctx->id);
+  ctx->boot();  // volatile state is lost; rebuilt from stable storage
   network_->recover(i);
   ctx->proto->start();
 }
 
 void SimWorld::take_checkpoint(ReplicaId i, Timestamp last_applied, Epoch epoch) {
   ReplicaCtx* ctx = replicas_.at(i).get();
-  ctx->checkpoint = crsm::take_checkpoint(*ctx->sm, last_applied, epoch);
-  truncate_covered_prefix(*ctx->log_store, *ctx->checkpoint);
+  ctx->storage->checkpoint_now(*ctx->sm, last_applied, epoch, ctx->applied);
 }
 
 bool SimWorld::has_checkpoint(ReplicaId i) const {
-  return replicas_.at(i)->checkpoint.has_value();
+  return replicas_.at(i)->storage->checkpoint().has_value();
 }
 
 }  // namespace crsm

@@ -38,9 +38,16 @@ struct SimWorldOptions {
   double clock_skew_ms = 0.0;        // per-replica skew ~ U(-skew, +skew)
   double clock_drift = 0.0;          // per-replica rate ~ 1 ± U(0, drift)
   bool count_bytes = false;
-  // When non-empty, replicas use durable FileLogs at
-  // <log_dir>/replica-<i>.log instead of in-memory logs; restart() then
-  // exercises the real on-disk recovery path.
+  // Every replica's log and checkpoint live in a ReplicaStorage, the class
+  // crsm_node uses: it checkpoints every StorageOptions::checkpoint_every
+  // (10000) executed log entries and drops the covered log prefix, so a
+  // replica's log stays O(cadence + pending) however long the run.
+  //
+  // When non-empty, replica i's storage is durable under
+  // <log_dir>/replica-<i>/ (wal.log + checkpoint.bin, synced on every
+  // durability request); restart() then rebuilds it from disk, the real
+  // recovery path. Empty: in-memory log and checkpoint, kept across
+  // crash/restart.
   std::string log_dir;
   // Power-loss crash semantics (DST): in-memory logs become CrashLossyLogs
   // and crash(i) discards the replica's un-synced log tail, so protocols
@@ -58,6 +65,12 @@ struct SimWorldOptions {
   // drops the replica's un-submitted buffer (those commands were never
   // acknowledged).
   std::size_t max_batch_cmds = 1;
+  // Keep the per-replica execution trace (execution()): one ExecRecord,
+  // command payload included, per executed command at every replica. The
+  // DST runner and the tests compare these traces; an experiment that only
+  // observes commits through the commit hook turns it off, or the trace
+  // alone grows with the run's length.
+  bool record_execution = true;
 };
 
 // Owns the simulator, network, clocks, logs, state machines and protocol
@@ -111,7 +124,10 @@ class SimWorld {
   // restarts).
   [[nodiscard]] std::uint64_t reads_served(ReplicaId i) const;
 
-  // Executed commands in execution order, per replica.
+  // Executed commands in execution order, per replica; empty unless
+  // opt.record_execution. restart() clears it (the replay refills it from
+  // the log above the checkpoint), and a checkpoint installed by catch-up
+  // stands in for every command it covers without adding records.
   [[nodiscard]] const std::vector<ExecRecord>& execution(ReplicaId i) const;
 
   // --- failure injection ---
@@ -120,14 +136,16 @@ class SimWorld {
   [[nodiscard]] bool crashed(ReplicaId i) const;
   // Restarts replica i with a fresh protocol instance built by the factory;
   // the replica keeps its log and checkpoint (stable storage survives
-  // crashes) but loses soft state; its state machine is rebuilt from the
-  // checkpoint (if any) plus log replay in start().
+  // crashes; a file-backed replica reopens them from disk) but loses soft
+  // state; its state machine is rebuilt from the checkpoint (if any) plus
+  // log replay in start().
   void restart(ReplicaId i);
 
   // --- checkpointing (Section V-B) ---
   // Snapshots replica i's state machine as of commit timestamp
-  // `last_applied` and truncates the covered log prefix. The checkpoint is
-  // durable: it survives crash() and is installed on restart().
+  // `last_applied` and truncates the covered log prefix, on top of the
+  // automatic cadence. The checkpoint is durable: it survives crash() and
+  // is installed on restart().
   void take_checkpoint(ReplicaId i, Timestamp last_applied, Epoch epoch);
   [[nodiscard]] bool has_checkpoint(ReplicaId i) const;
 

@@ -1,21 +1,23 @@
 #include "sim/simulator.h"
 
-#include <stdexcept>
+#include <algorithm>
 #include <utility>
 
 namespace crsm {
 
 void Simulator::at(Tick t, Fn fn) {
   if (t < now_) t = now_;  // clamp; scheduling in the past means "immediately"
-  queue_.push(Event{t, next_seq_++, std::move(fn)});
+  queue_.push_back(Event{t, next_seq_++, std::move(fn)});
+  std::push_heap(queue_.begin(), queue_.end(), Later{});
 }
 
 bool Simulator::step() {
   if (queue_.empty()) return false;
-  // priority_queue::top returns const&; the event is copied out so the
-  // handler may schedule further events safely.
-  Event e = queue_.top();
-  queue_.pop();
+  // The event leaves the heap before it runs, so the handler may schedule
+  // further events safely.
+  std::pop_heap(queue_.begin(), queue_.end(), Later{});
+  Event e = std::move(queue_.back());
+  queue_.pop_back();
   now_ = e.time;
   ++executed_;
   e.fn();
@@ -28,7 +30,7 @@ void Simulator::run() {
 }
 
 void Simulator::run_until(Tick t) {
-  while (!queue_.empty() && queue_.top().time <= t) step();
+  while (!queue_.empty() && queue_.front().time <= t) step();
   if (now_ < t) now_ = t;
 }
 

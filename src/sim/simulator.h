@@ -3,7 +3,6 @@
 
 #include <cstdint>
 #include <functional>
-#include <queue>
 #include <vector>
 
 #include "common/types.h"
@@ -50,7 +49,10 @@ class Simulator {
   Tick now_ = 0;
   std::uint64_t next_seq_ = 0;
   std::uint64_t executed_ = 0;
-  std::priority_queue<Event, std::vector<Event>, Later> queue_;
+  // A binary heap under Later (std::push_heap/pop_heap): unlike
+  // priority_queue, whose top() is const, it lets step() move the earliest
+  // event out instead of copying its std::function.
+  std::vector<Event> queue_;
 };
 
 }  // namespace crsm

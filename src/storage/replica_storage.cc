@@ -2,6 +2,7 @@
 
 #include <chrono>
 #include <filesystem>
+#include <stdexcept>
 #include <thread>
 #include <utility>
 
@@ -70,8 +71,14 @@ void GroupCommitLog::fill_stats(StorageStats* out) const {
 
 // --- ReplicaStorage --------------------------------------------------------
 
-ReplicaStorage::ReplicaStorage(StorageOptions opt) : opt_(std::move(opt)) {
+ReplicaStorage::ReplicaStorage(StorageOptions opt,
+                               std::unique_ptr<CommandLog> memory_log)
+    : opt_(std::move(opt)) {
   if (durable()) {
+    if (memory_log) {
+      throw std::invalid_argument(
+          "ReplicaStorage: memory log given for a durable replica");
+    }
     std::filesystem::create_directories(opt_.dir);
     checkpoint_ = read_checkpoint_file(checkpoint_path());
     // Deferred syncs only make sense for a log that actually hits disk.
@@ -79,7 +86,8 @@ ReplicaStorage::ReplicaStorage(StorageOptions opt) : opt_(std::move(opt)) {
         std::make_unique<FileLog>(wal_path()), opt_.group_commit,
         opt_.test_fsync_delay_us);
   } else {
-    log_ = std::make_unique<GroupCommitLog>(std::make_unique<MemLog>(),
+    if (!memory_log) memory_log = std::make_unique<MemLog>();
+    log_ = std::make_unique<GroupCommitLog>(std::move(memory_log),
                                             /*defer_sync=*/false);
   }
   boot_recovering_ = !log_->records().empty() || checkpoint_.has_value();
@@ -112,15 +120,19 @@ void ReplicaStorage::note_commit(const StateMachine& sm, Timestamp ts,
                                  std::uint64_t applied) {
   if (opt_.checkpoint_every == 0) return;
   if (++commits_since_checkpoint_ < opt_.checkpoint_every) return;
-  commits_since_checkpoint_ = 0;
   // `ts` is the commit timestamp of the command just executed; execution is
   // in commit order, so everything at or below it is already applied. The
   // epoch is carried over from the previous checkpoint: the durable runtime
   // runs reconfiguration-free (epoch 0), and recovery only consumes
   // last_applied; plumb the live epoch through ProtocolEnv before enabling
   // reconfig + durability together.
-  adopt_checkpoint(take_checkpoint(sm, ts, checkpoint_ ? checkpoint_->epoch : 0,
-                                   applied));
+  checkpoint_now(sm, ts, checkpoint_ ? checkpoint_->epoch : 0, applied);
+}
+
+void ReplicaStorage::checkpoint_now(const StateMachine& sm, Timestamp ts,
+                                    Epoch epoch, std::uint64_t applied) {
+  commits_since_checkpoint_ = 0;
+  adopt_checkpoint(take_checkpoint(sm, ts, epoch, applied));
 }
 
 void ReplicaStorage::adopt_checkpoint(Checkpoint cp) {

@@ -13,6 +13,10 @@
 // memory only), so its memory is O(checkpoint_every + pending + state)
 // rather than O(history).
 //
+// The simulator's replicas (SimWorld) sit on the same class, so simulated
+// and real replicas checkpoint, truncate, recover and serve catch-up
+// checkpoints through one code path.
+//
 // Durability cost is managed with group commit: the protocol requests a
 // durability point per PREPARE (CommandLog::sync()), but GroupCommitLog
 // defers the fdatasync; the runtime calls flush() once per event-loop pass,
@@ -112,7 +116,12 @@ class GroupCommitLog final : public CommandLog {
 // which is safe from any thread.
 class ReplicaStorage {
  public:
-  explicit ReplicaStorage(StorageOptions opt);
+  // `memory_log` replaces the volatile MemLog (the simulator supplies a
+  // CrashLossyLog for power-loss testing); it must be null when opt.dir is
+  // set. A volatile log sits under a pass-through GroupCommitLog, so every
+  // sync() reaches it at once.
+  explicit ReplicaStorage(StorageOptions opt,
+                          std::unique_ptr<CommandLog> memory_log = nullptr);
 
   [[nodiscard]] CommandLog& log() { return *log_; }
   [[nodiscard]] bool durable() const { return !opt_.dir.empty(); }
@@ -145,6 +154,10 @@ class ReplicaStorage {
   // checkpoint of `sm` (covering `ts`, the entry's commit timestamp),
   // persists it when durable, and truncates the covered log prefix.
   void note_commit(const StateMachine& sm, Timestamp ts, std::uint64_t applied);
+  // Checkpoints `sm` now, as note_commit does at the cadence but with the
+  // caller's epoch, and restarts the cadence count.
+  void checkpoint_now(const StateMachine& sm, Timestamp ts, Epoch epoch,
+                      std::uint64_t applied);
 
   void count_held_message() {
     held_messages_.fetch_add(1, std::memory_order_relaxed);

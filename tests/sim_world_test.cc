@@ -1,13 +1,19 @@
 // Tests for the SimWorld lifecycle: crash/restart semantics, timer
-// invalidation across generations, checkpoint durability, file-backed logs.
+// invalidation across generations, checkpoint durability, file-backed logs,
+// the log bound under the checkpoint cadence and the execution-trace opt-out.
 #include <gtest/gtest.h>
 
 #include <unistd.h>
 
 #include <filesystem>
 #include <memory>
+#include <string>
+#include <tuple>
+#include <utility>
+#include <vector>
 
 #include "clockrsm/clock_rsm.h"
+#include "storage/replica_storage.h"
 #include "test_util.h"
 
 namespace crsm {
@@ -93,8 +99,8 @@ TEST(SimWorld, FileBackedLogsPersistOnDisk) {
     w.submit(0, kv_put(1, 1, "persisted", "yes"));
     w.sim().run_until(ms_to_us(500.0));
     ASSERT_EQ(w.execution(0).size(), 1u);
-    EXPECT_TRUE(std::filesystem::exists(dir / "replica-0.log"));
-    EXPECT_GT(std::filesystem::file_size(dir / "replica-0.log"), 0u);
+    ASSERT_TRUE(std::filesystem::exists(dir / "replica-0" / "wal.log"));
+    EXPECT_GT(std::filesystem::file_size(dir / "replica-0" / "wal.log"), 0u);
   }
   // A brand-new world over the same directory replays the old logs.
   {
@@ -107,6 +113,114 @@ TEST(SimWorld, FileBackedLogsPersistOnDisk) {
     }
   }
   std::filesystem::remove_all(dir);
+}
+
+// Submits `count` puts, each to a key of its own (so losing any command
+// shows in the digest), round-robin over `homes` in waves of 300 with 100 ms
+// of simulated time per wave. After every wave each live replica's log must
+// stay within the checkpoint window: the entries since the last checkpoint
+// (a PREPARE and a COMMIT mark each, at most 2 * checkpoint_every records)
+// plus the prepares still pending.
+void put_waves(SimWorld& w, const std::vector<ReplicaId>& homes,
+               std::uint64_t first, std::uint64_t count) {
+  const std::uint64_t window = 2 * StorageOptions{}.checkpoint_every;
+  for (std::uint64_t n = first; n < first + count;) {
+    for (int k = 0; k < 300 && n < first + count; ++k, ++n) {
+      w.submit(homes[n % homes.size()], kv_put(1, n + 1, "k" + std::to_string(n), "v"));
+    }
+    w.sim().run_until(w.sim().now() + ms_to_us(100.0));
+    for (ReplicaId r = 0; r < w.num_replicas(); ++r) {
+      if (w.crashed(r)) continue;
+      const auto& p = static_cast<ClockRsmReplica&>(w.protocol(r));
+      ASSERT_LE(w.log(r).records().size(), window + p.pending_count())
+          << "replica " << r << " after command " << n;
+    }
+  }
+}
+
+TEST(SimWorld, LogStaysBoundedPastCheckpointCadenceAndCatchupShipsCheckpoint) {
+  ClockRsmOptions copt;
+  copt.catchup_on_recovery = true;
+  SimWorld w(world_opts(LatencyMatrix::uniform(3, 10.0)), clock_rsm_factory(3, copt),
+             kv_factory());
+  w.start();
+  put_waves(w, {0, 1, 2}, 0, 25'000);
+  w.sim().run_until(w.sim().now() + ms_to_us(500.0));
+  for (ReplicaId r = 0; r < 3; ++r) {
+    EXPECT_TRUE(w.has_checkpoint(r)) << "replica " << r;
+    EXPECT_EQ(w.execution(r).size(), 25'000u) << "replica " << r;
+    EXPECT_EQ(w.state_machine(r).state_digest(), w.state_machine(0).state_digest())
+        << "replica " << r;
+  }
+
+  // Replica 2 stops hearing its peers: their messages to it are dropped.
+  // Its CLOCKTIMEs still reach them, so they keep committing without it and
+  // checkpoint past everything it has; then it crashes. (Crashing it first
+  // would stall them: without reconfiguration a commit waits for every
+  // replica's clock.)
+  w.network().set_link_blocked(0, 2, true);
+  w.network().set_link_blocked(1, 2, true);
+  put_waves(w, {0, 1}, 25'000, 12'000);
+  w.sim().run_until(w.sim().now() + ms_to_us(500.0));
+  ASSERT_EQ(w.execution(0).size(), 37'000u);
+  ASSERT_EQ(w.execution(2).size(), 25'000u);
+  w.crash(2);
+  w.network().clear_faults();
+
+  // The peers' logs no longer hold what replica 2 is missing: its catch-up
+  // must install a peer's checkpoint, then fetch the log suffix above it.
+  w.restart(2);
+  w.sim().run_until(w.sim().now() + ms_to_us(2'000.0));
+  EXPECT_EQ(w.state_machine(2).state_digest(), w.state_machine(0).state_digest());
+  EXPECT_FALSE(static_cast<ClockRsmReplica&>(w.protocol(2)).catching_up());
+
+  // It then commits new commands with its peers.
+  put_waves(w, {0, 1, 2}, 37'000, 300);
+  w.sim().run_until(w.sim().now() + ms_to_us(500.0));
+  for (ReplicaId r = 0; r < 3; ++r) {
+    EXPECT_EQ(w.state_machine(r).state_digest(), w.state_machine(0).state_digest())
+        << "replica " << r;
+  }
+}
+
+// Turning the execution trace off changes nothing else: on the same seed
+// the commit and read hooks see exactly the same sequences.
+TEST(SimWorld, ExecutionTraceOptOutKeepsHookSequences) {
+  using Event = std::tuple<ReplicaId, ClientId, std::uint64_t, Timestamp, std::string>;
+  auto run = [](bool record) {
+    SimWorldOptions o = world_opts(LatencyMatrix::uniform(3, 10.0), 9);
+    o.clock_skew_ms = 1.0;
+    o.jitter_ms = 0.5;
+    o.record_execution = record;
+    SimWorld w(o, factory3(), kv_factory());
+    std::vector<Event> commits;
+    std::vector<Event> reads;
+    w.set_commit_hook([&](ReplicaId r, const Command& c, Timestamp ts, bool local) {
+      commits.emplace_back(r, c.client, c.seq, ts, local ? "local" : "");
+    });
+    w.set_read_hook(
+        [&](ReplicaId r, const Command& c, Timestamp ts, std::string_view out) {
+          reads.emplace_back(r, c.client, c.seq, ts, std::string(out));
+        });
+    w.start();
+    for (std::uint64_t i = 0; i < 60; ++i) {
+      const auto home = static_cast<ReplicaId>(i % 3);
+      w.submit(home, kv_put(1, i + 1, "k" + std::to_string(i % 7), std::to_string(i)));
+      w.submit_read(home, test::kv_get(2, i + 1, "k" + std::to_string(i % 7)));
+      w.sim().run_until(w.sim().now() + ms_to_us(7.0));
+    }
+    w.sim().run_until(w.sim().now() + ms_to_us(1'000.0));
+    for (ReplicaId r = 0; r < 3; ++r) {
+      EXPECT_EQ(w.execution(r).size(), record ? 60u : 0u) << "replica " << r;
+    }
+    return std::make_pair(commits, reads);
+  };
+  const auto traced = run(true);
+  const auto untraced = run(false);
+  EXPECT_EQ(traced.first.size(), 180u);
+  EXPECT_EQ(traced.second.size(), 60u);
+  EXPECT_EQ(untraced.first, traced.first);
+  EXPECT_EQ(untraced.second, traced.second);
 }
 
 TEST(SimWorld, ZeroReplicaWorldRejected) {
