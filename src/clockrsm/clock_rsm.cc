@@ -19,21 +19,15 @@ namespace crsm {
 
 namespace {
 
-struct TsHash {
-  std::size_t operator()(const Timestamp& ts) const {
-    return std::hash<Tick>()(ts.ticks) * 1000003u ^ std::hash<ReplicaId>()(ts.origin);
-  }
-};
-
 bool contains(const std::vector<ReplicaId>& v, ReplicaId r) {
   return std::find(v.begin(), v.end(), r) != v.end();
 }
 
 // Timestamps with a COMMIT mark in `records` (catch-up serving/recovery
 // needs to tell genuinely committed prepares from stale ones).
-std::unordered_set<Timestamp, TsHash> commit_marks(
+std::unordered_set<Timestamp, TimestampHash> commit_marks(
     const std::vector<LogRecord>& records) {
-  std::unordered_set<Timestamp, TsHash> marks;
+  std::unordered_set<Timestamp, TimestampHash> marks;
   for (const LogRecord& r : records) {
     if (r.type == LogType::kCommit) marks.insert(r.ts);
   }
@@ -68,11 +62,14 @@ ClockRsmReplica::ClockRsmReplica(ProtocolEnv& env, std::vector<ReplicaId> spec,
   if (!contains(spec_, env_.self())) {
     throw std::invalid_argument("replica not in specification");
   }
+  if (spec_.size() > kMaxReplicas) {
+    throw std::invalid_argument("replica specification wider than the ack bitset");
+  }
   if (opt_.reconfig_enabled && !opt_.clocktime_enabled) {
     // CLOCKTIME doubles as the failure detector heartbeat.
     throw std::invalid_argument("reconfig requires the clock-time extension");
   }
-  for (ReplicaId r : config_) latest_tv_[r] = 0;
+  latest_tv_.assign(spec_.size(), 0);
   if (opt_.reconfig_enabled) {
     std::vector<ReplicaId> peers;
     for (ReplicaId r : spec_) {
@@ -128,7 +125,7 @@ void ClockRsmReplica::replay_from_log() {
   for (const LogRecord& r : env_.log().records()) {
     if (r.ts.origin == env_.self()) last_sent_ = std::max(last_sent_, r.ts.ticks);
   }
-  for (auto& [r, tv] : latest_tv_) tv = std::max(tv, last_commit_ts_.ticks);
+  for (Tick& tv : latest_tv_) tv = std::max(tv, last_commit_ts_.ticks);
 }
 
 bool ClockRsmReplica::in_config() const { return contains(config_, env_.self()); }
@@ -147,13 +144,21 @@ void ClockRsmReplica::broadcast(const Message& m) {
 }
 
 Tick ClockRsmReplica::min_latest_tv() const {
-  Tick m = std::numeric_limits<Tick>::max();
-  for (ReplicaId r : config_) {
-    auto it = latest_tv_.find(r);
-    const Tick v = it == latest_tv_.end() ? 0 : it->second;
-    m = std::min(m, v);
-  }
-  return m;
+  // Entries outside config_ hold the maximum tick and never bound this.
+  return *std::min_element(latest_tv_.begin(), latest_tv_.end());
+}
+
+std::size_t ClockRsmReplica::slot(ReplicaId r) const {
+  return static_cast<std::size_t>(std::find(spec_.begin(), spec_.end(), r) -
+                                  spec_.begin());
+}
+
+const ClockRsmReplica::AckSet& ClockRsmReplica::add_acker(Timestamp ts,
+                                                          ReplicaId from) {
+  AckSet& ackers = rep_counter_[ts];
+  const std::size_t i = slot(from);
+  if (i < spec_.size()) ackers.set(i);
+  return ackers;
 }
 
 // --------------------------------------------------------------------------
@@ -185,10 +190,9 @@ bool ClockRsmReplica::read_stable(Tick read_ts) const {
   // are bounded below by last_sent_, which the read timestamp already
   // reserved, so no local write can ever be assigned a smaller timestamp.
   // Waiting for our own CLOCKTIME to loop back would only add latency.
-  for (ReplicaId r : config_) {
-    if (r == env_.self()) continue;
-    auto it = latest_tv_.find(r);
-    if ((it == latest_tv_.end() ? 0 : it->second) < read_ts) return false;
+  const std::size_t own = slot(env_.self());
+  for (std::size_t i = 0; i < latest_tv_.size(); ++i) {
+    if (i != own && latest_tv_[i] < read_ts) return false;
   }
   return true;
 }
@@ -197,9 +201,7 @@ void ClockRsmReplica::maybe_serve_reads() {
   if (debug_reads() && !pending_reads_.empty()) {
     std::string tvs;
     for (ReplicaId r : config_) {
-      auto it = latest_tv_.find(r);
-      tvs += std::to_string(r) + "=" +
-             std::to_string(it == latest_tv_.end() ? 0 : it->second) + " ";
+      tvs += std::to_string(r) + "=" + std::to_string(latest_tv_[slot(r)]) + " ";
     }
     std::fprintf(stderr,
                  "[r%u] serve_reads rts=%llu frozen=%d catchup=%d tv: %s "
@@ -345,11 +347,14 @@ void ClockRsmReplica::handle_prepare(const Message& m) {
   if (!contains(config_, m.from)) return;
   if (m.ts <= last_commit_ts_) return;  // defensive: already superseded
 
-  // Lines 4-7.
-  pending_.emplace(m.ts, Pending{m.cmd});
-  auto& tv = latest_tv_[m.from];
+  // Lines 4-7. One retained copy of the command (a view payload is
+  // materialized here, once); the pending entry and the log record share
+  // its payload.
+  const Command cmd = m.cmd;
+  pending_.emplace(m.ts, Pending{cmd});
+  Tick& tv = latest_tv_[slot(m.from)];
   tv = std::max(tv, m.ts.ticks);
-  env_.log().append(LogRecord::prepare(m.ts, m.cmd));
+  env_.log().append(LogRecord::prepare(m.ts, cmd));
   env_.log().sync();
   if (tracer_ != nullptr && m.ts.origin == env_.self() && tracer_->active()) {
     // Own PREPARE looped back: the origin's WAL record is (group-commit
@@ -385,13 +390,12 @@ void ClockRsmReplica::ack_prepare(Timestamp ts, Epoch epoch_at_receipt) {
 void ClockRsmReplica::handle_prepare_ok(const Message& m) {
   if (!contains(config_, m.from)) return;
   // Lines 11-13.
-  auto& tv = latest_tv_[m.from];
+  Tick& tv = latest_tv_[slot(m.from)];
   tv = std::max(tv, m.clock_ts);
   if (m.ts > last_commit_ts_) {
-    auto& ackers = rep_counter_[m.ts];
-    ackers.insert(m.from);
+    const AckSet& ackers = add_acker(m.ts, m.from);
     if (tracer_ != nullptr && m.ts.origin == env_.self() &&
-        ackers.size() >= majority(spec_.size()) && tracer_->active()) {
+        ackers.count() >= majority(spec_.size()) && tracer_->active()) {
       tracer_->stamp_ts(m.ts, obs::Stage::kQuorumAck, obs::trace_now_us());
     }
   }
@@ -400,7 +404,7 @@ void ClockRsmReplica::handle_prepare_ok(const Message& m) {
 
 void ClockRsmReplica::handle_clock_time(const Message& m) {
   if (!contains(config_, m.from)) return;
-  auto& tv = latest_tv_[m.from];
+  Tick& tv = latest_tv_[slot(m.from)];
   tv = std::max(tv, m.clock_ts);
   maybe_commit();
 }
@@ -443,7 +447,7 @@ void ClockRsmReplica::maybe_commit() {
       continue;
     }
     auto rc = rep_counter_.find(ts);
-    if (rc == rep_counter_.end() || rc->second.size() < majority(spec_.size())) {
+    if (rc == rep_counter_.end() || rc->second.count() < majority(spec_.size())) {
       break;
     }
     if (!stable(ts)) break;
@@ -453,7 +457,9 @@ void ClockRsmReplica::maybe_commit() {
 
     if (debug_reconfig()) {
       std::string who;
-      for (ReplicaId r : rc->second) who += std::to_string(r) + ",";
+      for (std::size_t i = 0; i < spec_.size(); ++i) {
+        if (rc->second.test(i)) who += std::to_string(spec_[i]) + ",";
+      }
       std::fprintf(stderr, "[r%u] normal-commit ts=%s ackers=%s clock=%llu\n",
                    env_.self(), ts.to_string().c_str(), who.c_str(),
                    static_cast<unsigned long long>(env_.clock_now()));
@@ -486,7 +492,7 @@ void ClockRsmReplica::arm_clocktime_timer() {
   env_.schedule_after(opt_.clocktime_delta_us, [this] {
     if (!frozen_ && in_config()) {
       const Tick now = env_.clock_now();
-      const Tick own = latest_tv_[env_.self()];
+      const Tick own = latest_tv_[slot(env_.self())];
       if (now >= own + opt_.clocktime_delta_us) {
         Message m;
         m.type = MsgType::kClockTime;
@@ -566,7 +572,7 @@ void ClockRsmReplica::handle_suspend(const Message& m) {
   Message r;
   r.type = MsgType::kSuspendOk;
   r.epoch = m.epoch;
-  std::unordered_set<Timestamp, TsHash> seen;
+  std::unordered_set<Timestamp, TimestampHash> seen;
   for (const LogRecord& rec : env_.log().records()) {
     if (rec.type == LogType::kPrepare && rec.ts > m.ts && seen.insert(rec.ts).second) {
       r.records.push_back(rec);
@@ -615,7 +621,7 @@ void ClockRsmReplica::handle_retrieve_cmds(const Message& m) {
   r.epoch = m.epoch;
   r.ts = last_commit_ts_;
   const auto marks = commit_marks(env_.log().records());
-  std::unordered_set<Timestamp, TsHash> seen;
+  std::unordered_set<Timestamp, TimestampHash> seen;
   for (const LogRecord& rec : env_.log().records()) {
     if (rec.type != LogType::kPrepare || rec.ts <= from || rec.ts > to) continue;
     if (!marks.contains(rec.ts)) continue;
@@ -756,7 +762,7 @@ void ClockRsmReplica::handle_catchup_req(const Message& m) {
   r.epoch = epoch_;
   r.ts = last_commit_ts_;
   const auto marks = commit_marks(env_.log().records());
-  std::unordered_set<Timestamp, TsHash> seen;
+  std::unordered_set<Timestamp, TimestampHash> seen;
   for (const LogRecord& rec : env_.log().records()) {
     if (rec.type != LogType::kPrepare || rec.ts <= m.ts) continue;
     if (rec.ts <= last_commit_ts_ && !marks.contains(rec.ts)) continue;
@@ -809,12 +815,13 @@ void ClockRsmReplica::handle_catchup_reply(const Message& m) {
       last_commit_ts_ = cp_last_applied;
       pending_.erase(pending_.begin(),
                      pending_.upper_bound(last_commit_ts_));
-      rep_counter_.erase(rep_counter_.begin(),
-                         rep_counter_.upper_bound(last_commit_ts_));
+      std::erase_if(rep_counter_, [this](const auto& entry) {
+        return entry.first <= last_commit_ts_;
+      });
     }
   }
 
-  std::unordered_set<Timestamp, TsHash> in_log;
+  std::unordered_set<Timestamp, TimestampHash> in_log;
   for (const LogRecord& rec : env_.log().records()) {
     if (rec.type == LogType::kPrepare) in_log.insert(rec.ts);
   }
@@ -864,7 +871,7 @@ void ClockRsmReplica::handle_catchup_reply(const Message& m) {
   // the rest of the cluster commits it and moves on.
   for (const auto& [ts, cmd] : open) {
     if (ts <= last_commit_ts_) continue;
-    rep_counter_[ts].insert(m.from);
+    add_acker(ts, m.from);
     if (pending_.contains(ts)) continue;
     if (!in_log.contains(ts)) {
       env_.log().append(LogRecord::prepare(ts, cmd));
@@ -939,7 +946,7 @@ void ClockRsmReplica::maybe_finish_catchup() {
         });
   }
   const Tick base = last_commit_ts_.ticks;
-  for (auto& [r, tv] : latest_tv_) tv = std::max(tv, base);
+  for (Tick& tv : latest_tv_) tv = std::max(tv, base);
   last_sent_ = std::max(last_sent_, base);
   catchup_replied_.clear();
   while (!deferred_submits_.empty()) {
@@ -954,7 +961,14 @@ void ClockRsmReplica::maybe_finish_catchup() {
 
 void ClockRsmReplica::on_consensus_decide(Epoch instance, const std::string& blob) {
   if (instance <= epoch_) return;
-  undelivered_decisions_[instance] = ReconfigDecision::decode(blob);
+  ReconfigDecision dec = ReconfigDecision::decode(blob);
+  // reconfigure() only proposes subsets of spec_, and per-replica state is
+  // indexed by spec position: a decision naming anyone else came from
+  // outside this group.
+  for (ReplicaId r : dec.config) {
+    if (!contains(spec_, r)) return;
+  }
+  undelivered_decisions_[instance] = std::move(dec);
   try_apply_decisions();
 }
 
@@ -1028,7 +1042,7 @@ void ClockRsmReplica::finish_decision(Epoch e, const ReconfigDecision& dec,
   // `extra` holds state-transferred commands in (last_commit_ts, dec.cts];
   // dec.cmds holds every command above dec.cts that could have committed.
   std::map<Timestamp, Command> to_apply = std::move(extra);
-  std::unordered_set<Timestamp, TsHash> decided_set;
+  std::unordered_set<Timestamp, TimestampHash> decided_set;
   for (const LogRecord& rec : dec.cmds) {
     decided_set.insert(rec.ts);
     if (rec.ts > last_commit_ts_) to_apply.emplace(rec.ts, rec.cmd);
@@ -1039,7 +1053,7 @@ void ClockRsmReplica::finish_decision(Epoch e, const ReconfigDecision& dec,
       dec.cts, [&decided_set](const Timestamp& ts) { return decided_set.contains(ts); });
 
   // Lines 16-20: apply the surviving commands in timestamp order.
-  std::unordered_set<Timestamp, TsHash> in_log;
+  std::unordered_set<Timestamp, TimestampHash> in_log;
   for (const LogRecord& rec : env_.log().records()) {
     if (rec.type == LogType::kPrepare) in_log.insert(rec.ts);
   }
@@ -1060,9 +1074,9 @@ void ClockRsmReplica::finish_decision(Epoch e, const ReconfigDecision& dec,
   epoch_ = e;
   config_ = dec.config;
   ++stats_.reconfigurations;
-  latest_tv_.clear();
+  latest_tv_.assign(spec_.size(), std::numeric_limits<Tick>::max());
   const Tick base = std::max(last_commit_ts_.ticks, dec.cts.ticks);
-  for (ReplicaId r : config_) latest_tv_[r] = base;
+  for (ReplicaId r : config_) latest_tv_[slot(r)] = base;
   last_sent_ = std::max(last_sent_, base);
   pending_.clear();
   rep_counter_.clear();

@@ -7,6 +7,7 @@
 // arrive — and (3) all smaller-timestamped commands committed.
 #pragma once
 
+#include <bitset>
 #include <cstdint>
 #include <deque>
 #include <map>
@@ -64,8 +65,14 @@ struct ClockRsmOptions {
 
 class ClockRsmReplica final : public ReplicaProtocol {
  public:
+  // Widest replica specification: acks are tracked as one bit per spec
+  // position.
+  static constexpr std::size_t kMaxReplicas = 64;
+
   // `spec` is the administrator-fixed replica specification; the initial
-  // configuration equals the specification.
+  // configuration equals the specification. Throws std::invalid_argument
+  // when the specification is empty, does not list this replica, or has
+  // more than kMaxReplicas members.
   ClockRsmReplica(ProtocolEnv& env, std::vector<ReplicaId> spec,
                   ClockRsmOptions opt = {});
 
@@ -123,6 +130,8 @@ class ClockRsmReplica final : public ReplicaProtocol {
   struct Pending {
     Command cmd;
   };
+  // Distinct ackers of one timestamp: bit i stands for spec_[i].
+  using AckSet = std::bitset<kMaxReplicas>;
 
   // --- Algorithm 1 ---
   void handle_request(Command cmd);
@@ -167,6 +176,12 @@ class ClockRsmReplica final : public ReplicaProtocol {
   void broadcast(const Message& m);
   [[nodiscard]] Tick next_send_ticks();
   [[nodiscard]] Tick min_latest_tv() const;
+  // Position of `r` in spec_ (spec_.size() when absent). Every configuration
+  // is a subset of spec_ (reconfigure() enforces it), so a config member
+  // always has a slot.
+  [[nodiscard]] std::size_t slot(ReplicaId r) const;
+  // Records `from` as an acker of `ts`; returns the ackers so far.
+  const AckSet& add_acker(Timestamp ts, ReplicaId from);
 
   ProtocolEnv& env_;
   ClockRsmOptions opt_;
@@ -183,14 +198,17 @@ class ClockRsmReplica final : public ReplicaProtocol {
   // Soft state (Table I). The replication counter tracks *distinct* ackers
   // so duplicate PREPAREOKs (crash-restart re-acks, catch-up staging) are
   // idempotent: majority means a majority of replicas, never a count that a
-  // repeated sender could inflate.
+  // repeated sender could inflate. Only pending_ is walked in timestamp
+  // order; the counter is looked up by timestamp, so it is hashed.
   std::map<Timestamp, Pending> pending_;
-  std::map<Timestamp, std::set<ReplicaId>> rep_counter_;
+  std::unordered_map<Timestamp, AckSet, TimestampHash> rep_counter_;
   // Reads waiting for their timestamp to become stable, keyed by read
   // timestamp (ticks from next_send_ticks(), so strictly increasing;
   // multimap because the key is a bare tick, defensive against reuse).
   std::multimap<Tick, Command> pending_reads_;
-  std::unordered_map<ReplicaId, Tick> latest_tv_;
+  // LatestTV, indexed by slot(). Entries of replicas outside config_ hold
+  // the maximum tick, so stability is the minimum over the whole vector.
+  std::vector<Tick> latest_tv_;
   Timestamp last_commit_ts_;
   Tick last_sent_ = 0;  // enforces sending in strictly increasing ts order
 

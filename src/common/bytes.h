@@ -5,21 +5,33 @@
 // copied while a message is merely inspected and routed. The moment protocol
 // code stores a payload past the handler call — ClockRSM's pending map,
 // Paxos/Mencius slot state, a command-log append — the store goes through
-// Bytes' copy constructor/assignment, which always materializes an owned
-// copy. That single rule ("a copy owns") is what makes view payloads safe to
-// hand to unmodified protocol code.
+// Bytes' copy constructor/assignment, which always yields an owned Bytes.
+// That single rule ("a copy owns") is what makes view payloads safe to hand
+// to unmodified protocol code.
+//
+// Owned bytes are immutable and shared: copying an owned Bytes bumps a
+// reference count instead of copying the bytes, so a command's pending
+// entry, its log record and the frame that carries it all hold one buffer.
 //
 // Ownership rules:
 //  * Bytes built from std::string / const char* own their bytes.
 //  * Bytes::view(v) borrows `v`; the borrow is only valid while the backing
 //    buffer is (one transport poll pass). Views never escape the handler
 //    unless copied, because copying produces an owned Bytes.
+//  * A copy of an owned Bytes co-owns the same immutable bytes; they live
+//    until the last co-owner is destroyed or reassigned. Nothing mutates
+//    owned bytes in place: assignment, assign() and clear() replace the
+//    storage, leaving other co-owners untouched. Co-owners may be copied
+//    and destroyed on different threads.
+//  * A copy of a view materializes a fresh owned buffer (one allocation).
 //  * Moving preserves the mode: moving a view moves the borrow (still only
-//    valid within the handler scope); moving an owned Bytes transfers the
-//    owned storage.
+//    valid within the handler scope); moving an owned Bytes transfers its
+//    share of the storage.
 #pragma once
 
 #include <cstddef>
+#include <cstring>
+#include <memory>
 #include <ostream>
 #include <string>
 #include <string_view>
@@ -33,7 +45,7 @@ class Bytes {
 
   // Owning constructors (implicit: payloads are assigned from encoded
   // strings all over the tests and examples).
-  Bytes(std::string s) : owned_(std::move(s)), view_(owned_), is_view_(false) {}
+  Bytes(std::string s) { adopt(std::move(s)); }
   Bytes(const char* s) : Bytes(std::string(s)) {}
 
   // Borrows `v` without copying. Only the decode path should create these.
@@ -45,15 +57,13 @@ class Bytes {
   }
 
   // Copying always yields an owned Bytes: this is the copy-on-retain point.
-  Bytes(const Bytes& o) : owned_(o.view_), view_(owned_), is_view_(false) {}
+  // An owned source is shared, a view is materialized.
+  Bytes(const Bytes& o) : owner_(o.owner_), view_(o.view_) {
+    if (o.is_view_) materialize();
+  }
   Bytes& operator=(const Bytes& o) {
-    if (this != &o) {
-      // Materialize through a temporary: `o` may be a view into owned_.
-      std::string tmp(o.view_);
-      owned_ = std::move(tmp);
-      view_ = owned_;
-      is_view_ = false;
-    }
+    // Copy first: `o` may be a view into the storage this assignment drops.
+    if (this != &o) *this = Bytes(o);
     return *this;
   }
 
@@ -64,9 +74,7 @@ class Bytes {
   }
 
   Bytes& operator=(std::string s) {
-    owned_ = std::move(s);
-    view_ = owned_;
-    is_view_ = false;
+    adopt(std::move(s));
     return *this;
   }
   Bytes& operator=(const char* s) { return *this = std::string(s); }
@@ -82,25 +90,20 @@ class Bytes {
   // Owned copy of the contents (for code that needs a std::string).
   [[nodiscard]] std::string str() const { return std::string(view_); }
 
-  void clear() {
-    owned_.clear();
-    view_ = owned_;
-    is_view_ = false;
-  }
+  void clear() { steal(Bytes()); }
 
   void assign(std::size_t n, char c) {
-    owned_.assign(n, c);
-    view_ = owned_;
+    if (n == 0) return clear();
+    auto buf = std::make_shared_for_overwrite<char[]>(n);
+    std::memset(buf.get(), c, n);
+    view_ = std::string_view(buf.get(), n);
+    owner_ = std::move(buf);
     is_view_ = false;
   }
 
   // Converts a view in place into an owned copy (no-op when already owned).
   void ensure_owned() {
-    if (is_view_) {
-      owned_.assign(view_.begin(), view_.end());
-      view_ = owned_;
-      is_view_ = false;
-    }
+    if (is_view_) materialize();
   }
 
   // Strings and literals compare via the implicit owning constructors; a
@@ -114,23 +117,41 @@ class Bytes {
   }
 
  private:
+  // Takes over `s` without copying its bytes: the string moves into the
+  // shared block, whose address (and so the bytes') never changes.
+  void adopt(std::string s) {
+    if (s.empty()) return clear();
+    auto owned = std::make_shared<const std::string>(std::move(s));
+    view_ = *owned;
+    owner_ = std::move(owned);
+    is_view_ = false;
+  }
+
+  // Replaces the borrow with an owned copy of the bytes in one allocation.
+  void materialize() {
+    const std::string_view src = view_;
+    if (src.empty()) return clear();
+    auto buf = std::make_shared_for_overwrite<char[]>(src.size());
+    std::memcpy(buf.get(), src.data(), src.size());
+    view_ = std::string_view(buf.get(), src.size());
+    owner_ = std::move(buf);
+    is_view_ = false;
+  }
+
   void steal(Bytes&& o) noexcept {
-    if (o.is_view_) {
-      view_ = o.view_;
-      is_view_ = true;
-      owned_.clear();
-    } else {
-      owned_ = std::move(o.owned_);
-      view_ = owned_;  // the moved string's data pointer may have changed
-      is_view_ = false;
-    }
-    o.owned_.clear();
-    o.view_ = o.owned_;
+    owner_ = std::move(o.owner_);
+    view_ = o.view_;
+    is_view_ = o.is_view_;
+    o.owner_.reset();
+    o.view_ = std::string_view("", 0);
     o.is_view_ = false;
   }
 
-  std::string owned_;
-  std::string_view view_;  // always valid: points into owned_ or a borrow
+  // Keeps owned bytes alive; null for a view and for the empty Bytes.
+  std::shared_ptr<const void> owner_;
+  // Always valid: points into owner_'s bytes or a borrow. Never null, so
+  // data() can go straight to memcpy.
+  std::string_view view_ = std::string_view("", 0);
   bool is_view_ = false;
 };
 

@@ -20,8 +20,9 @@ namespace {
 // Shared field decoders. In view mode, byte fields borrow the decoder's
 // input buffer (zero-copy); otherwise they own their bytes.
 Bytes decode_payload(Decoder& d, bool view_mode) {
-  std::string_view v = d.bytes_view();
-  return view_mode ? Bytes::view(v) : Bytes(std::string(v));
+  Bytes b = Bytes::view(d.bytes_view());
+  if (!view_mode) b.ensure_owned();  // one allocation, no std::string detour
+  return b;
 }
 
 Command decode_command_impl(Decoder& d, bool view_mode) {

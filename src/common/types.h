@@ -4,6 +4,7 @@
 #include <compare>
 #include <cstddef>
 #include <cstdint>
+#include <functional>
 #include <limits>
 #include <string>
 
@@ -47,6 +48,13 @@ struct Timestamp {
 };
 
 inline constexpr Timestamp kZeroTimestamp{0, 0};
+
+// Hash for unordered containers keyed by Timestamp.
+struct TimestampHash {
+  std::size_t operator()(const Timestamp& ts) const {
+    return std::hash<Tick>()(ts.ticks) * 1000003u ^ std::hash<ReplicaId>()(ts.origin);
+  }
+};
 
 // Size of a majority quorum of `n` processes.
 [[nodiscard]] constexpr std::size_t majority(std::size_t n) { return n / 2 + 1; }

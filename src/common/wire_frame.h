@@ -67,6 +67,7 @@ class WireFrame {
   // per frame, amortized over the fan-out.
   explicit WireFrame(Message m)
       : msg_(std::make_shared<const Message>(std::move(m))) {}
+  explicit WireFrame(std::shared_ptr<const Message> m) : msg_(std::move(m)) {}
 
   [[nodiscard]] const Message& msg() const { return *msg_; }
   [[nodiscard]] const std::shared_ptr<const Message>& shared_msg() const {
@@ -108,9 +109,11 @@ class FrameWriter {
   explicit FrameWriter(ReplicaId self) : self_(self) {}
 
   [[nodiscard]] WireFrame frame(const Message& m) const {
-    Message copy = m;
-    copy.from = self_;
-    return WireFrame(std::move(copy));
+    // Copied straight into the frame's shared storage; payloads are shared,
+    // not duplicated (Bytes copies co-own).
+    auto copy = std::make_shared<Message>(m);
+    copy->from = self_;
+    return WireFrame(std::shared_ptr<const Message>(std::move(copy)));
   }
 
  private:

@@ -174,9 +174,9 @@ SimWorld::SimWorld(SimWorldOptions opt, ProtocolFactory protocol_factory,
   const std::size_t n = opt_.matrix.size();
   if (n == 0) throw std::invalid_argument("SimWorld needs at least one replica");
 
-  network_ = std::make_unique<SimNetwork>(
+  network_ = std::make_unique<SimTransport>(
       sim_, opt_.matrix, rng_.fork(),
-      SimNetwork::Options{.jitter_ms = opt_.jitter_ms, .count_bytes = opt_.count_bytes});
+      SimTransport::Options{.jitter_ms = opt_.jitter_ms, .count_bytes = opt_.count_bytes});
 
   Rng clock_rng = rng_.fork();
   for (std::size_t i = 0; i < n; ++i) {

@@ -11,9 +11,9 @@
 #include "common/types.h"
 #include "rsm/protocol.h"
 #include "rsm/state_machine.h"
-#include "sim/sim_network.h"
 #include "sim/simulator.h"
 #include "storage/command_log.h"
+#include "transport/sim_transport.h"
 #include "util/rng.h"
 #include "util/topology.h"
 
@@ -102,7 +102,7 @@ class SimWorld {
 
   [[nodiscard]] std::size_t num_replicas() const { return replicas_.size(); }
   [[nodiscard]] Simulator& sim() { return sim_; }
-  [[nodiscard]] SimNetwork& network() { return *network_; }
+  [[nodiscard]] SimTransport& network() { return *network_; }
   [[nodiscard]] ReplicaProtocol& protocol(ReplicaId i);
   [[nodiscard]] StateMachine& state_machine(ReplicaId i);
   [[nodiscard]] CommandLog& log(ReplicaId i);
@@ -157,7 +157,7 @@ class SimWorld {
   StateMachineFactory sm_factory_;
   Rng rng_;
   Simulator sim_;
-  std::unique_ptr<SimNetwork> network_;
+  std::unique_ptr<SimTransport> network_;
   std::vector<std::unique_ptr<ReplicaCtx>> replicas_;
   CommitHook commit_hook_;
   ReadHook read_hook_;

@@ -19,9 +19,17 @@ class Simulator {
   [[nodiscard]] Tick now() const { return now_; }
 
   // Schedules `fn` at absolute virtual time `t` (>= now).
-  void at(Tick t, Fn fn);
+  void at(Tick t, Fn fn) { at_seq(t, reserve_seq(), std::move(fn)); }
   // Schedules `fn` after `delay` microseconds of virtual time.
   void after(Tick delay, Fn fn) { at(now_ + delay, std::move(fn)); }
+
+  // Deferred scheduling: reserve_seq() takes the tie-break rank an at() call
+  // would take right now; at_seq() later schedules an event under it. An
+  // event scheduled this way runs exactly where at(t, fn) at reservation
+  // time would have run it. SimTransport uses the pair to keep only each
+  // busy link's head message in the queue.
+  [[nodiscard]] std::uint64_t reserve_seq() { return next_seq_++; }
+  void at_seq(Tick t, std::uint64_t seq, Fn fn);
 
   // Runs one event; returns false if the queue is empty.
   bool step();
@@ -31,13 +39,16 @@ class Simulator {
   void run_until(Tick t);
 
   [[nodiscard]] std::uint64_t executed() const { return executed_; }
+  // Scheduled events. A busy SimTransport link counts once, however many
+  // messages it has in flight.
   [[nodiscard]] std::size_t pending() const { return queue_.size(); }
 
  private:
+  // An event's place in the order; its function waits in fns_[slot].
   struct Event {
-    Tick time;
-    std::uint64_t seq;
-    Fn fn;
+    Tick time = 0;
+    std::uint64_t seq = 0;
+    std::uint32_t slot = 0;
   };
   struct Later {
     bool operator()(const Event& a, const Event& b) const {
@@ -49,10 +60,12 @@ class Simulator {
   Tick now_ = 0;
   std::uint64_t next_seq_ = 0;
   std::uint64_t executed_ = 0;
-  // A binary heap under Later (std::push_heap/pop_heap): unlike
-  // priority_queue, whose top() is const, it lets step() move the earliest
-  // event out instead of copying its std::function.
+  // A binary heap under Later (std::push_heap/pop_heap) of small trivially
+  // copyable keys: sifting moves 24 bytes, never a std::function.
   std::vector<Event> queue_;
+  // Scheduled functions by slot; a slot is recycled once its event ran.
+  std::vector<Fn> fns_;
+  std::vector<std::uint32_t> free_slots_;
 };
 
 }  // namespace crsm

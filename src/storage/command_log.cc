@@ -16,12 +16,6 @@ namespace crsm {
 
 namespace {
 
-struct TimestampHash {
-  std::size_t operator()(const Timestamp& ts) const {
-    return std::hash<Tick>()(ts.ticks) * 1000003u ^ std::hash<ReplicaId>()(ts.origin);
-  }
-};
-
 [[noreturn]] void throw_errno(const std::string& what) {
   throw std::system_error(errno, std::generic_category(), what);
 }

@@ -5,17 +5,9 @@
 
 namespace crsm {
 
-namespace {
-struct TsHash {
-  std::size_t operator()(const Timestamp& ts) const {
-    return std::hash<Tick>()(ts.ticks) * 1000003u ^ std::hash<ReplicaId>()(ts.origin);
-  }
-};
-}  // namespace
-
 ReplayResult replay_log(const std::vector<LogRecord>& records) {
   ReplayResult out;
-  std::unordered_map<Timestamp, LogRecord, TsHash> staged;
+  std::unordered_map<Timestamp, LogRecord, TimestampHash> staged;
   for (const LogRecord& r : records) {
     switch (r.type) {
       case LogType::kPrepare:

@@ -56,12 +56,14 @@ void SimTransport::send(ReplicaId from, ReplicaId to, const WireFrame& f) {
   const bool duplicate =
       from != to && dup_prob_ > 0.0 && rng_.bernoulli(dup_prob_);
   if (duplicate) ++stats_.messages_duplicated;
-  deliver(link, from, to, f.shared_msg());
-  if (duplicate) deliver(link, from, to, f.shared_msg());
+  deliver(from, to, f.shared_msg());
+  if (duplicate) deliver(from, to, f.shared_msg());
 }
 
-void SimTransport::deliver(LinkState& link, ReplicaId from, ReplicaId to,
+void SimTransport::deliver(ReplicaId from, ReplicaId to,
                            std::shared_ptr<const Message> m) {
+  const std::size_t idx = link_index(from, to);
+  LinkState& link = links_[idx];
   Tick arrival = sim_.now() + matrix_.oneway_us(from, to);
   if (from != to) arrival += extra_delay_us_;
   if (opt_.jitter_ms > 0.0 && from != to) {
@@ -72,15 +74,32 @@ void SimTransport::deliver(LinkState& link, ReplicaId from, ReplicaId to,
   if (arrival <= link.last_arrival) arrival = link.last_arrival + 1;
   link.last_arrival = arrival;
 
-  // All destinations of a multicast share one immutable Message.
-  sim_.at(arrival, [this, to, m = std::move(m)]() {
-    if (crashed_[to] || !handlers_[to]) {
-      ++stats_.messages_dropped;
-      return;
-    }
-    ++stats_.messages_delivered;
-    handlers_[to](*m);
-  });
+  // All destinations of a multicast share one immutable Message. The rank
+  // is taken now, as a per-message event would take it at send time.
+  link.in_flight.push_back(InFlight{arrival, sim_.reserve_seq(), std::move(m)});
+  if (link.in_flight.size() == 1) schedule_head(idx);
+}
+
+void SimTransport::schedule_head(std::size_t idx) {
+  const InFlight& head = links_[idx].in_flight.front();
+  // Two words of capture: std::function stores it inline, no allocation.
+  sim_.at_seq(head.arrival, head.seq, [this, idx] { deliver_head(idx); });
+}
+
+void SimTransport::deliver_head(std::size_t idx) {
+  LinkState& link = links_[idx];
+  const std::shared_ptr<const Message> m = std::move(link.in_flight.front().msg);
+  link.in_flight.pop_front();
+  // The successor is scheduled before the handler runs, so anything the
+  // handler sends on this link queues behind it.
+  if (!link.in_flight.empty()) schedule_head(idx);
+  const auto to = static_cast<ReplicaId>(idx % matrix_.size());
+  if (crashed_[to] || !handlers_[to]) {
+    ++stats_.messages_dropped;
+    return;
+  }
+  ++stats_.messages_delivered;
+  handlers_[to](*m);
 }
 
 void SimTransport::crash(ReplicaId id) {
@@ -135,7 +154,7 @@ void SimTransport::set_link_outage(ReplicaId from, ReplicaId to, bool outage) {
     // sent from now on (deliver()'s FIFO clamp chains the arrivals).
     std::vector<std::shared_ptr<const Message>> backlog;
     backlog.swap(link.backlog);
-    for (auto& m : backlog) deliver(link, from, to, std::move(m));
+    for (auto& m : backlog) deliver(from, to, std::move(m));
   }
 }
 

@@ -2,6 +2,7 @@
 #pragma once
 
 #include <cstdint>
+#include <deque>
 #include <functional>
 #include <memory>
 #include <vector>
@@ -28,6 +29,13 @@ namespace crsm {
 // Delivery hands the frame's shared decoded Message to the destination
 // handler — one fan-out shares a single Message and (when byte counting is
 // on) a single encoding across all N links.
+//
+// Each link keeps its in-flight messages in a FIFO queue, and only the head
+// of a busy link sits in the Simulator's event queue. The head is scheduled
+// under the tie-break rank reserved when it was sent (Simulator::
+// reserve_seq), and arrivals on a link strictly increase, so every delivery
+// runs at exactly the (time, rank) position a per-message event would have
+// had: the global event order is that of one event per message.
 //
 // Replica ids are indices into the latency matrix.
 class SimTransport final : public Transport {
@@ -105,18 +113,30 @@ class SimTransport final : public Transport {
   [[nodiscard]] const LatencyMatrix& matrix() const { return matrix_; }
 
  private:
+  // A message on the wire: its arrival time and the Simulator rank
+  // reserved when it was sent.
+  struct InFlight {
+    Tick arrival = 0;
+    std::uint64_t seq = 0;
+    std::shared_ptr<const Message> msg;
+  };
   struct LinkState {
     Tick last_arrival = 0;
     bool blocked = false;
     bool outage = false;
+    // Sent and not yet delivered, in send order; the front one is scheduled.
+    std::deque<InFlight> in_flight;
     // Messages queued while the link is in outage, flushed FIFO on heal.
     std::vector<std::shared_ptr<const Message>> backlog;
   };
 
   [[nodiscard]] std::size_t link_index(ReplicaId from, ReplicaId to) const;
-  // Schedules one message on a live link, preserving per-link FIFO order.
-  void deliver(LinkState& link, ReplicaId from, ReplicaId to,
-               std::shared_ptr<const Message> m);
+  // Puts one message on a live link, preserving per-link FIFO order.
+  void deliver(ReplicaId from, ReplicaId to, std::shared_ptr<const Message> m);
+  // Schedules the front of link `idx`'s in-flight queue.
+  void schedule_head(std::size_t idx);
+  // The delivery event: hands the front message to its destination.
+  void deliver_head(std::size_t idx);
 
   Simulator& sim_;
   LatencyMatrix matrix_;

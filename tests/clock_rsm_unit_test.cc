@@ -369,6 +369,54 @@ TEST(ClockRsmUnit, ConstructorValidatesArguments) {
   EXPECT_THROW(ClockRsmReplica(env, kSpec, bad), std::invalid_argument);
 }
 
+TEST(ClockRsmUnit, SpecWiderThanAckBitsetIsRejected) {
+  MockEnv env(kSelf);
+  std::vector<ReplicaId> spec(ClockRsmReplica::kMaxReplicas + 1);
+  for (std::size_t i = 0; i < spec.size(); ++i) spec[i] = static_cast<ReplicaId>(i);
+  EXPECT_THROW(ClockRsmReplica(env, spec), std::invalid_argument);
+  spec.pop_back();
+  EXPECT_NO_THROW(ClockRsmReplica(env, spec));
+}
+
+TEST(ClockRsmUnit, WidestSpecCountsDistinctAckersUpToTheLastSlot) {
+  // 64 replicas with sparse ids: acks are bits indexed by spec position, so
+  // the last position (bit 63) must count, and repeats must not.
+  MockEnv env(kSelf);
+  std::vector<ReplicaId> spec;
+  for (ReplicaId i = 0; i < ClockRsmReplica::kMaxReplicas; ++i) spec.push_back(i * 10);
+  ClockRsmReplica replica(env, spec, {.clocktime_enabled = false});
+  replica.start();
+  env.set_clock(9000);
+  const Timestamp ts{5000, 10};
+  replica.on_message(prepare(10, ts, 1));
+  for (ReplicaId r : spec) replica.on_message(clock_time(r, 8000));
+  const std::size_t quorum = majority(spec.size());  // 33
+  // quorum - 1 distinct ackers from the top of the spec, the last one many
+  // times over: still one short.
+  for (std::size_t i = spec.size() - (quorum - 1); i < spec.size(); ++i) {
+    replica.on_message(prepare_ok(spec[i], ts, 8000));
+  }
+  for (int k = 0; k < 5; ++k) replica.on_message(prepare_ok(spec.back(), ts, 8000));
+  EXPECT_TRUE(env.delivered.empty());
+  replica.on_message(prepare_ok(spec.front(), ts, 8000));
+  ASSERT_EQ(env.delivered.size(), 1u);
+  EXPECT_EQ(env.delivered[0].ts, ts);
+}
+
+TEST(ClockRsmUnit, DecisionNamingReplicaOutsideSpecIsIgnored) {
+  Fixture f;
+  ReconfigDecision dec;
+  dec.config = {0, 1, 7};  // 7 is not in the specification
+  Message m;
+  m.type = MsgType::kConsDecide;
+  m.from = 1;
+  m.epoch = 1;
+  m.blob = dec.encode();
+  f.replica.on_message(m);
+  EXPECT_EQ(f.replica.epoch(), 0u);
+  EXPECT_EQ(f.replica.config(), kSpec);
+}
+
 TEST(ClockRsmUnit, ClockTimeTimerBroadcastsWhenIdle) {
   ClockRsmOptions opt;
   opt.clocktime_enabled = true;
