@@ -111,13 +111,10 @@ inline void print_result(const BenchArgs& args, const JsonResult& jr,
   }
 }
 
-// The batching-efficiency columns, reported identically by every
-// throughput bench: protocol-level batching as cmds/PREPARE (client write
-// commands per protocol submission, from the runtime's batch accounting)
-// and wire coalescing as frames/flush (frames per kernel handoff, from
-// TransportStats wire_flushes). One source of truth for both ratios —
-// ablation_batching used to derive its own batches/cmd figure that
-// disagreed with the transport's wire_flushes accounting.
+// The batching-efficiency columns of a throughput row: protocol-level
+// batching as cmds/PREPARE (client write commands per protocol submission,
+// from the runtime's batch accounting) and wire coalescing as frames/flush
+// (frames per kernel handoff, from TransportStats wire_flushes).
 inline void add_batching_columns(JsonResult& jr, const std::string& prefix,
                                  const ThroughputResult& r) {
   jr.add(prefix + "cmds_per_prepare", r.cmds_per_prepare);

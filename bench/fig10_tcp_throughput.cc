@@ -1,12 +1,10 @@
-// Figure 10 (extension, not in the paper): transport / io-backend /
-// coalescing sweep on one host.
+// Figure 10 (extension, not in the paper): io-backend / coalescing /
+// durability sweep on one host.
 //
 // All rows host the same protocol reactors and the same encode-once /
-// zero-copy wire pipeline; what changes is the link and how bytes reach the
-// kernel:
+// zero-copy wire pipeline over loopback TCP; what changes is how bytes
+// reach the kernel:
 //
-//   thread             — in-process FIFO byte queues with an emulated
-//                        per-byte kernel cost (the Figure 8 runtime).
 //   tcp epoll|uring    — real loopback TCP sockets, driven by the epoll or
 //                        the io_uring event-loop backend.
 //   coalesce off|on    — per-pass wire coalescing: frames queued to one
@@ -58,8 +56,8 @@ int main(int argc, char** argv) {
   const bool uring_ok = net::uring_available();
   jr.add("uring_available", uring_ok ? 1.0 : 0.0);
   if (!args.json) {
-    std::printf("Figure 10: transport x io-backend x coalescing sweep, three "
-                "replicas,\n100B commands, closed-loop clients\n");
+    std::printf("Figure 10: io-backend x coalescing x durability sweep, "
+                "three replicas,\n100B commands, closed-loop clients\n");
     if (!uring_ok) {
       std::printf("(io_uring unavailable on this kernel: uring rows "
                   "skipped)\n");
@@ -69,7 +67,7 @@ int main(int argc, char** argv) {
 
   struct Proto {
     const char* label;
-    RtCluster::ProtocolFactory factory;
+    TcpCluster::ProtocolFactory factory;
   };
   const std::size_t n = 3;
   const std::vector<Proto> protos = {
@@ -77,19 +75,18 @@ int main(int argc, char** argv) {
       {"Paxos", paxos_factory(n, 0, false)},
   };
 
-  // One sweep point: which link, which backend drives it, coalescing on or
-  // off, and whether the nodes log to a WAL. Coalescing "on" uses the
+  // One sweep point: which backend drives the links, coalescing on or off,
+  // and whether the nodes log to a WAL. Coalescing "on" uses the
   // default 256 KiB per-pass budget; "off" flushes every send immediately
   // (the pre-coalescing behaviour).
   struct Row {
-    const char* transport;  // thread | tcp | tcp+wal
+    const char* transport;  // tcp | tcp+wal
     net::IoBackend backend = net::IoBackend::kEpoll;
     bool coalesce = true;
     bool all_protos = true;  // false: Clock-RSM only (the durable rows)
     std::size_t batch = 1;   // protocol-level command batching (1 = off)
   };
   const std::vector<Row> rows = {
-      {"thread", net::IoBackend::kEpoll, true, true},
       {"tcp", net::IoBackend::kEpoll, false, true},
       {"tcp", net::IoBackend::kEpoll, true, true},
       {"tcp", net::IoBackend::kUring, false, false},
@@ -115,20 +112,18 @@ int main(int argc, char** argv) {
     opt.payload_bytes = 100;
     opt.warmup_s = 0.5;
     opt.duration_s = 2.0;
-    opt.stage_breakdown = args.stage_breakdown;  // TCP rows only
+    opt.stage_breakdown = args.stage_breakdown;
 
     double tcp_baseline = 0.0, wal_kops = 0.0;
     for (const Row& row : rows) {
-      const bool is_thread = std::string(row.transport) == "thread";
       const bool is_wal = std::string(row.transport) == "tcp+wal";
       if (!row.all_protos && std::string(p.label) != "Clock-RSM") continue;
       const bool uring_row = row.backend == net::IoBackend::kUring;
-      const char* backend_label =
-          is_thread ? "-" : net::io_backend_name(row.backend);
+      const char* backend_label = net::io_backend_name(row.backend);
       // Batch-1 rows keep their pre-sweep key names; batch rows add _bN.
       const std::string prefix =
           metric_key(p.label) + "_" + metric_key(row.transport) + "_" +
-          (is_thread ? "" : metric_key(backend_label) + "_") +
+          metric_key(backend_label) + "_" +
           (row.coalesce ? "coalesce_" : "nocoalesce_") +
           (row.batch > 1 ? "b" + std::to_string(row.batch) + "_" : "");
       if (uring_row && !uring_ok) {
@@ -140,29 +135,21 @@ int main(int argc, char** argv) {
         continue;
       }
 
-      ThroughputResult r;
-      if (is_thread) {
-        opt.sender_batching = row.coalesce;
-        r = run_throughput(opt, p.factory);
-        opt.sender_batching = false;
-      } else {
-        TcpClusterOptions copt;
-        copt.io_backend = row.backend;
-        copt.max_coalesce_bytes = row.coalesce ? 256 * 1024 : 0;
-        opt.max_batch_cmds = row.batch;
-        std::string dir;
-        if (is_wal) {
-          dir = (std::filesystem::temp_directory_path() /
-                 ("fig10_wal_" + std::to_string(::getpid()) + "_" +
-                  metric_key(backend_label) + "_b" +
-                  std::to_string(row.batch)))
-                    .string();
-          copt.log_dir = dir;
-        }
-        r = run_tcp_throughput(opt, p.factory, copt);
-        opt.max_batch_cmds = 1;
-        if (!dir.empty()) std::filesystem::remove_all(dir);
+      TcpClusterOptions copt;
+      copt.io_backend = row.backend;
+      copt.max_coalesce_bytes = row.coalesce ? 256 * 1024 : 0;
+      opt.max_batch_cmds = row.batch;
+      std::string dir;
+      if (is_wal) {
+        dir = (std::filesystem::temp_directory_path() /
+               ("fig10_wal_" + std::to_string(::getpid()) + "_" +
+                metric_key(backend_label) + "_b" + std::to_string(row.batch)))
+                  .string();
+        copt.log_dir = dir;
       }
+      const ThroughputResult r = run_throughput(opt, p.factory, copt);
+      opt.max_batch_cmds = 1;
+      if (!dir.empty()) std::filesystem::remove_all(dir);
 
       jr.add(prefix + "kcmds_per_sec", r.kops_per_sec);
       jr.add(prefix + "msgs_per_cmd", r.msgs_per_cmd);
@@ -186,8 +173,8 @@ int main(int argc, char** argv) {
                  uring_row ? fmt_count(r.sqes_per_submit, 2) : "-"});
 
       // The durable acceptance ratio tracks the matching-backend tcp row.
-      if (!is_thread && !is_wal && row.backend == net::IoBackend::kEpoll &&
-          row.coalesce && row.batch == 1) {
+      if (!is_wal && row.backend == net::IoBackend::kEpoll && row.coalesce &&
+          row.batch == 1) {
         tcp_baseline = r.kops_per_sec;
       }
       if (is_wal && row.backend == net::IoBackend::kEpoll && row.batch == 1) {

@@ -87,8 +87,7 @@ int main(int argc, char** argv) {
     topt.duration_s = 2.0;
     topt.read_fraction = 0.9;
     topt.stage_breakdown = true;
-    const ThroughputResult tr =
-        run_tcp_throughput(topt, clock_rsm_factory(3));
+    const ThroughputResult tr = run_throughput(topt, clock_rsm_factory(3));
     jr.add("tcp_mix90_ops_per_sec", tr.kops_per_sec * 1000.0);
     jr.add("tcp_mix90_reads_per_sec", tr.reads_per_sec);
     add_stage_breakdown(jr, "tcp_mix90_", tr.stages,

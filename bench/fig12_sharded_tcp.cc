@@ -1,8 +1,7 @@
 // Figure 12 (extension, not in the paper): multi-group scaling over real
 // sockets.
 //
-// fig9 established the sharding story on the in-process thread runtime; this
-// bench re-runs it on the production shape — ShardedTcpCluster boots
+// The bench runs sharding on the production shape — ShardedTcpCluster boots
 // `groups` independent Clock-RSM groups, each a full three-replica TCP
 // cluster with its own event-loop threads, loopback sockets and durable WAL
 // (per-pass group commit) under <tmp>/group-<g>, exactly the topology a set

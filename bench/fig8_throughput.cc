@@ -1,8 +1,8 @@
 // Reproduces paper Figure 8: throughput of the four protocols with five
-// replicas on a "local cluster" (here: five replica threads in one process
-// with real message serialization and in-memory logging, matching the
-// paper's memory-logging setup) for small (10B), medium (100B) and large
-// (1000B) commands.
+// replicas on a "local cluster" (here: five NodeRuntimes in one process,
+// each on its own event-loop thread, every inter-replica message over a
+// real loopback TCP socket, logging to memory as in the paper's setup) for
+// small (10B), medium (100B) and large (1000B) commands.
 //
 // Expected shape (paper Section VI-D): Clock-RSM and Mencius-bcast are
 // similar at all sizes (same communication pattern); Paxos/Paxos-bcast are
@@ -27,13 +27,13 @@ int main(int argc, char** argv) {
   const BenchArgs args = parse_bench_args(argc, argv);
   JsonResult jr("fig8_throughput");
   if (!args.json) {
-    std::printf("Figure 8: throughput (kops/s), five replicas, in-process "
+    std::printf("Figure 8: throughput (kops/s), five replicas, loopback TCP "
                 "cluster, memory logging\n\n");
   }
 
   struct Proto {
     const char* label;
-    RtCluster::ProtocolFactory factory;
+    TcpCluster::ProtocolFactory factory;
   };
   const std::size_t n = 5;
   const std::vector<Proto> protos = {
@@ -43,11 +43,12 @@ int main(int argc, char** argv) {
       {"Paxos-bcast", paxos_factory(n, 0, true)},
   };
 
-  // "cluster kops/s" divides committed ops by the busiest replica's CPU
-  // time: the throughput an N-machine cluster would sustain. On a host with
-  // >= N cores it matches the raw measurement; on smaller hosts it is the
-  // number to compare against the paper, because Figure 8's story is about
-  // which replica saturates first (the Paxos leader vs. everyone evenly).
+  // "cluster kops/s" divides committed ops by the busiest replica's
+  // event-loop busy time: the throughput an N-machine cluster would sustain.
+  // On a host with >= N cores it matches the raw measurement; on smaller
+  // hosts it is the number to compare against the paper, because Figure 8's
+  // story is about which replica saturates first (the Paxos leader vs.
+  // everyone evenly).
   Table t({"protocol", "10B cluster kops/s", "100B cluster kops/s",
            "1000B cluster kops/s", "1000B max CPU share", "raw 1000B kops/s"});
   struct WireRow {
@@ -67,8 +68,10 @@ int main(int argc, char** argv) {
       opt.warmup_s = 0.5;
       opt.duration_s = 2.0;
       const ThroughputResult r = run_throughput(opt, p.factory);
-      jr.add(metric_key(p.label) + "_" + std::to_string(size) + "b_kops",
-             r.kops_per_sec_bottleneck);
+      const std::string key =
+          metric_key(p.label) + "_" + std::to_string(size) + "b_";
+      jr.add(key + "kops", r.kops_per_sec_bottleneck);
+      jr.add(key + "max_cpu_share", r.max_cpu_share);
       row.push_back(fmt_count(r.kops_per_sec_bottleneck));
       if (size == 100) wire_rows.push_back({p.label, r});
       last_share = r.max_cpu_share;
@@ -93,8 +96,8 @@ int main(int argc, char** argv) {
 
   // Wire-pipeline counters (100B commands). With the encode-once fan-out
   // pipeline, encodes/cmd is ~msgs/cmd divided by the broadcast fan-out;
-  // flushes/cmd counts queue handoffs (== msgs/cmd here: this figure runs
-  // unbatched; the fig10 sweep shows coalescing pull it below msgs/cmd).
+  // flushes/cmd counts writev handoffs, below msgs/cmd when per-pass
+  // coalescing packs several frames into one (the fig10 sweep turns it off).
   std::printf("\nWire counters per committed command (100B):\n");
   for (const WireRow& w : wire_rows) {
     std::printf("  %-14s msgs/cmd %6.2f   flushes/cmd %6.2f   bytes/cmd %8.1f"

@@ -1,5 +1,5 @@
-// Real threads, not simulation: run the replicated KV store on an
-// in-process multithreaded cluster and measure throughput, like the paper's
+// Real sockets, not simulation: run the replicated KV store on an
+// in-process loopback TCP cluster and measure throughput, like the paper's
 // local-cluster experiment (Section VI-D).
 //
 // Build & run:  ./build/examples/local_cluster_throughput [payload_bytes]
@@ -21,13 +21,13 @@ int main(int argc, char** argv) {
   opt.warmup_s = 0.3;
   opt.duration_s = 1.5;
 
-  std::printf("Three replica threads, %zu closed-loop clients/replica, "
-              "%zuB commands\n\n",
+  std::printf("Three replicas over loopback TCP, %zu closed-loop "
+              "clients/replica, %zuB commands\n\n",
               opt.clients_per_replica, payload);
 
   struct Entry {
     const char* label;
-    RtCluster::ProtocolFactory factory;
+    TcpCluster::ProtocolFactory factory;
   };
   const Entry entries[] = {
       {"Clock-RSM", clock_rsm_factory(opt.num_replicas)},
@@ -42,7 +42,7 @@ int main(int argc, char** argv) {
                 r.max_cpu_share * 100.0, r.mb_per_sec_wire);
   }
   std::printf("\n'cluster-equivalent' divides ops by the busiest replica's "
-              "CPU time — the\nthroughput an N-machine deployment would "
-              "sustain.\n");
+              "event-loop busy\ntime — the throughput an N-machine "
+              "deployment would sustain.\n");
   return 0;
 }

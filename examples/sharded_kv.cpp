@@ -1,86 +1,98 @@
 // Sharded KV: partition the key space across two independent Clock-RSM
-// replica groups and watch commands route, commit and stay isolated.
+// replica groups on loopback TCP and watch commands route, commit and stay
+// isolated.
 //
 // Build & run:  ./build/examples/sharded_kv
 #include <cstdio>
 #include <memory>
 #include <string>
+#include <utility>
 #include <vector>
 
-#include "clockrsm/clock_rsm.h"
+#include "harness/latency_experiment.h"
 #include "kv/kv_store.h"
-#include "shard/sharded_cluster.h"
-#include "util/topology.h"
+#include "net/sync_client.h"
+#include "runtime/sharded_tcp_cluster.h"
+#include "shard/sharded_client.h"
+#include "workload/workload.h"
 
 using namespace crsm;
 
+namespace {
+
+Command kv_command(ClientId client, std::uint64_t seq, KvOp op,
+                   const std::string& key, const std::string& value = "") {
+  Command cmd;
+  cmd.client = client;
+  cmd.seq = seq;
+  cmd.payload = KvRequest{op, key, value}.encode();
+  return cmd;
+}
+
+}  // namespace
+
 int main() {
-  // 1. Describe one replica group: the paper's CA / VA / IR EC2 sites.
-  //    Every group uses the same three-site topology.
-  ShardedClusterOptions opts;
-  opts.num_shards = 2;
-  opts.world.matrix = ec2_matrix().submatrix({0, 1, 2});
-  opts.world.seed = 1;
-  opts.world.clock_skew_ms = 2.0;
-
-  // 2. Build the cluster: each group runs Clock-RSM over its own KvStore.
-  std::vector<ReplicaId> spec = {0, 1, 2};
-  ShardedCluster cluster(
-      opts,
-      [&spec](ProtocolEnv& env, ReplicaId) {
-        return std::make_unique<ClockRsmReplica>(env, spec);
-      },
-      [] { return std::make_unique<KvStore>(); });
-
-  // 3. Observe commits cluster-wide; the hook also reports which group
-  //    committed the command.
-  cluster.set_commit_hook([](ShardId s, ReplicaId r, const Command& cmd,
-                             Timestamp ts, bool local_origin) {
-    if (!local_origin) return;
-    const KvRequest req = KvRequest::decode(cmd.payload);
-    std::printf("  shard %u replica %u committed %s=%s (ts %s)\n", s, r,
-                req.key.c_str(), req.value.c_str(), ts.to_string().c_str());
-  });
-
+  // 1. Two replica groups of three replicas each. Every node is a full
+  //    NodeRuntime on its own loopback port that knows which group it
+  //    serves, so it refuses commands whose key another group owns.
+  ShardedTcpClusterOptions opts;
+  opts.groups = 2;
+  opts.replicas = 3;
+  ShardedTcpCluster cluster(opts, clock_rsm_factory(opts.replicas),
+                            [] { return std::make_unique<KvStore>(); });
   cluster.start();
 
-  // 4. Submit writes; the router hashes each key to its owning group.
+  // 2. A shard-aware client: one connection per group (to replica 0 of
+  //    each) and the same key router as the servers.
+  ShardedSyncClient client(cluster.endpoints(0));
+  const ClientId id = make_sharded_client_id(0, 0, 0);
+  std::uint64_t seq = 0;
+
+  // 3. Submit writes; the router hashes each key to its owning group.
   const std::vector<std::pair<std::string, std::string>> writes = {
       {"user:42", "alice"}, {"user:43", "bob"},
       {"cart:42", "book"},  {"cart:43", "pen"},
   };
   std::printf("routing %zu writes across %zu groups:\n", writes.size(),
-              cluster.num_shards());
-  ClientId client = 1;
+              cluster.num_groups());
   for (const auto& [key, value] : writes) {
-    Command cmd;
-    cmd.client = client++;
-    cmd.seq = 1;
-    cmd.payload = KvRequest{KvOp::kPut, key, value}.encode();
-    const ShardId s = cluster.submit(/*home=*/0, cmd);
-    std::printf("  %s -> shard %u\n", key.c_str(), s);
+    const std::string out =
+        client.call(kv_command(id, ++seq, KvOp::kPut, key, value), 5000);
+    std::printf("  %s=%s -> group %u: %s\n", key.c_str(), value.c_str(),
+                client.router().shard_of_key(key), out.c_str());
   }
 
-  // 5. Run half a simulated second and inspect each group's state: groups
-  //    hold disjoint key sets, so their digests evolve independently.
-  std::printf("commits:\n");
-  cluster.run_until(ms_to_us(500.0));
-
-  for (ShardId s = 0; s < cluster.num_shards(); ++s) {
-    auto& kv = static_cast<KvStore&>(cluster.shard(s).state_machine(0));
-    std::printf("shard %u holds %zu keys, digest %016llx, committed %llu\n", s,
-                kv.size(),
-                static_cast<unsigned long long>(cluster.shard_digest(s)),
-                static_cast<unsigned long long>(cluster.committed(s)));
+  // 4. Each group executed only its own keys, so their digests evolve
+  //    independently.
+  for (ShardId g = 0; g < cluster.num_groups(); ++g) {
+    std::printf("group %u executed %llu, digest %016llx\n", g,
+                static_cast<unsigned long long>(cluster.executed(g, 0)),
+                static_cast<unsigned long long>(
+                    cluster.group(g).node(0).state_digest()));
   }
 
-  // 6. Reads go to the key's owning group.
+  // 5. Reads go to the key's owning group, served from its local state.
   for (const auto& [key, value] : writes) {
-    const ShardId s = cluster.router().shard_of_key(key);
-    auto& kv = static_cast<KvStore&>(cluster.shard(s).state_machine(0));
-    const std::string* got = kv.get(key);
-    std::printf("read %s from shard %u: %s\n", key.c_str(), s,
-                got ? got->c_str() : "<none>");
+    const std::string got =
+        client.read_call(kv_command(id, ++seq, KvOp::kGet, key), 5000);
+    std::printf("read %s from group %u: %s\n", key.c_str(),
+                client.router().shard_of_key(key),
+                got.empty() ? "<none>" : got.c_str());
   }
+
+  // 6. A write sent to the wrong group is bounced, never applied.
+  const std::string& key0 = writes.front().first;
+  const ShardId other = (client.router().shard_of_key(key0) + 1) %
+                        static_cast<ShardId>(cluster.num_groups());
+  net::SyncClient wrong("127.0.0.1", cluster.group(other).port(0));
+  try {
+    (void)wrong.call(kv_command(id, ++seq, KvOp::kPut, key0, "x"), 5000);
+    std::printf("mis-routed write was applied\n");
+    return 1;
+  } catch (const net::WrongGroupError& e) {
+    std::printf("group %u refused %s: owner is group %u\n", other, key0.c_str(),
+                e.owner);
+  }
+  cluster.stop();
   return 0;
 }

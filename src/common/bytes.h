@@ -1,8 +1,9 @@
 // Copy-on-retain byte buffer for wire payloads.
 //
-// The zero-copy receive path (ThreadTransport::poll) decodes messages whose
-// payload fields are *views* into the pooled receive buffer: no bytes are
-// copied while a message is merely inspected and routed. The moment protocol
+// The zero-copy receive path (TcpTransport's FrameConn reads) decodes
+// messages whose payload fields are *views* into the connection's receive
+// buffer: no bytes are copied while a message is merely inspected and
+// routed. The moment protocol
 // code stores a payload past the handler call — ClockRSM's pending map,
 // Paxos/Mencius slot state, a command-log append — the store goes through
 // Bytes' copy constructor/assignment, which always yields an owned Bytes.
@@ -16,7 +17,7 @@
 // Ownership rules:
 //  * Bytes built from std::string / const char* own their bytes.
 //  * Bytes::view(v) borrows `v`; the borrow is only valid while the backing
-//    buffer is (one transport poll pass). Views never escape the handler
+//    buffer is (one message handler call). Views never escape the handler
 //    unless copied, because copying produces an owned Bytes.
 //  * A copy of an owned Bytes co-owns the same immutable bytes; they live
 //    until the last co-owner is destroyed or reassigned. Nothing mutates

@@ -1,7 +1,7 @@
 // Wire messages for all replication protocols in this repository.
 //
-// A single tagged struct keeps the simulator, the real-thread runtime and
-// the tests protocol-agnostic: every protocol reactor consumes `Message`.
+// A single tagged struct keeps the simulator, the TCP runtime and the
+// tests protocol-agnostic: every protocol reactor consumes `Message`.
 // Encoding is per-type and writes only the fields the type uses, so message
 // sizes on the wire stay honest for the throughput experiments.
 #pragma once

@@ -17,7 +17,7 @@
 // run(). Only post(), wakeup() and stop() may be called from other threads.
 // A NodeRuntime runs its whole replica (protocol reactor included) on this
 // one thread, so protocol code keeps the single-threaded execution model it
-// has under the simulator and the thread runtime.
+// has under the simulator.
 #pragma once
 
 #include <sys/types.h>

@@ -20,8 +20,9 @@ class CommitTracer;
 }  // namespace obs
 
 // Everything a protocol reactor may do to the outside world. Implemented by
-// the discrete-event simulator (SimEnv) and by the real-thread runtime
-// (RtEnv); protocol code is engine-agnostic and strictly single-threaded.
+// the discrete-event simulator (SimWorld's replica context) and by the TCP
+// runtime (NodeRuntime); protocol code is engine-agnostic and strictly
+// single-threaded.
 //
 // Guarantees provided by every implementation:
 //  * send(): reliable, per-(sender,receiver) FIFO delivery (Section II-A
@@ -40,7 +41,7 @@ class ProtocolEnv {
   virtual void send(ReplicaId to, const Message& m) = 0;
 
   // Fan-out send: `m` goes to every replica in `tos` (FIFO per link, same
-  // guarantees as send). Environments backed by a Transport serialize the
+  // guarantees as send). Environments backed by a transport serialize the
   // message at most once regardless of fan-out; this default keeps scripted
   // test environments and the send() contract unchanged.
   virtual void multicast(const std::vector<ReplicaId>& tos, const Message& m) {

@@ -15,11 +15,15 @@ namespace crsm {
 
 NodeRuntime::NodeRuntime(NodeConfig cfg, ProtocolFactory protocol_factory,
                          StateMachineFactory sm_factory)
-    : StorageBackedEnv(cfg.storage),
-      cfg_(cfg),
+    : cfg_(cfg),
+      storage_(cfg.storage),
       loop_(net::make_event_loop(cfg.io_backend, &io_fell_back_)),
       transport_(*loop_, cfg.id, cfg.transport),
-      sm_(sm_factory()) {
+      sm_(sm_factory()),
+      batch_(cfg.id, cfg.max_batch_cmds, cfg.max_batch_bytes,
+             [this](const std::vector<Command>& members, Command submission) {
+               submit_cut(members, std::move(submission));
+             }) {
   if (cfg_.num_groups > 1) {
     // Disjoint Prometheus series per group: a process scraping its N group
     // registries into one page must not collapse them into one timeline.
@@ -41,7 +45,6 @@ NodeRuntime::NodeRuntime(NodeConfig cfg, ProtocolFactory protocol_factory,
         *loop_, registry_, cfg_.obs.metrics_host, cfg_.obs.metrics_port);
   }
   if (cfg_.max_batch_cmds > 1) {
-    batch_.reserve(cfg_.max_batch_cmds);
     batch_size_hist_ = &registry_.histogram(
         "crsm_batch_cmds", "commands per protocol submission (batch size)");
   }
@@ -61,7 +64,7 @@ NodeRuntime::NodeRuntime(NodeConfig cfg, ProtocolFactory protocol_factory,
   // Pass-end order matters: cut the pass's command batch first so its WAL
   // append lands inside the same fsync the durability flush issues.
   loop_->set_pass_end_hook([this] {
-    flush_batch();
+    batch_.cut();
     flush_durability();
   });
 }
@@ -245,49 +248,28 @@ void NodeRuntime::enqueue_write(Command cmd) {
     proto_->submit(std::move(cmd));
     return;
   }
-  // Byte cap: cut the running batch before a command that would overflow
-  // it. An oversized command lands in the (now empty) buffer and ships as a
-  // singleton at the next cut — the cap bounds envelopes, not commands.
-  if (!batch_.empty() && cfg_.max_batch_bytes != 0 &&
-      batch_bytes_ + cmd.payload.size() > cfg_.max_batch_bytes) {
-    flush_batch();
-  }
-  batch_bytes_ += cmd.payload.size();
-  batch_.push_back(std::move(cmd));
-  if (batch_.size() >= cfg_.max_batch_cmds) flush_batch();
+  batch_.add(std::move(cmd));
 }
 
-void NodeRuntime::flush_batch() {
-  if (batch_.empty()) return;
+void NodeRuntime::submit_cut(const std::vector<Command>& members,
+                             Command submission) {
   batch_submissions_.fetch_add(1, std::memory_order_relaxed);
-  if (batch_size_hist_) batch_size_hist_->observe(batch_.size());
-  const bool traced = tracer_ && tracer_->active();
-  if (traced) {
+  if (batch_size_hist_) batch_size_hist_->observe(members.size());
+  if (tracer_ && tracer_->active()) {
     // The batched command's kSubmit is the batch cut: queue-delay up to
     // here is time spent waiting for the batch to fill / the pass to end.
     const std::uint64_t now = net::EventLoop::mono_us();
-    for (const Command& c : batch_) {
+    for (const Command& c : members) {
       tracer_->stamp(c.client, c.seq, obs::Stage::kSubmit, now);
     }
+    if (is_batch(submission)) {
+      std::vector<std::pair<ClientId, std::uint64_t>> ids;
+      ids.reserve(members.size());
+      for (const Command& c : members) ids.emplace_back(c.client, c.seq);
+      tracer_->bind_batch(submission.client, submission.seq, ids);
+    }
   }
-  if (batch_.size() == 1) {
-    // Singleton cut: no envelope, the bare command replicates as before.
-    Command single = std::move(batch_.front());
-    batch_.clear();
-    batch_bytes_ = 0;
-    proto_->submit(std::move(single));
-    return;
-  }
-  Command env = make_batch(batch_, cfg_.id, batch_counter_++);
-  if (traced) {
-    std::vector<std::pair<ClientId, std::uint64_t>> members;
-    members.reserve(batch_.size());
-    for (const Command& c : batch_) members.emplace_back(c.client, c.seq);
-    tracer_->bind_batch(env.client, env.seq, members);
-  }
-  batch_.clear();
-  batch_bytes_ = 0;
-  proto_->submit(std::move(env));
+  proto_->submit(std::move(submission));
 }
 
 void NodeRuntime::flush_durability() {

@@ -4,7 +4,7 @@
 // on a single epoll EventLoop thread: inbound frames, protocol timers,
 // client requests and in-process submits all execute there, so protocol
 // code keeps the strictly single-threaded reactor model it has under the
-// simulator and the thread runtime (ProtocolEnv contract).
+// simulator (ProtocolEnv contract).
 //
 // Clients reach the node through the same listening port as peers (the
 // hello preamble tells them apart) speaking kClientRequest/kClientReply
@@ -40,6 +40,7 @@
 #include <vector>
 
 #include "clock/system_clock.h"
+#include "common/batch.h"
 #include "common/command.h"
 #include "common/message.h"
 #include "common/types.h"
@@ -111,13 +112,13 @@ struct NodeConfig {
   NodeObsOptions obs;
 };
 
-class NodeRuntime final : private StorageBackedEnv {
+class NodeRuntime final : private ProtocolEnv {
  public:
   using ProtocolFactory =
       std::function<std::unique_ptr<ReplicaProtocol>(ProtocolEnv&, ReplicaId)>;
   using StateMachineFactory = std::function<std::unique_ptr<StateMachine>()>;
   // Runs on the node's loop thread when a locally originated command
-  // executes; in-process harnesses use it the way RtCluster does.
+  // executes; in-process harnesses (TcpCluster) unblock their clients here.
   using ReplyHook = std::function<void(const Command&)>;
   // Runs on the loop thread for every executed command (any origin), in
   // execution order — the basis for agreement/linearizability checks.
@@ -216,9 +217,15 @@ class NodeRuntime final : private StorageBackedEnv {
   }
 
  private:
-  // --- ProtocolEnv (loop thread only; log()/recovery_floor()/
-  // encoded_checkpoint() come from StorageBackedEnv) ---
+  // --- ProtocolEnv (loop thread only) ---
   [[nodiscard]] ReplicaId self() const override { return cfg_.id; }
+  [[nodiscard]] CommandLog& log() override { return storage_.log(); }
+  [[nodiscard]] Timestamp recovery_floor() const override {
+    return storage_.recovery_floor();
+  }
+  [[nodiscard]] std::string encoded_checkpoint() const override {
+    return storage_.encoded_checkpoint();
+  }
   void send(ReplicaId to, const Message& m) override;
   void multicast(const std::vector<ReplicaId>& tos, const Message& m) override;
   [[nodiscard]] Tick clock_now() override { return clock_.now_us(); }
@@ -249,14 +256,16 @@ class NodeRuntime final : private StorageBackedEnv {
   void flush_durability();
 
   // Protocol batching: buffers a client write for the pass's batch (or
-  // submits it straight through when batching is off) and cuts the batch
-  // at the caps / at pass end.
+  // submits it straight through when batching is off); the batch is cut at
+  // the caps and at pass end, and each cut is submitted by submit_cut().
   void enqueue_write(Command cmd);
-  void flush_batch();
+  void submit_cut(const std::vector<Command>& members, Command submission);
   // The shared per-command tail of deliver(): apply, count, hooks, reply.
   void apply_and_reply(const Command& cmd, Timestamp ts, bool local_origin);
 
   NodeConfig cfg_;
+  // Log + checkpoint; outlives proto_, which holds a reference to the log.
+  ReplicaStorage storage_;
   bool io_fell_back_ = false;
   obs::Registry registry_;  // before everything that registers metrics
   std::unique_ptr<net::EventLoop> loop_;  // before transport_ (uses it)
@@ -272,10 +281,8 @@ class NodeRuntime final : private StorageBackedEnv {
   ReadHook read_hook_;
   std::vector<HeldSend> held_;
 
-  // Loop-thread-only batch accumulator (flushed at the caps / pass end).
-  std::vector<Command> batch_;
-  std::size_t batch_bytes_ = 0;
-  std::uint64_t batch_counter_ = 0;  // envelope seq counter for this origin
+  // Loop-thread-only batch accumulator (cut at the caps / pass end).
+  BatchAccumulator batch_;
   obs::LatencyHistogram* batch_size_hist_ = nullptr;
   std::atomic<std::uint64_t> batch_cmds_{0};
   std::atomic<std::uint64_t> batch_submissions_{0};

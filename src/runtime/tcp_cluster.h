@@ -1,10 +1,10 @@
 // In-process N-node TCP cluster on loopback: the test/bench harness for
 // the real-socket runtime.
 //
-// Boots N NodeRuntimes — each with its own epoll loop thread, listening on
-// an ephemeral 127.0.0.1 port — wires them into a full mesh and exposes the
-// same submit/reply surface as RtCluster, so throughput drivers and
-// agreement tests can run unchanged against real TCP sockets. Every
+// Boots N NodeRuntimes — each with its own event-loop thread, listening on
+// an ephemeral 127.0.0.1 port — wires them into a full mesh and exposes a
+// thread-safe submit/reply surface for the closed-loop throughput driver
+// (runtime/throughput.h) and the agreement tests. Every
 // inter-replica message genuinely crosses the kernel: encoded once,
 // writev'd per link, reassembled and decoded zero-copy at the receiver.
 #pragma once

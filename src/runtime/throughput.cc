@@ -1,20 +1,21 @@
 #include "runtime/throughput.h"
 
+#include <algorithm>
 #include <array>
 #include <atomic>
 #include <chrono>
-#include <iterator>
 #include <condition_variable>
-#include <functional>
+#include <iterator>
 #include <memory>
 #include <mutex>
+#include <string_view>
 #include <thread>
 #include <unordered_map>
 #include <utility>
 #include <vector>
 
 #include "kv/kv_store.h"
-#include "runtime/tcp_cluster.h"
+#include "obs/metrics.h"
 #include "util/rng.h"
 #include "workload/workload.h"
 
@@ -43,21 +44,45 @@ struct Completion {
   }
 };
 
-// The shared closed-loop driver behind both runtimes. Works against any
-// cluster exposing set_reply_hook/(start|stop)/submit with the RtCluster
-// signatures. The caller snapshots its own counters in the two callbacks,
-// which run right before and right after the measurement window while the
-// cluster is live.
-struct LoopWindow {
-  std::uint64_t ops = 0;    // all completed ops in the window (incl. reads)
-  std::uint64_t reads = 0;  // reads among them
-  double secs = 0.0;
-};
-template <typename Cluster>
-LoopWindow drive_closed_loop(
-    Cluster& cluster, const ThroughputOptions& opt,
-    const std::function<void()>& on_measure_start,
-    const std::function<void()>& on_measure_end) {
+void fill_per_cmd(ThroughputResult* res, const TransportStats& before,
+                  const TransportStats& after, double secs) {
+  res->mb_per_sec_wire =
+      static_cast<double>(after.bytes_sent - before.bytes_sent) / secs / 1e6;
+  if (res->total_ops == 0) return;
+  const double ops = static_cast<double>(res->total_ops);
+  res->msgs_per_cmd =
+      static_cast<double>(after.messages_sent - before.messages_sent) / ops;
+  res->bytes_per_cmd =
+      static_cast<double>(after.bytes_sent - before.bytes_sent) / ops;
+  res->encodes_per_cmd =
+      static_cast<double>(after.encode_calls - before.encode_calls) / ops;
+  const std::uint64_t flushes = after.wire_flushes - before.wire_flushes;
+  const std::uint64_t frames = after.frames_flushed - before.frames_flushed;
+  res->flushes_per_cmd = static_cast<double>(flushes) / ops;
+  if (flushes > 0) {
+    res->frames_per_flush =
+        static_cast<double>(frames) / static_cast<double>(flushes);
+  }
+  const std::uint64_t submits = after.sqe_submits - before.sqe_submits;
+  if (submits > 0) {
+    res->sqes_per_submit =
+        static_cast<double>(after.sqes_submitted - before.sqes_submitted) /
+        static_cast<double>(submits);
+  }
+}
+
+}  // namespace
+
+ThroughputResult run_throughput(const ThroughputOptions& opt,
+                                const TcpCluster::ProtocolFactory& factory,
+                                const TcpClusterOptions& coptin) {
+  TcpClusterOptions copt = coptin;
+  if (opt.stage_breakdown) {
+    copt.obs.trace_sample_every = 16;  // dense enough for 2 s windows
+  }
+  copt.max_batch_cmds = opt.max_batch_cmds;
+  copt.max_batch_bytes = opt.max_batch_bytes;
+
   std::unordered_map<ClientId, std::unique_ptr<Completion>> completions;
   for (ReplicaId r = 0; r < opt.num_replicas; ++r) {
     if (opt.only_replica >= 0 && static_cast<int>(r) != opt.only_replica) continue;
@@ -65,19 +90,37 @@ LoopWindow drive_closed_loop(
       completions.emplace(make_client_id(r, c), std::make_unique<Completion>());
     }
   }
-  cluster.set_reply_hook([&completions](ReplicaId, const Command& cmd) {
+  const auto complete = [&completions](const Command& cmd) {
     auto it = completions.find(cmd.client);
     if (it != completions.end()) it->second->complete(cmd.seq);
-  });
-  if constexpr (requires { cluster.set_read_hook(TcpCluster::ReadHook{}); }) {
-    if (opt.read_fraction > 0.0) {
-      cluster.set_read_hook(
-          [&completions](ReplicaId, const Command& cmd, std::string_view) {
-            auto it = completions.find(cmd.client);
-            if (it != completions.end()) it->second->complete(cmd.seq);
-          });
-    }
-  }
+  };
+  // Declared after the completions its hooks use, so it stops first.
+  TcpCluster cluster(opt.num_replicas, factory,
+                     [] { return std::make_unique<KvStore>(); }, copt);
+  cluster.set_reply_hook(
+      [&complete](ReplicaId, const Command& cmd) { complete(cmd); });
+  cluster.set_read_hook([&complete](ReplicaId, const Command& cmd,
+                                    std::string_view) { complete(cmd); });
+
+  // Stage histogram metric -> short stage label. The hists are cumulative
+  // over the run; collected in the end-of-window snapshot while nodes live.
+  static constexpr struct {
+    const char* metric;
+    const char* stage;
+  } kStages[] = {
+      {"crsm_stage_queue_us", "queue"},
+      {"crsm_stage_broadcast_us", "broadcast"},
+      {"crsm_stage_wal_us", "wal"},
+      {"crsm_stage_ack_us", "ack"},
+      {"crsm_stage_stability_us", "stability"},
+      {"crsm_stage_execute_us", "execute"},
+      {"crsm_stage_reply_us", "reply"},
+      {"crsm_commit_total_us", "total"},
+      {"crsm_read_wait_us", "read_wait"},
+      {"crsm_read_total_us", "read_total"},
+  };
+  constexpr std::size_t kNumStages = std::size(kStages);
+  std::array<StageLatency, kNumStages> stages{};
 
   std::atomic<bool> stop{false};
   std::atomic<bool> measuring{false};
@@ -110,11 +153,7 @@ LoopWindow drive_closed_loop(
         cmd.seq = ++seq;
         cmd.payload = is_read ? read_payload : payload;
         if (is_read) {
-          // Only the TCP cluster exposes submit_read; callers enforce
-          // read_fraction == 0 on the thread runtime.
-          if constexpr (requires { cluster.submit_read(home, std::move(cmd)); }) {
-            cluster.submit_read(home, std::move(cmd));
-          }
+          cluster.submit_read(home, std::move(cmd));
         } else {
           cluster.submit(home, std::move(cmd));
         }
@@ -129,162 +168,63 @@ LoopWindow drive_closed_loop(
     });
   }
 
+  // Per-replica busy time: each node's loop-profiler busy histogram sum,
+  // differenced across the window. Snapshots post to the loop threads, so
+  // they read consistent values while the cluster runs.
+  const auto busy_us = [&cluster](ReplicaId r) -> std::uint64_t {
+    const obs::Snapshot snap = cluster.node(r).metrics_snapshot();
+    const obs::MetricValue* m = snap.find("crsm_loop_busy_us");
+    return m == nullptr ? 0 : m->hist.sum_us;
+  };
+  std::vector<std::uint64_t> busy(opt.num_replicas);
+
   std::this_thread::sleep_for(std::chrono::duration<double>(opt.warmup_s));
-  on_measure_start();
+  const TransportStats before = cluster.stats();
+  const NodeRuntime::BatchStats bbefore = cluster.batch_stats();
+  for (ReplicaId r = 0; r < opt.num_replicas; ++r) busy[r] = busy_us(r);
   measuring.store(true);
   const auto t0 = std::chrono::steady_clock::now();
   std::this_thread::sleep_for(std::chrono::duration<double>(opt.duration_s));
   measuring.store(false);
   const auto t1 = std::chrono::steady_clock::now();
-  on_measure_end();
+  const TransportStats after = cluster.stats();
+  const NodeRuntime::BatchStats bafter = cluster.batch_stats();
+  std::uint64_t max_busy = 0, total_busy = 0;
+  for (ReplicaId r = 0; r < opt.num_replicas; ++r) {
+    const std::uint64_t b = busy_us(r) - busy[r];
+    max_busy = std::max(max_busy, b);
+    total_busy += b;
+  }
+  if (opt.stage_breakdown) {
+    for (ReplicaId r = 0; r < opt.num_replicas; ++r) {
+      const obs::Snapshot snap = cluster.node(r).metrics_snapshot();
+      for (std::size_t i = 0; i < kNumStages; ++i) {
+        const obs::MetricValue* m = snap.find(kStages[i].metric);
+        if (m == nullptr || m->hist.count == 0) continue;
+        const auto c = static_cast<double>(m->hist.count);
+        stages[i].count += m->hist.count;
+        stages[i].p50_us += m->hist.p50_us * c;  // weighted; divided below
+        stages[i].p99_us += m->hist.p99_us * c;
+      }
+    }
+  }
 
   stop.store(true);
   for (std::thread& t : clients) t.join();
   cluster.stop();
 
-  return {measured_ops.load(), measured_reads.load(),
-          std::chrono::duration<double>(t1 - t0).count()};
-}
-
-void fill_per_cmd(ThroughputResult* res, const TransportStats& before,
-                  const TransportStats& after, double secs) {
-  res->mb_per_sec_wire =
-      static_cast<double>(after.bytes_sent - before.bytes_sent) / secs / 1e6;
-  if (res->total_ops == 0) return;
-  const double ops = static_cast<double>(res->total_ops);
-  res->msgs_per_cmd =
-      static_cast<double>(after.messages_sent - before.messages_sent) / ops;
-  res->bytes_per_cmd =
-      static_cast<double>(after.bytes_sent - before.bytes_sent) / ops;
-  res->encodes_per_cmd =
-      static_cast<double>(after.encode_calls - before.encode_calls) / ops;
-  const std::uint64_t flushes = after.wire_flushes - before.wire_flushes;
-  const std::uint64_t frames = after.frames_flushed - before.frames_flushed;
-  res->flushes_per_cmd = static_cast<double>(flushes) / ops;
-  if (flushes > 0) {
-    res->frames_per_flush =
-        static_cast<double>(frames) / static_cast<double>(flushes);
-  }
-  const std::uint64_t submits = after.sqe_submits - before.sqe_submits;
-  if (submits > 0) {
-    res->sqes_per_submit =
-        static_cast<double>(after.sqes_submitted - before.sqes_submitted) /
-        static_cast<double>(submits);
-  }
-}
-
-}  // namespace
-
-ThroughputResult run_throughput(const ThroughputOptions& optin,
-                                const RtCluster::ProtocolFactory& factory) {
-  ThroughputOptions opt = optin;
-  opt.read_fraction = 0.0;  // reads/stage tracing are TCP-runtime options
-  opt.stage_breakdown = false;
-  RtCluster::Options copt;
-  copt.sender_batching = opt.sender_batching;
-  copt.max_coalesce_bytes = opt.thread_coalesce_bytes;
-  RtCluster cluster(opt.num_replicas, factory,
-                    [] { return std::make_unique<KvStore>(); }, copt);
-
-  TransportStats before, after;
-  std::vector<std::uint64_t> busy_before(opt.num_replicas);
-  std::uint64_t max_busy = 0, total_busy = 0;
-  const LoopWindow w = drive_closed_loop(
-      cluster, opt,
-      [&] {
-        before = cluster.transport().stats();
-        for (ReplicaId r = 0; r < opt.num_replicas; ++r) {
-          busy_before[r] = cluster.busy_us(r);
-        }
-      },
-      [&] {
-        after = cluster.transport().stats();
-        for (ReplicaId r = 0; r < opt.num_replicas; ++r) {
-          const std::uint64_t b = cluster.busy_us(r) - busy_before[r];
-          max_busy = std::max(max_busy, b);
-          total_busy += b;
-        }
-      });
-  const std::uint64_t ops = w.ops;
-  const double secs = w.secs;
-
+  const double secs = std::chrono::duration<double>(t1 - t0).count();
   ThroughputResult res;
-  res.total_ops = ops;
-  res.kops_per_sec = res.total_ops / secs / 1000.0;
+  res.total_ops = measured_ops.load();
+  res.kops_per_sec = static_cast<double>(res.total_ops) / secs / 1000.0;
+  res.reads_per_sec = static_cast<double>(measured_reads.load()) / secs;
   if (max_busy > 0) {
-    res.kops_per_sec_bottleneck =
-        static_cast<double>(res.total_ops) / (static_cast<double>(max_busy) / 1e6) /
-        1000.0;
-    res.max_cpu_share = static_cast<double>(max_busy) / static_cast<double>(total_busy);
+    res.kops_per_sec_bottleneck = static_cast<double>(res.total_ops) /
+                                  (static_cast<double>(max_busy) / 1e6) /
+                                  1000.0;
+    res.max_cpu_share =
+        static_cast<double>(max_busy) / static_cast<double>(total_busy);
   }
-  fill_per_cmd(&res, before, after, secs);
-  return res;
-}
-
-ThroughputResult run_tcp_throughput(const ThroughputOptions& opt,
-                                    const RtCluster::ProtocolFactory& factory,
-                                    const TcpClusterOptions& coptin) {
-  TcpClusterOptions copt = coptin;
-  if (opt.stage_breakdown) {
-    copt.obs.trace_sample_every = 16;  // dense enough for 2 s windows
-  }
-  copt.max_batch_cmds = opt.max_batch_cmds;
-  copt.max_batch_bytes = opt.max_batch_bytes;
-  TcpCluster cluster(opt.num_replicas, factory,
-                     [] { return std::make_unique<KvStore>(); }, copt);
-
-  // Stage histogram metric -> short stage label. The hists are cumulative
-  // over the run; collected in the end-of-window callback while nodes live.
-  static constexpr struct {
-    const char* metric;
-    const char* stage;
-  } kStages[] = {
-      {"crsm_stage_queue_us", "queue"},
-      {"crsm_stage_broadcast_us", "broadcast"},
-      {"crsm_stage_wal_us", "wal"},
-      {"crsm_stage_ack_us", "ack"},
-      {"crsm_stage_stability_us", "stability"},
-      {"crsm_stage_execute_us", "execute"},
-      {"crsm_stage_reply_us", "reply"},
-      {"crsm_commit_total_us", "total"},
-      {"crsm_read_wait_us", "read_wait"},
-      {"crsm_read_total_us", "read_total"},
-  };
-  constexpr std::size_t kNumStages = std::size(kStages);
-  std::array<StageLatency, kNumStages> stages{};
-
-  TransportStats before, after;
-  NodeRuntime::BatchStats bbefore, bafter;
-  const LoopWindow w = drive_closed_loop(
-      cluster, opt,
-      [&] {
-        before = cluster.stats();
-        bbefore = cluster.batch_stats();
-      },
-      [&] {
-        after = cluster.stats();
-        bafter = cluster.batch_stats();
-        if (!opt.stage_breakdown) return;
-        for (ReplicaId r = 0; r < opt.num_replicas; ++r) {
-          if (!cluster.alive(r)) continue;
-          const obs::Snapshot snap = cluster.node(r).metrics_snapshot();
-          for (std::size_t i = 0; i < kNumStages; ++i) {
-            const obs::MetricValue* m = snap.find(kStages[i].metric);
-            if (m == nullptr || m->hist.count == 0) continue;
-            const auto c = static_cast<double>(m->hist.count);
-            stages[i].count += m->hist.count;
-            stages[i].p50_us += m->hist.p50_us * c;  // weighted; divided below
-            stages[i].p99_us += m->hist.p99_us * c;
-          }
-        }
-      });
-  const std::uint64_t ops = w.ops;
-  const double secs = w.secs;
-
-  ThroughputResult res;
-  res.total_ops = ops;
-  res.kops_per_sec = res.total_ops / secs / 1000.0;
-  res.reads_per_sec = static_cast<double>(w.reads) / secs;
   if (opt.stage_breakdown) {
     for (std::size_t i = 0; i < kNumStages; ++i) {
       if (stages[i].count == 0) continue;
@@ -299,8 +239,6 @@ ThroughputResult run_tcp_throughput(const ThroughputOptions& opt,
     res.cmds_per_prepare = static_cast<double>(bafter.cmds - bbefore.cmds) /
                            static_cast<double>(bsubs);
   }
-  // Per-replica busy time is not tracked by the event-loop runtime;
-  // kops_per_sec_bottleneck/max_cpu_share stay zero (see throughput.h).
   fill_per_cmd(&res, before, after, secs);
   return res;
 }

@@ -1,5 +1,7 @@
-// Closed-loop saturating throughput measurement on the RtCluster
-// (paper Figure 8 methodology).
+// Closed-loop saturating throughput measurement on a loopback TcpCluster
+// (paper Figure 8 methodology): N NodeRuntimes in one process, every
+// inter-replica message over a real TCP socket, replicas logging to memory
+// unless TcpClusterOptions::log_dir makes them durable.
 #pragma once
 
 #include <cstddef>
@@ -7,7 +9,6 @@
 #include <string>
 #include <vector>
 
-#include "runtime/rt_cluster.h"
 #include "runtime/tcp_cluster.h"
 
 namespace crsm {
@@ -20,22 +21,15 @@ struct ThroughputOptions {
   double duration_s = 2.0;
   // Imbalanced option (clients at one replica only); -1 = all replicas.
   int only_replica = -1;
-  // Forwarded to RtCluster::Options::sender_batching.
-  bool sender_batching = false;
-  // Forwarded to RtCluster::Options::max_coalesce_bytes (per-pass
-  // coalescing budget of the thread transport; 0 = unbounded batch).
-  std::size_t thread_coalesce_bytes = 256 * 1024;
-  // Fraction of each client's ops issued as local reads (TCP runtime only;
-  // run_throughput requires 0 — the thread runtime has no read API here).
+  // Fraction of each client's ops issued as local reads.
   double read_fraction = 0.0;
   // Enable commit-pipeline tracing on every node and fill
-  // ThroughputResult::stages from the nodes' stage histograms (TCP runtime
-  // only). Sampled (every 16th origin command), so the overhead it measures
-  // is also the overhead it costs.
+  // ThroughputResult::stages from the nodes' stage histograms. Sampled
+  // (every 16th origin command), so the overhead it measures is also the
+  // overhead it costs.
   bool stage_breakdown = false;
-  // Protocol-level command batching on every node (TCP runtime only; see
-  // NodeConfig::max_batch_cmds / max_batch_bytes). 1 = off; the thread
-  // runtime always reports cmds_per_prepare = 1.
+  // Protocol-level command batching on every node (see
+  // NodeConfig::max_batch_cmds / max_batch_bytes). 1 = off.
   std::size_t max_batch_cmds = 1;
   std::size_t max_batch_bytes = 256 * 1024;
 };
@@ -55,12 +49,16 @@ struct ThroughputResult {
   double mb_per_sec_wire = 0.0;    // wire bytes moved per second
   std::uint64_t total_ops = 0;
   // Throughput implied by the busiest replica's CPU time: what an N-machine
-  // cluster would sustain (ops / max-replica busy seconds). On hosts with
-  // >= N cores this converges to kops_per_sec; on smaller hosts it is the
-  // meaningful number for comparing protocols whose load distribution
-  // differs (the Paxos leader vs the symmetric multi-leader protocols).
+  // cluster would sustain (ops / max-replica busy seconds). A replica's busy
+  // time is its event loop's pass time minus the kernel wait
+  // (crsm_loop_busy_us, obs/loop_profiler.h). On hosts with >= N cores this
+  // converges to kops_per_sec; on smaller hosts it is the meaningful number
+  // for comparing protocols whose load distribution differs (the Paxos
+  // leader vs the symmetric multi-leader protocols). Zero when the nodes
+  // run without the loop profiler (TcpClusterOptions::obs.profile_loop).
   double kops_per_sec_bottleneck = 0.0;
-  // Busiest replica's share of total protocol CPU (1/N = perfectly even).
+  // Busiest replica's share of the cluster's total busy time (1/N =
+  // perfectly even).
   double max_cpu_share = 0.0;
   // Wire-pipeline counters over the measurement window, normalized per
   // committed command. encodes_per_cmd < msgs_per_cmd shows fan-out
@@ -75,34 +73,27 @@ struct ThroughputResult {
   double flushes_per_cmd = 0.0;
   double frames_per_flush = 0.0;
   // io_uring submission batching: SQEs per io_uring_enter that submitted
-  // work. Zero on epoll / thread runtimes.
+  // work. Zero on the epoll backend.
   double sqes_per_submit = 0.0;
   // Protocol batching at work: client write commands carried per protocol
   // submission (PREPARE round at the origin) over the measurement window.
-  // 1.0 with batching off and on the thread runtime.
+  // 1.0 with batching off.
   double cmds_per_prepare = 1.0;
   // Committed reads per second (only with ThroughputOptions::read_fraction;
   // reads are excluded from the write-pipeline per-cmd counters above).
   double reads_per_sec = 0.0;
-  // Commit-pipeline stage breakdown (ThroughputOptions::stage_breakdown;
-  // TCP runtime only). Cumulative over warmup + measurement.
+  // Commit-pipeline stage breakdown (ThroughputOptions::stage_breakdown).
+  // Cumulative over warmup + measurement.
   std::vector<StageLatency> stages;
 };
 
-// Spawns closed-loop client threads against an RtCluster running the given
-// protocol and measures committed ops/s over the measurement window.
+// Spawns closed-loop client threads (one outstanding request each) against
+// a TcpCluster running the given protocol and measures committed ops/s over
+// the measurement window. `copt` configures the cluster (durable WAL nodes
+// via copt.log_dir: the group-commit cost measurement); its batching knobs
+// are overridden by ThroughputOptions.
 [[nodiscard]] ThroughputResult run_throughput(
-    const ThroughputOptions& opt, const RtCluster::ProtocolFactory& factory);
-
-// Same closed-loop measurement against a TcpCluster: N node processes'
-// worth of runtime in one process, every inter-replica message over a real
-// loopback TCP socket. `sender_batching` is ignored (the TCP write path
-// batches via writev); the CPU-share fields are zero (per-replica busy time
-// is not tracked by the event-loop runtime), so compare `kops_per_sec`.
-// `copt` configures the cluster (durable WAL nodes via copt.log_dir: the
-// group-commit cost measurement).
-[[nodiscard]] ThroughputResult run_tcp_throughput(
-    const ThroughputOptions& opt, const RtCluster::ProtocolFactory& factory,
+    const ThroughputOptions& opt, const TcpCluster::ProtocolFactory& factory,
     const TcpClusterOptions& copt = {});
 
 }  // namespace crsm

@@ -12,8 +12,16 @@ namespace crsm {
 // Per-replica execution context: env implementation plus owned state. A
 // `generation` counter invalidates pending timers across crash/restart.
 struct SimWorld::ReplicaCtx final : public ProtocolEnv {
-  SimWorld* world = nullptr;
-  ReplicaId id = kNoReplica;
+  ReplicaCtx(SimWorld* w, ReplicaId i)
+      : world(w),
+        id(i),
+        batch(i, w->opt_.max_batch_cmds, /*max_bytes=*/0,
+              [this](const std::vector<Command>&, Command submission) {
+                proto->submit(std::move(submission));
+              }) {}
+
+  SimWorld* world;
+  ReplicaId id;
   std::unique_ptr<SimClock> clk;
   std::unique_ptr<ReplicaStorage> storage;  // durable across crash/restart
   std::unique_ptr<StateMachine> sm;
@@ -55,13 +63,12 @@ struct SimWorld::ReplicaCtx final : public ProtocolEnv {
     proto = world->protocol_factory_(*this, id);
   }
 
-  // Submit-side batch accumulator (opt.max_batch_cmds > 1). The flush is a
-  // same-time simulator event scheduled when the buffer goes non-empty, so
-  // it runs after every submit already enqueued at this instant — batching
-  // is deterministic. A crash clears the buffer (commands never reached the
-  // protocol, so nothing was acknowledged).
-  std::vector<Command> batch;
-  std::uint64_t batch_counter = 0;
+  // Submit-side batching (opt.max_batch_cmds > 1), cut by count only. The
+  // cut is a same-time simulator event scheduled when the buffer goes
+  // non-empty, so it runs after every submit already enqueued at this
+  // instant — batching is deterministic. A crash clears the buffer
+  // (commands never reached the protocol, so nothing was acknowledged).
+  BatchAccumulator batch;
   bool flush_scheduled = false;
 
   void enqueue_write(const Command& cmd) {
@@ -69,31 +76,14 @@ struct SimWorld::ReplicaCtx final : public ProtocolEnv {
       proto->submit(cmd);
       return;
     }
-    batch.push_back(cmd);
-    if (batch.size() >= world->opt_.max_batch_cmds) {
-      flush_batch();
-      return;
-    }
-    if (flush_scheduled) return;
+    batch.add(cmd);
+    if (batch.empty() || flush_scheduled) return;
     flush_scheduled = true;
     const std::uint64_t gen = generation;
     world->sim_.after(0, [this, gen] {
       flush_scheduled = false;
-      if (alive && generation == gen) flush_batch();
+      if (alive && generation == gen) batch.cut();
     });
-  }
-
-  void flush_batch() {
-    if (batch.empty()) return;
-    if (batch.size() == 1) {
-      const Command single = std::move(batch.front());
-      batch.clear();
-      proto->submit(single);
-      return;
-    }
-    const Command env = make_batch(batch, id, batch_counter++);
-    batch.clear();
-    proto->submit(env);
   }
 
   // --- ProtocolEnv ---
@@ -180,9 +170,7 @@ SimWorld::SimWorld(SimWorldOptions opt, ProtocolFactory protocol_factory,
 
   Rng clock_rng = rng_.fork();
   for (std::size_t i = 0; i < n; ++i) {
-    auto ctx = std::make_unique<ReplicaCtx>();
-    ctx->world = this;
-    ctx->id = static_cast<ReplicaId>(i);
+    auto ctx = std::make_unique<ReplicaCtx>(this, static_cast<ReplicaId>(i));
     const double skew_us =
         opt_.clock_skew_ms > 0.0
             ? clock_rng.uniform(-opt_.clock_skew_ms, opt_.clock_skew_ms) * 1000.0

@@ -34,7 +34,6 @@
 #include <string>
 #include <string_view>
 
-#include "rsm/protocol.h"
 #include "rsm/state_machine.h"
 #include "storage/checkpoint.h"
 #include "storage/command_log.h"
@@ -176,30 +175,6 @@ class ReplicaStorage {
   bool boot_recovering_ = false;
   std::atomic<std::uint64_t> held_messages_{0};
   std::atomic<std::uint64_t> checkpoints_{0};
-};
-
-// The shared storage half of a runtime ProtocolEnv. NodeRuntime and
-// RtCluster's replica used to duplicate the same inline `CommandLog&`
-// accessor over a hardwired MemLog; both now inherit this base, so the
-// pluggable log, the recovery floor and the catch-up checkpoint hook are
-// wired identically in every real-clock runtime.
-class StorageBackedEnv : public ProtocolEnv {
- public:
-  explicit StorageBackedEnv(StorageOptions opt) : storage_(std::move(opt)) {}
-
-  [[nodiscard]] CommandLog& log() final { return storage_.log(); }
-  [[nodiscard]] Timestamp recovery_floor() const final {
-    return storage_.recovery_floor();
-  }
-  [[nodiscard]] std::string encoded_checkpoint() const final {
-    return storage_.encoded_checkpoint();
-  }
-
-  [[nodiscard]] ReplicaStorage& storage() { return storage_; }
-  [[nodiscard]] const ReplicaStorage& storage() const { return storage_; }
-
- protected:
-  ReplicaStorage storage_;
 };
 
 }  // namespace crsm

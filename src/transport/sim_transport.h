@@ -9,6 +9,7 @@
 
 #include "common/message.h"
 #include "common/types.h"
+#include "common/wire_frame.h"
 #include "sim/simulator.h"
 #include "transport/transport.h"
 #include "util/rng.h"
@@ -38,7 +39,7 @@ namespace crsm {
 // had: the global event order is that of one event per message.
 //
 // Replica ids are indices into the latency matrix.
-class SimTransport final : public Transport {
+class SimTransport final {
  public:
   using Handler = std::function<void(const Message&)>;
 
@@ -56,7 +57,14 @@ class SimTransport final : public Transport {
   // Sends `f` from -> to. Drops it if either endpoint is crashed (at send or
   // delivery time) or the link is partitioned. Delivery preserves FIFO order
   // per (from, to) link even under jitter.
-  void send(ReplicaId from, ReplicaId to, const WireFrame& f) override;
+  void send(ReplicaId from, ReplicaId to, const WireFrame& f);
+
+  // Fan-out: hands the same frame to every destination link in order. The
+  // frame is serialized at most once (WireFrame caches its encoding).
+  void multicast(ReplicaId from, const std::vector<ReplicaId>& tos,
+                 const WireFrame& f) {
+    for (ReplicaId to : tos) send(from, to, f);
+  }
 
   // Convenience for tests and non-fan-out callers.
   void send(ReplicaId from, ReplicaId to, Message m) {
@@ -103,7 +111,7 @@ class SimTransport final : public Transport {
   // probabilities and the delay surcharge. Crashed endpoints stay crashed.
   void clear_faults();
 
-  [[nodiscard]] TransportStats stats() const override { return stats_; }
+  [[nodiscard]] TransportStats stats() const { return stats_; }
   [[nodiscard]] std::uint64_t messages_sent() const { return stats_.messages_sent; }
   [[nodiscard]] std::uint64_t messages_delivered() const { return stats_.messages_delivered; }
   [[nodiscard]] std::uint64_t messages_dropped() const { return stats_.messages_dropped; }

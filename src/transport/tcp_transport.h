@@ -16,7 +16,7 @@
 // comes up, however long it was down. Wakes repeat with the usual backoff
 // until the link is up, then stop.
 //
-// Hot-path properties, matching the other transports:
+// Hot-path properties, matching SimTransport:
 //  * Fan-out encode-once: a multicast serializes its Message a single time
 //    (WireFrame shared encoding); every peer link queues a reference to the
 //    same buffer, and FrameConn's writev hands the kernel each link's copy.
@@ -24,7 +24,7 @@
 //    decoded as views into the connection's receive buffer
 //    (Message::decode_stream_view); handlers copy only what they retain.
 //  * Uniform accounting: TransportStats counts per-link messages/bytes and
-//    per-frame encodes exactly like SimTransport and ThreadTransport.
+//    per-frame encodes exactly like SimTransport.
 //
 // Send queues are bounded (Options::max_pending_bytes): a connected link
 // over its limit either blocks the sender until the kernel drains
@@ -49,6 +49,7 @@
 
 #include "common/message.h"
 #include "common/types.h"
+#include "common/wire_frame.h"
 #include "net/acceptor.h"
 #include "net/connector.h"
 #include "net/event_loop.h"
@@ -83,7 +84,7 @@ struct TcpTransportOptions {
   std::uint64_t hello_timeout_us = 10'000'000;
 };
 
-class TcpTransport final : public Transport {
+class TcpTransport final {
  public:
   using Handler = std::function<void(const Message&)>;
   // Client-driver connections (hello id net::kClientHello) are surfaced by
@@ -95,7 +96,7 @@ class TcpTransport final : public Transport {
   // Binds the listener immediately (so an ephemeral port is readable before
   // any thread runs); everything else happens in start().
   TcpTransport(net::EventLoop& loop, ReplicaId self, Options opt);
-  ~TcpTransport() override;
+  ~TcpTransport();
 
   [[nodiscard]] std::uint16_t port() const { return acceptor_.port(); }
   [[nodiscard]] ReplicaId self() const { return self_; }
@@ -113,12 +114,13 @@ class TcpTransport final : public Transport {
   // Loop-thread only: closes every connection and stops redialing.
   void shutdown();
 
-  // --- Transport ---
+  // --- sending ---
   // `from` must be self(). Callable from any thread; off-loop calls post.
-  void send(ReplicaId from, ReplicaId to, const WireFrame& f) override;
+  void send(ReplicaId from, ReplicaId to, const WireFrame& f);
+  // Fan-out: the frame is serialized at most once, whatever the fan-out.
   void multicast(ReplicaId from, const std::vector<ReplicaId>& tos,
-                 const WireFrame& f) override;
-  [[nodiscard]] TransportStats stats() const override;
+                 const WireFrame& f);
+  [[nodiscard]] TransportStats stats() const;
 
   void send_to_client(std::uint64_t conn, const WireFrame& f);
 

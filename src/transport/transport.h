@@ -1,14 +1,14 @@
-// Transport: the shared wire pipeline under both execution engines.
+// What the two transports share: traffic accounting and the bounded-queue
+// policy.
 //
-// A Transport moves framed messages between replicas over reliable,
+// A transport moves framed messages between replicas over reliable,
 // per-(sender,receiver) FIFO links — the channel model Section II-A assumes.
-// Two implementations exist:
+// There is one per execution engine:
 //
-//  * SimTransport   — discrete-event delivery over a LatencyMatrix with
-//                     jitter, crash and partition injection (the simulator).
-//  * ThreadTransport — real byte streams between replica threads with an
-//                     emulated per-byte network-stack cost (the local-cluster
-//                     throughput runtime).
+//  * SimTransport — discrete-event delivery over a LatencyMatrix with
+//                   jitter, crash and partition injection (the simulator).
+//  * TcpTransport — real loopback or network TCP sockets driven by an
+//                   EventLoop (NodeRuntime).
 //
 // Both consume WireFrames, so a broadcast is serialized at most once no
 // matter how many links it fans out to, and both account traffic uniformly
@@ -17,10 +17,6 @@
 #pragma once
 
 #include <cstdint>
-#include <vector>
-
-#include "common/types.h"
-#include "common/wire_frame.h"
 
 namespace crsm {
 
@@ -41,8 +37,8 @@ struct TransportStats {
   // knob. Both are also reflected in messages_dropped / messages_delivered.
   std::uint64_t messages_fault_dropped = 0;
   std::uint64_t messages_duplicated = 0;
-  // Per-pass wire coalescing (TCP and thread transports): one "flush" is
-  // one kernel/queue handoff; frames_flushed / wire_flushes is the achieved
+  // Per-pass wire coalescing (TcpTransport): one "flush" is one kernel
+  // handoff; frames_flushed / wire_flushes is the achieved
   // frames-per-flush batching factor.
   std::uint64_t wire_flushes = 0;
   std::uint64_t frames_flushed = 0;
@@ -70,24 +66,6 @@ struct TransportStats {
 enum class BackpressurePolicy : std::uint8_t {
   kBlock,
   kDrop,
-};
-
-class Transport {
- public:
-  virtual ~Transport() = default;
-
-  // Sends one frame from -> to. FIFO per (from, to) link.
-  virtual void send(ReplicaId from, ReplicaId to, const WireFrame& f) = 0;
-
-  // Fan-out: hands the same frame to every destination link in order. The
-  // frame is serialized at most once (WireFrame caches its encoding), so the
-  // default per-destination loop already encodes once per multicast.
-  virtual void multicast(ReplicaId from, const std::vector<ReplicaId>& tos,
-                         const WireFrame& f) {
-    for (ReplicaId to : tos) send(from, to, f);
-  }
-
-  [[nodiscard]] virtual TransportStats stats() const = 0;
 };
 
 }  // namespace crsm

@@ -71,7 +71,7 @@ struct WorkloadOptions {
 }
 
 // Sharded variant: also encodes the replica group the client is bound to,
-// so ids stay unique across the whole ShardedCluster.
+// so ids stay unique across every group of a sharded deployment.
 [[nodiscard]] constexpr ClientId make_sharded_client_id(std::uint32_t shard,
                                                         ReplicaId home,
                                                         std::size_t idx) {

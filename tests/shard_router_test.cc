@@ -1,5 +1,6 @@
-// Shard layer: deterministic routing, full shard coverage, and state
-// isolation between replica groups.
+// Shard router: deterministic routing and full shard coverage. State
+// isolation between replica groups is tested over real sockets in
+// sharded_cluster_test.
 #include <gtest/gtest.h>
 
 #include <memory>
@@ -10,7 +11,6 @@
 #include "clockrsm/clock_rsm.h"
 #include "kv/kv_store.h"
 #include "shard/shard_router.h"
-#include "shard/sharded_cluster.h"
 #include "test_util.h"
 #include "util/topology.h"
 
@@ -58,68 +58,6 @@ TEST(ShardRouter, CommandRoutingMatchesKeyRouting) {
 
 TEST(ShardRouter, RejectsZeroShards) {
   EXPECT_THROW(ShardRouter(0), std::invalid_argument);
-}
-
-// Picks a key owned by `want` under the given router.
-std::string key_in_shard(const ShardRouter& r, ShardId want) {
-  for (int i = 0;; ++i) {
-    std::string key = "iso-" + std::to_string(i);
-    if (r.shard_of_key(key) == want) return key;
-  }
-}
-
-TEST(ShardedCluster, DigestIsolationBetweenGroups) {
-  ShardedClusterOptions opts;
-  opts.num_shards = 2;
-  opts.world.matrix = LatencyMatrix::uniform(3, 10.0);
-  opts.world.seed = 7;
-  opts.world.count_bytes = true;  // so wire_stats() below counts encodes
-
-  std::vector<ReplicaId> spec = {0, 1, 2};
-  ShardedCluster cluster(
-      opts,
-      [&spec](ProtocolEnv& env, ReplicaId) {
-        return std::make_unique<ClockRsmReplica>(env, spec);
-      },
-      kv_factory());
-  cluster.start();
-
-  const std::uint64_t empty_digest = KvStore().state_digest();
-  ASSERT_EQ(cluster.shard_digest(0), empty_digest);
-  ASSERT_EQ(cluster.shard_digest(1), empty_digest);
-
-  // Write a key owned by group 0: only group 0's digest may change.
-  const std::string k0 = key_in_shard(cluster.router(), 0);
-  ASSERT_EQ(cluster.submit(0, kv_put(1, 1, k0, "zero")), 0u);
-  cluster.run_until(ms_to_us(500.0));
-  EXPECT_NE(cluster.shard_digest(0), empty_digest);
-  EXPECT_EQ(cluster.shard_digest(1), empty_digest);
-  EXPECT_EQ(cluster.committed(0), 1u);
-  EXPECT_EQ(cluster.committed(1), 0u);
-
-  // Then a key owned by group 1: group 0's digest must not move.
-  const std::uint64_t digest0 = cluster.shard_digest(0);
-  const std::string k1 = key_in_shard(cluster.router(), 1);
-  ASSERT_EQ(cluster.submit(1, kv_put(2, 1, k1, "one")), 1u);
-  cluster.run_until(ms_to_us(1000.0));
-  EXPECT_EQ(cluster.shard_digest(0), digest0);
-  EXPECT_NE(cluster.shard_digest(1), empty_digest);
-  EXPECT_EQ(cluster.total_committed(), 2u);
-
-  // Within each group, all replicas still agree.
-  expect_agreement(cluster.shard(0));
-  expect_agreement(cluster.shard(1));
-
-  // Cluster-wide wire accounting sums the per-group transports; with the
-  // encode-once pipeline, frames (encode calls) stay strictly below link
-  // messages on these 3-replica broadcast groups.
-  const TransportStats ws = cluster.wire_stats();
-  EXPECT_EQ(ws.messages_sent,
-            cluster.shard(0).network().messages_sent() +
-                cluster.shard(1).network().messages_sent());
-  EXPECT_GT(ws.encode_calls, 0u);
-  EXPECT_LT(ws.encode_calls, ws.messages_sent);
-  EXPECT_GT(ws.bytes_sent, 0u);
 }
 
 }  // namespace

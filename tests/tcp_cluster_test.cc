@@ -28,6 +28,7 @@
 #include "obs/metrics_http.h"
 #include "rsm/linearizability.h"
 #include "runtime/tcp_cluster.h"
+#include "runtime/throughput.h"
 #include "test_util.h"
 #include "workload/workload.h"
 
@@ -532,6 +533,32 @@ TEST_P(TcpBackendTest, DropPolicyBoundsDisconnectedBacklog) {
   loop_thread.join();
 }
 
+// The kBlock policy over live links: with a send-queue limit below one
+// frame, a send that leaves bytes queued stalls the loop until the socket
+// drains (counted in backpressure_blocks), nothing is shed, and the cluster
+// still commits every command — the stall drains instead of deadlocking.
+// Epoll only: on the uring backend each such stall runs to its 1 s
+// deadline (a known defect of the uring write path, see ROADMAP item 3).
+TEST(TcpBlockPolicy, StallsUntilLinkDrainsOnEpoll) {
+  const std::size_t n = 3;
+  TcpClusterOptions o;
+  o.max_pending_bytes = 1;
+  o.policy = BackpressurePolicy::kBlock;
+  TcpCluster cluster(n, clock_rsm_factory(n), kv_factory(), o);
+  std::atomic<int> replies{0};
+  cluster.set_reply_hook([&](ReplicaId, const Command&) { ++replies; });
+  cluster.start();
+  constexpr int kCmds = 30;
+  for (int i = 0; i < kCmds; ++i) {
+    cluster.submit(static_cast<ReplicaId>(i % n),
+                   kv_put(make_client_id(i % n, 0), i / n + 1, "k", "v"));
+  }
+  ASSERT_TRUE(eventually([&] { return replies.load() == kCmds; }));
+  EXPECT_TRUE(eventually([&] { return cluster.stats().backpressure_blocks > 0; }));
+  EXPECT_EQ(cluster.stats().messages_dropped, 0u);
+  cluster.stop();
+}
+
 // The observability acceptance case: a 3-replica durable cluster scraped
 // mid-run over GET /metrics must (a) emit well-formed Prometheus exposition
 // with the commit pipeline decomposed into separate WAL/ack/stability/
@@ -659,6 +686,49 @@ TEST_P(TcpBackendTest, MetricsScrapeAgreesWithStatsAndIsMonotone) {
 
   cluster.stop();
   std::filesystem::remove_all(dir);
+}
+
+// --- closed-loop throughput driver (runtime/throughput.h) -----------------
+
+TEST(Throughput, MeasuresCommittedOps) {
+  ThroughputOptions opt;
+  opt.num_replicas = 3;
+  opt.clients_per_replica = 4;
+  opt.payload_bytes = 64;
+  opt.warmup_s = 0.1;
+  opt.duration_s = 0.4;
+  const ThroughputResult r = run_throughput(opt, clock_rsm_factory(3));
+  EXPECT_GT(r.total_ops, 0u);
+  EXPECT_GT(r.kops_per_sec, 0.0);
+}
+
+TEST(Throughput, ImbalancedOptionRestrictsOrigins) {
+  ThroughputOptions opt;
+  opt.num_replicas = 3;
+  opt.clients_per_replica = 2;
+  opt.payload_bytes = 32;
+  opt.warmup_s = 0.05;
+  opt.duration_s = 0.2;
+  opt.only_replica = 1;
+  const ThroughputResult r = run_throughput(opt, mencius_factory(3));
+  EXPECT_GT(r.total_ops, 0u);
+}
+
+// Figure 8's "cluster kops/s" rests on each replica's event-loop busy time:
+// the busiest replica bounds what an N-machine cluster would sustain, and
+// its share of the total busy time lies in [1/N, 1].
+TEST(Throughput, ReportsPerReplicaBusyTime) {
+  ThroughputOptions opt;
+  opt.num_replicas = 3;
+  opt.clients_per_replica = 4;
+  opt.payload_bytes = 100;
+  opt.warmup_s = 0.1;
+  opt.duration_s = 0.4;
+  const ThroughputResult r = run_throughput(opt, paxos_factory(3, 0, false));
+  ASSERT_GT(r.total_ops, 0u);
+  EXPECT_GT(r.kops_per_sec_bottleneck, 0.0);
+  EXPECT_GE(r.max_cpu_share, 1.0 / 3.0 - 1e-9);
+  EXPECT_LE(r.max_cpu_share, 1.0);
 }
 
 }  // namespace

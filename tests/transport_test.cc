@@ -1,20 +1,15 @@
-// Tests for the shared Transport layer: fan-out encode-once on both
-// implementations, FIFO byte streams with zero-copy decode on
-// ThreadTransport, and the acceptance counters from the wire-pipeline
-// refactor (a broadcast message is serialized exactly once regardless of
-// fan-out, with bytes-on-the-wire unchanged).
+// Tests for the shared wire pipeline: lazy encode-once WireFrames and the
+// acceptance counters from the wire-pipeline refactor on SimTransport (a
+// broadcast message is serialized exactly once regardless of fan-out, with
+// bytes-on-the-wire unchanged). tcp_cluster_test's
+// TcpBackendTest.EncodeOnceAndCoalescingCountersHold checks the same
+// counters over real sockets.
 #include <gtest/gtest.h>
 
-#include <atomic>
-#include <chrono>
 #include <string>
-#include <thread>
-#include <vector>
 
 #include "common/wire_frame.h"
-#include "runtime/rt_cluster.h"
 #include "test_util.h"
-#include "transport/thread_transport.h"
 
 namespace crsm {
 namespace {
@@ -93,196 +88,6 @@ TEST(SimTransportEncodeOnce, ByteCountMatchesPerLinkEncoding) {
   EXPECT_EQ(net.messages_sent(), 3u);
   EXPECT_EQ(net.encode_calls(), 1u);
   EXPECT_EQ(net.bytes_sent(), 3 * m.encode().size());
-}
-
-// --- ThreadTransport ------------------------------------------------------
-
-TEST(ThreadTransport, FifoDeliveryAndZeroCopyDecode) {
-  ThreadTransport tt(2, ThreadTransport::Options{.wire_passes_per_byte = 0});
-
-  std::vector<std::uint64_t> seen;
-  std::vector<bool> payload_was_view;
-  Command retained;  // simulates a protocol storing a command
-  tt.register_replica(
-      1,
-      [&](const Message& m) {
-        seen.push_back(m.slot);
-        payload_was_view.push_back(m.cmd.payload.is_view());
-        retained = m.cmd;  // copy-on-retain
-      },
-      [] {});
-  tt.register_replica(0, [](const Message&) {}, [] {});
-
-  for (std::uint64_t s = 0; s < 3; ++s) {
-    Message m;
-    m.type = MsgType::kMenPropose;
-    m.from = 0;
-    m.slot = s;
-    m.cmd = test::kv_put(7, s + 1, "key", "value-" + std::to_string(s));
-    tt.send(0, 1, WireFrame(std::move(m)));
-  }
-
-  EXPECT_TRUE(tt.poll(1));
-  ASSERT_EQ(seen, (std::vector<std::uint64_t>{0, 1, 2}));
-  // Hot path decoded payloads as views into the pooled receive buffer...
-  for (bool v : payload_was_view) EXPECT_TRUE(v);
-  // ...but anything stored became an owned copy with intact bytes.
-  EXPECT_FALSE(retained.payload.is_view());
-  EXPECT_EQ(retained, test::kv_put(7, 3, "key", "value-2"));
-  EXPECT_FALSE(tt.poll(1));  // drained
-
-  EXPECT_EQ(tt.messages_sent(), 3u);
-  EXPECT_EQ(tt.messages_delivered(), 3u);
-  EXPECT_EQ(tt.encode_calls(), 3u);  // three distinct frames
-}
-
-TEST(ThreadTransport, MulticastEncodesOnceAndBatchingFlushes) {
-  ThreadTransport tt(3, ThreadTransport::Options{.wire_passes_per_byte = 0,
-                                                 .sender_batching = true});
-  std::atomic<int> got1{0}, got2{0};
-  tt.register_replica(0, [](const Message&) {}, [] {});
-  tt.register_replica(1, [&](const Message&) { ++got1; }, [] {});
-  tt.register_replica(2, [&](const Message&) { ++got2; }, [] {});
-
-  Message m;
-  m.type = MsgType::kClockTime;
-  m.from = 0;
-  m.clock_ts = 11;
-  tt.multicast(0, {0, 1, 2}, WireFrame(std::move(m)));
-
-  EXPECT_EQ(tt.encode_calls(), 1u);
-  EXPECT_EQ(tt.messages_sent(), 3u);
-
-  // Peer sends are batched until flush; the self-send was delivered
-  // immediately (drained by the sender's own pass).
-  EXPECT_FALSE(tt.poll(1));
-  tt.flush(0);
-  EXPECT_TRUE(tt.poll(1));
-  EXPECT_TRUE(tt.poll(2));
-  EXPECT_TRUE(tt.poll(0));
-  EXPECT_EQ(got1.load(), 1);
-  EXPECT_EQ(got2.load(), 1);
-}
-
-// --- Bounded send queues / backpressure -----------------------------------
-
-TEST(ThreadTransportBackpressure, DropPolicyShedsAndCounts) {
-  ThreadTransport::Options opt;
-  opt.wire_passes_per_byte = 0;
-  opt.max_link_bytes = 64;  // tiny: a few frames fill it
-  opt.overflow = BackpressurePolicy::kDrop;
-  ThreadTransport tt(2, opt);
-  std::atomic<int> got{0};
-  tt.register_replica(0, [](const Message&) {}, [] {});
-  tt.register_replica(1, [&](const Message&) { ++got; }, [] {});
-
-  // Nobody polls replica 1, so the link fills and the rest must shed.
-  for (std::uint64_t s = 0; s < 100; ++s) {
-    Message m;
-    m.type = MsgType::kMenPropose;
-    m.slot = s;
-    m.cmd = test::kv_put(1, s + 1, "key", "payload-payload");
-    tt.send(0, 1, WireFrame(std::move(m)));
-  }
-  const TransportStats s = tt.stats();
-  EXPECT_GT(s.messages_dropped, 0u);
-  EXPECT_EQ(s.backpressure_blocks, 0u);
-
-  // What was not dropped is still delivered intact, in order.
-  EXPECT_TRUE(tt.poll(1));
-  EXPECT_EQ(static_cast<std::uint64_t>(got.load()),
-            s.messages_sent - s.messages_dropped);
-}
-
-TEST(ThreadTransportBackpressure, BlockPolicyStallsUntilReceiverDrains) {
-  ThreadTransport::Options opt;
-  opt.wire_passes_per_byte = 0;
-  opt.max_link_bytes = 64;
-  opt.overflow = BackpressurePolicy::kBlock;
-  ThreadTransport tt(2, opt);
-  std::atomic<int> got{0};
-  tt.register_replica(0, [](const Message&) {}, [] {});
-  tt.register_replica(1, [&](const Message&) { ++got; }, [] {});
-
-  constexpr int kMsgs = 50;
-  std::thread sender([&] {
-    for (std::uint64_t s = 0; s < kMsgs; ++s) {
-      Message m;
-      m.type = MsgType::kMenPropose;
-      m.slot = s;
-      m.cmd = test::kv_put(1, s + 1, "key", "payload-payload");
-      tt.send(0, 1, WireFrame(std::move(m)));  // blocks when link is full
-    }
-  });
-  // Slow receiver: drain until everything arrived (no drops allowed).
-  while (got.load() < kMsgs) {
-    (void)tt.poll(1);
-    std::this_thread::sleep_for(std::chrono::milliseconds(1));
-  }
-  sender.join();
-  const TransportStats s = tt.stats();
-  EXPECT_EQ(got.load(), kMsgs);
-  EXPECT_EQ(s.messages_dropped, 0u);
-  EXPECT_GT(s.backpressure_blocks, 0u);  // the tiny link must have filled
-}
-
-TEST(ThreadTransportBackpressure, ShutdownReleasesBlockedSender) {
-  ThreadTransport::Options opt;
-  opt.wire_passes_per_byte = 0;
-  opt.max_link_bytes = 16;
-  opt.overflow = BackpressurePolicy::kBlock;
-  ThreadTransport tt(2, opt);
-  tt.register_replica(0, [](const Message&) {}, [] {});
-  tt.register_replica(1, [](const Message&) {}, [] {});
-
-  std::atomic<bool> done{false};
-  std::thread sender([&] {
-    for (std::uint64_t s = 0; s < 20; ++s) {
-      Message m;
-      m.type = MsgType::kClockTime;
-      m.clock_ts = s;
-      tt.send(0, 1, WireFrame(std::move(m)));
-    }
-    done = true;
-  });
-  std::this_thread::sleep_for(std::chrono::milliseconds(30));
-  tt.shutdown();  // nobody ever polls; this must unstick the sender
-  sender.join();
-  EXPECT_TRUE(done.load());
-}
-
-// --- RtCluster end-to-end (acceptance criterion) --------------------------
-
-TEST(RtClusterEncodeOnce, FiveReplicaClockRsmEncodeCallsDropBelowMessages) {
-  const std::size_t n = 5;
-  RtCluster cluster(
-      n, clock_rsm_factory(n), kv_factory(),
-      RtCluster::Options{.wire_passes_per_byte = 0, .sender_batching = false});
-
-  std::atomic<std::uint64_t> done{0};
-  cluster.set_reply_hook([&](ReplicaId, const Command&) { ++done; });
-  cluster.start();
-  const std::uint64_t kCmds = 50;
-  for (std::uint64_t i = 0; i < kCmds; ++i) {
-    cluster.submit(static_cast<ReplicaId>(i % n),
-                   kv_put(make_client_id(i % n, 0), i + 1, "k", "v"));
-  }
-  const auto deadline = std::chrono::steady_clock::now() + std::chrono::seconds(10);
-  while (done.load() < kCmds && std::chrono::steady_clock::now() < deadline) {
-    std::this_thread::sleep_for(std::chrono::milliseconds(5));
-  }
-  cluster.stop();
-  ASSERT_EQ(done.load(), kCmds);
-
-  // Every Clock-RSM message is a broadcast to all 5 replicas, so frames
-  // (encode calls) must be ~messages/5; allow slack for timer-driven
-  // CLOCKTIME traffic but require a clear drop below per-message encoding.
-  const std::uint64_t msgs = cluster.messages_sent();
-  const std::uint64_t encodes = cluster.encode_calls();
-  EXPECT_GT(msgs, 0u);
-  EXPECT_GT(encodes, 0u);
-  EXPECT_LE(encodes * 4, msgs) << "fan-out encode-once not in effect";
-  EXPECT_GT(cluster.bytes_sent(), 0u);
 }
 
 }  // namespace
