@@ -25,8 +25,7 @@ bool contains(const std::vector<ReplicaId>& v, ReplicaId r) {
 
 // Timestamps with a COMMIT mark in `records` (catch-up serving/recovery
 // needs to tell genuinely committed prepares from stale ones).
-std::unordered_set<Timestamp, TimestampHash> commit_marks(
-    const std::vector<LogRecord>& records) {
+std::unordered_set<Timestamp, TimestampHash> commit_marks(const LogMirror& records) {
   std::unordered_set<Timestamp, TimestampHash> marks;
   for (const LogRecord& r : records) {
     if (r.type == LogType::kCommit) marks.insert(r.ts);

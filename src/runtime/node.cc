@@ -189,6 +189,7 @@ void NodeRuntime::collect_metrics(obs::Registry& r) {
   sink("crsm_storage_held_messages_total", ss.held_messages);
   sink("crsm_storage_checkpoints_total", ss.checkpoints);
   sink("crsm_log_records", storage_.log().size());
+  sink("crsm_log_bytes", storage_.log().records().bytes());
   sink("crsm_storage_max_batch", ss.max_batch);
 
   sink("crsm_executed_total", executed_.load(std::memory_order_relaxed));

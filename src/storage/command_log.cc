@@ -7,7 +7,6 @@
 #include <cstring>
 #include <stdexcept>
 #include <system_error>
-#include <unordered_set>
 
 #include "common/codec.h"
 #include "common/message.h"
@@ -43,44 +42,9 @@ void fsync_parent_dir(const std::string& path) {
   ::close(dfd);
 }
 
-void filter_uncommitted_above(std::vector<LogRecord>* records, Timestamp bound,
-                              const std::function<bool(const Timestamp&)>& keep) {
-  std::unordered_set<Timestamp, TimestampHash> committed;
-  for (const LogRecord& r : *records) {
-    if (r.type == LogType::kCommit) committed.insert(r.ts);
-  }
-  std::vector<LogRecord> out;
-  out.reserve(records->size());
-  std::unordered_set<Timestamp, TimestampHash> removed;
-  for (LogRecord& r : *records) {
-    const bool above = r.ts > bound;
-    if (r.type == LogType::kPrepare && above && !committed.contains(r.ts) &&
-        !(keep && keep(r.ts))) {
-      removed.insert(r.ts);
-      continue;
-    }
-    if (r.type == LogType::kCommit && removed.contains(r.ts)) continue;
-    out.push_back(std::move(r));
-  }
-  *records = std::move(out);
-}
-
-void MemLog::remove_uncommitted_above(Timestamp bound,
-                                      const std::function<bool(const Timestamp&)>& keep) {
-  filter_uncommitted_above(&records_, bound, keep);
-}
-
-namespace {
-void erase_prefix(std::vector<LogRecord>* records, Timestamp upto) {
-  std::erase_if(*records, [upto](const LogRecord& r) { return r.ts <= upto; });
-}
-}  // namespace
-
-void MemLog::truncate_prefix(Timestamp upto) { erase_prefix(&records_, upto); }
-
 void CrashLossyLog::remove_uncommitted_above(
     Timestamp bound, const std::function<bool(const Timestamp&)>& keep) {
-  filter_uncommitted_above(&records_, bound, keep);
+  records_.remove_uncommitted_above(bound, keep);
   // A structural rewrite persists the full surviving content, exactly like
   // FileLog's crash-atomic rewrite_all (+fsync). Merely clamping the
   // watermark instead would slide appended-but-unsynced tail records under
@@ -90,42 +54,56 @@ void CrashLossyLog::remove_uncommitted_above(
 }
 
 void CrashLossyLog::truncate_prefix(Timestamp upto) {
-  erase_prefix(&records_, upto);
+  records_.truncate_prefix(upto);
   durable_ = records_.size();  // structural rewrite: see above
 }
-
-void CrashLossyLog::drop_unsynced() { records_.resize(durable_); }
 
 FileLog::FileLog(std::string path) : path_(std::move(path)) {
   fd_ = ::open(path_.c_str(), O_RDWR | O_CREAT | O_APPEND, 0644);
   if (fd_ < 0) throw_errno("FileLog open " + path_);
 
-  // Replay the existing file; stop at (and trim) any torn tail.
-  std::string contents;
+  // Replay the existing file in 64 KiB reads; stop at (and trim) any torn
+  // tail. `carry` holds the bytes after the last whole frame, `good` is the
+  // file offset where they start.
+  std::string carry;
+  std::size_t good = 0;
+  bool eof = false;
+  bool torn = false;
   char buf[1 << 16];
   ::lseek(fd_, 0, SEEK_SET);
-  for (;;) {
-    ssize_t n = ::read(fd_, buf, sizeof(buf));
-    if (n < 0) throw_errno("FileLog read " + path_);
-    if (n == 0) break;
-    contents.append(buf, static_cast<std::size_t>(n));
-  }
-  std::size_t pos = 0;
-  std::size_t good = 0;
-  while (pos < contents.size()) {
-    try {
-      Decoder frame(std::string_view(contents).substr(pos));
-      // The frame body stays a view into `contents`; decode_log_record owns
-      // every byte it returns, so nothing dangles past replay.
-      Decoder d(frame.bytes_view());
-      records_.push_back(decode_log_record(d));
-      pos = contents.size() - frame.remaining();
-      good = pos;
-    } catch (const CodecError&) {
-      break;  // torn tail
+  while (!eof && !torn) {
+    const ssize_t n = ::read(fd_, buf, sizeof(buf));
+    if (n < 0) {
+      if (errno == EINTR) continue;
+      throw_errno("FileLog read " + path_);
     }
+    eof = n == 0;
+    carry.append(buf, static_cast<std::size_t>(n));
+    std::size_t pos = 0;
+    while (pos < carry.size()) {
+      Decoder frame(std::string_view(carry).substr(pos));
+      std::string_view body;
+      try {
+        body = frame.bytes_view();
+      } catch (const CodecError&) {
+        torn = eof;  // a partial frame: read on, unless the file ended
+        break;
+      }
+      try {
+        // `body` views `carry`; decode_log_record owns every byte it
+        // returns, so nothing dangles once `carry` moves on.
+        Decoder d(body);
+        records_.append(decode_log_record(d));
+      } catch (const CodecError&) {
+        torn = true;
+        break;
+      }
+      pos = carry.size() - frame.remaining();
+    }
+    good += pos;
+    carry.erase(0, pos);
   }
-  if (good != contents.size()) {
+  if (!carry.empty()) {
     if (::ftruncate(fd_, static_cast<off_t>(good)) != 0) {
       throw_errno("FileLog truncate torn tail " + path_);
     }
@@ -137,7 +115,7 @@ FileLog::~FileLog() {
 }
 
 void FileLog::append(const LogRecord& r) {
-  records_.push_back(r);
+  records_.append(r);
   const std::string framed = encode_framed(r);
   std::size_t off = 0;
   while (off < framed.size()) {
@@ -156,12 +134,12 @@ void FileLog::sync() {
 
 void FileLog::remove_uncommitted_above(Timestamp bound,
                                        const std::function<bool(const Timestamp&)>& keep) {
-  filter_uncommitted_above(&records_, bound, keep);
+  records_.remove_uncommitted_above(bound, keep);
   rewrite_all();
 }
 
 void FileLog::truncate_prefix(Timestamp upto) {
-  erase_prefix(&records_, upto);
+  records_.truncate_prefix(upto);
   rewrite_all();
 }
 

@@ -4,10 +4,10 @@
 #include <cstddef>
 #include <functional>
 #include <string>
-#include <vector>
 
 #include "common/log_record.h"
 #include "common/types.h"
+#include "storage/log_mirror.h"
 
 namespace crsm {
 
@@ -27,7 +27,8 @@ class CommandLog {
   // Flushes to stable storage; a durability point for PREPAREOK.
   virtual void sync() {}
 
-  [[nodiscard]] virtual const std::vector<LogRecord>& records() const = 0;
+  // Every record in append order (see LogMirror for the in-memory layout).
+  [[nodiscard]] virtual const LogMirror& records() const = 0;
   [[nodiscard]] std::size_t size() const { return records().size(); }
 
   // Removes every kPrepare record with ts > bound whose timestamp does not
@@ -47,14 +48,16 @@ class CommandLog {
 // the local-cluster experiment for the same reason).
 class MemLog final : public CommandLog {
  public:
-  void append(const LogRecord& r) override { records_.push_back(r); }
-  [[nodiscard]] const std::vector<LogRecord>& records() const override { return records_; }
+  void append(const LogRecord& r) override { records_.append(r); }
+  [[nodiscard]] const LogMirror& records() const override { return records_; }
   void remove_uncommitted_above(Timestamp bound,
-                                const std::function<bool(const Timestamp&)>& keep) override;
-  void truncate_prefix(Timestamp upto) override;
+                                const std::function<bool(const Timestamp&)>& keep) override {
+    records_.remove_uncommitted_above(bound, keep);
+  }
+  void truncate_prefix(Timestamp upto) override { records_.truncate_prefix(upto); }
 
  private:
-  std::vector<LogRecord> records_;
+  LogMirror records_;
 };
 
 // In-memory log with power-loss crash semantics, for deterministic
@@ -68,30 +71,30 @@ class MemLog final : public CommandLog {
 // to prove the harness catches exactly that class of violation.
 class CrashLossyLog final : public CommandLog {
  public:
-  void append(const LogRecord& r) override { records_.push_back(r); }
+  void append(const LogRecord& r) override { records_.append(r); }
   void sync() override {
     if (!sync_is_noop_) durable_ = records_.size();
   }
-  [[nodiscard]] const std::vector<LogRecord>& records() const override { return records_; }
+  [[nodiscard]] const LogMirror& records() const override { return records_; }
   void remove_uncommitted_above(Timestamp bound,
                                 const std::function<bool(const Timestamp&)>& keep) override;
   void truncate_prefix(Timestamp upto) override;
 
   // Simulated power loss: discards every record appended since the last
   // effective sync().
-  void drop_unsynced();
+  void drop_unsynced() { records_.truncate_to(durable_); }
   [[nodiscard]] std::size_t unsynced() const { return records_.size() - durable_; }
   void set_sync_is_noop(bool v) { sync_is_noop_ = v; }
 
  private:
-  std::vector<LogRecord> records_;
+  LogMirror records_;
   std::size_t durable_ = 0;
   bool sync_is_noop_ = false;
 };
 
 // File-backed log with a write-through in-memory mirror. Records are framed
 // with a length prefix; a truncated tail (torn write at crash) is tolerated
-// and discarded at open.
+// and discarded at open, which decodes the file in 64 KiB reads.
 class FileLog final : public CommandLog {
  public:
   // Opens (creating if absent) and replays the file into memory.
@@ -103,7 +106,7 @@ class FileLog final : public CommandLog {
 
   void append(const LogRecord& r) override;
   void sync() override;
-  [[nodiscard]] const std::vector<LogRecord>& records() const override { return records_; }
+  [[nodiscard]] const LogMirror& records() const override { return records_; }
   void remove_uncommitted_above(Timestamp bound,
                                 const std::function<bool(const Timestamp&)>& keep) override;
   void truncate_prefix(Timestamp upto) override;
@@ -115,12 +118,8 @@ class FileLog final : public CommandLog {
 
   std::string path_;
   int fd_ = -1;
-  std::vector<LogRecord> records_;
+  LogMirror records_;
 };
-
-// Shared implementation of remove_uncommitted_above over a record vector.
-void filter_uncommitted_above(std::vector<LogRecord>* records, Timestamp bound,
-                              const std::function<bool(const Timestamp&)>& keep);
 
 // fsyncs the directory containing `path`, making a completed rename in it
 // durable. Best-effort: errors are ignored (see the definition).

@@ -5,7 +5,7 @@
 
 namespace crsm {
 
-ReplayResult replay_log(const std::vector<LogRecord>& records) {
+ReplayResult replay_log(const LogMirror& records) {
   ReplayResult out;
   std::unordered_map<Timestamp, LogRecord, TimestampHash> staged;
   for (const LogRecord& r : records) {
@@ -36,7 +36,7 @@ ReplayResult replay_log(const std::vector<LogRecord>& records) {
   return out;
 }
 
-void replay_and_apply(const std::vector<LogRecord>& records,
+void replay_and_apply(const LogMirror& records,
                       const std::function<void(const Command&, Timestamp)>& apply) {
   ReplayResult r = replay_log(records);
   for (const LogRecord& rec : r.committed) apply(rec.cmd, rec.ts);

@@ -8,6 +8,7 @@
 #include "common/command.h"
 #include "common/log_record.h"
 #include "common/types.h"
+#include "storage/log_mirror.h"
 
 namespace crsm {
 
@@ -27,10 +28,10 @@ struct ReplayResult {
 // PREPARE entries are staged by timestamp; each COMMIT mark promotes the
 // matching PREPARE to `committed`. COMMIT marks appear in timestamp order,
 // so `committed` comes out sorted.
-[[nodiscard]] ReplayResult replay_log(const std::vector<LogRecord>& records);
+[[nodiscard]] ReplayResult replay_log(const LogMirror& records);
 
 // Convenience: replay and apply every committed command through `apply`.
-void replay_and_apply(const std::vector<LogRecord>& records,
+void replay_and_apply(const LogMirror& records,
                       const std::function<void(const Command&, Timestamp)>& apply);
 
 }  // namespace crsm

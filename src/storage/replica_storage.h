@@ -82,7 +82,7 @@ class GroupCommitLog final : public CommandLog {
 
   void append(const LogRecord& r) override;
   void sync() override;
-  [[nodiscard]] const std::vector<LogRecord>& records() const override {
+  [[nodiscard]] const LogMirror& records() const override {
     return inner_->records();
   }
   void remove_uncommitted_above(

@@ -93,7 +93,7 @@ TEST(Checkpoint, TruncatesCoveredPrefix) {
   const Checkpoint cp = take_checkpoint(kv, Timestamp{2, 1}, 0);
   truncate_covered_prefix(log, cp);
   ASSERT_EQ(log.size(), 1u);
-  EXPECT_EQ(log.records()[0].ts, (Timestamp{3, 0}));
+  EXPECT_EQ(log.records().to_vector()[0].ts, (Timestamp{3, 0}));
 }
 
 TEST(Checkpoint, RecoveryAppliesSuffixAboveFloor) {

@@ -84,7 +84,7 @@ TEST(ClockRsmUnit, PrepareIsLoggedAndAckedToAll) {
   f.env.set_clock(5000);
   f.replica.on_message(prepare(1, Timestamp{4000, 1}, 1));
   ASSERT_EQ(f.env.log().size(), 1u);
-  EXPECT_EQ(f.env.log().records()[0].type, LogType::kPrepare);
+  EXPECT_EQ(f.env.log().records().to_vector()[0].type, LogType::kPrepare);
   const auto oks = f.env.sent_of(MsgType::kPrepareOk);
   ASSERT_EQ(oks.size(), 3u);  // broadcast, including self
   EXPECT_EQ(oks[0].msg.ts, (Timestamp{4000, 1}));
@@ -124,7 +124,7 @@ TEST(ClockRsmUnit, CommitNeedsMajorityStableAndPrefix) {
   EXPECT_FALSE(f.env.delivered[0].local_origin);
   // Commit mark appended after the prepare.
   ASSERT_EQ(f.env.log().size(), 2u);
-  EXPECT_EQ(f.env.log().records()[1].type, LogType::kCommit);
+  EXPECT_EQ(f.env.log().records().to_vector()[1].type, LogType::kCommit);
 }
 
 TEST(ClockRsmUnit, StableOrderBlocksOnLaggingReplica) {

@@ -686,7 +686,7 @@ TEST(DstCrashLossyLog, DropsUnsyncedTailOnly) {
   EXPECT_EQ(log.unsynced(), 1u);
   log.drop_unsynced();
   ASSERT_EQ(log.records().size(), 1u);
-  EXPECT_EQ(log.records()[0].ts, (Timestamp{10, 0}));
+  EXPECT_EQ(log.records().to_vector()[0].ts, (Timestamp{10, 0}));
 }
 
 TEST(DstCrashLossyLog, SyncNoopLosesEverything) {

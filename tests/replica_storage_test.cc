@@ -31,23 +31,19 @@ Command cmd(std::uint64_t seq) {
 // CommandLog stub counting inner sync() calls.
 class CountingLog final : public CommandLog {
  public:
-  void append(const LogRecord& r) override { records_.push_back(r); }
+  void append(const LogRecord& r) override { records_.append(r); }
   void sync() override { ++syncs; }
-  [[nodiscard]] const std::vector<LogRecord>& records() const override {
-    return records_;
-  }
+  [[nodiscard]] const LogMirror& records() const override { return records_; }
   void remove_uncommitted_above(
       Timestamp bound, const std::function<bool(const Timestamp&)>& keep) override {
-    filter_uncommitted_above(&records_, bound, keep);
+    records_.remove_uncommitted_above(bound, keep);
   }
-  void truncate_prefix(Timestamp upto) override {
-    std::erase_if(records_, [upto](const LogRecord& r) { return r.ts <= upto; });
-  }
+  void truncate_prefix(Timestamp upto) override { records_.truncate_prefix(upto); }
 
   int syncs = 0;
 
  private:
-  std::vector<LogRecord> records_;
+  LogMirror records_;
 };
 
 TEST(GroupCommitLog, DeferredModeBatchesSyncsUntilFlush) {
@@ -132,7 +128,7 @@ TEST_F(ReplicaStorageTest, DurableLogPersistsAndFlagsRecovery) {
   ReplicaStorage reopened{durable()};
   EXPECT_TRUE(reopened.recovering());
   ASSERT_EQ(reopened.log().records().size(), 2u);
-  EXPECT_EQ(reopened.log().records()[0].cmd, cmd(1));
+  EXPECT_EQ(reopened.log().records().to_vector()[0].cmd, cmd(1));
 }
 
 TEST_F(ReplicaStorageTest, CheckpointEveryNTruncatesAndRestores) {

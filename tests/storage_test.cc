@@ -3,10 +3,15 @@
 
 #include <unistd.h>
 
+#include <algorithm>
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
+#include <functional>
+#include <memory>
 #include <string>
+#include <unordered_set>
+#include <vector>
 
 #include "storage/command_log.h"
 #include "storage/recovery.h"
@@ -27,8 +32,8 @@ TEST(MemLog, AppendAndRead) {
   log.append(LogRecord::prepare(Timestamp{1, 0}, cmd(1)));
   log.append(LogRecord::commit(Timestamp{1, 0}));
   ASSERT_EQ(log.size(), 2u);
-  EXPECT_EQ(log.records()[0].type, LogType::kPrepare);
-  EXPECT_EQ(log.records()[1].type, LogType::kCommit);
+  EXPECT_EQ(log.records().to_vector()[0].type, LogType::kPrepare);
+  EXPECT_EQ(log.records().to_vector()[1].type, LogType::kCommit);
 }
 
 TEST(MemLog, RemoveUncommittedAbove) {
@@ -43,8 +48,8 @@ TEST(MemLog, RemoveUncommittedAbove) {
     return ts == Timestamp{6, 1};
   });
   ASSERT_EQ(log.size(), 5u);
-  EXPECT_EQ(log.records()[2].ts, (Timestamp{6, 1}));
-  EXPECT_EQ(log.records()[3].ts, (Timestamp{7, 0}));
+  EXPECT_EQ(log.records().to_vector()[2].ts, (Timestamp{6, 1}));
+  EXPECT_EQ(log.records().to_vector()[3].ts, (Timestamp{7, 0}));
 }
 
 class FileLogTest : public ::testing::Test {
@@ -68,8 +73,8 @@ TEST_F(FileLogTest, PersistsAcrossReopen) {
   }
   FileLog reopened(path_.string());
   ASSERT_EQ(reopened.size(), 2u);
-  EXPECT_EQ(reopened.records()[0].cmd, cmd(1));
-  EXPECT_EQ(reopened.records()[1].type, LogType::kCommit);
+  EXPECT_EQ(reopened.records().to_vector()[0].cmd, cmd(1));
+  EXPECT_EQ(reopened.records().to_vector()[1].type, LogType::kCommit);
 }
 
 TEST_F(FileLogTest, ToleratesTornTail) {
@@ -85,13 +90,13 @@ TEST_F(FileLogTest, ToleratesTornTail) {
 
   FileLog reopened(path_.string());
   ASSERT_EQ(reopened.size(), 1u);
-  EXPECT_EQ(reopened.records()[0].cmd, cmd(1));
+  EXPECT_EQ(reopened.records().to_vector()[0].cmd, cmd(1));
   // The torn tail is trimmed; appending continues cleanly.
   reopened.append(LogRecord::prepare(Timestamp{3, 0}, cmd(3)));
   reopened.sync();
   FileLog again(path_.string());
   ASSERT_EQ(again.size(), 2u);
-  EXPECT_EQ(again.records()[1].cmd, cmd(3));
+  EXPECT_EQ(again.records().to_vector()[1].cmd, cmd(3));
 }
 
 TEST_F(FileLogTest, TornTailIsTruncatedOnDiskAtOpen) {
@@ -132,13 +137,13 @@ TEST_F(FileLogTest, GarbageTailWithVarintContinuationBitsIsDiscarded) {
   }
   FileLog reopened(path_.string());
   ASSERT_EQ(reopened.size(), 1u);
-  EXPECT_EQ(reopened.records()[0].cmd, cmd(1));
+  EXPECT_EQ(reopened.records().to_vector()[0].cmd, cmd(1));
   // Appends after recovery land where the garbage was and survive reopen.
   reopened.append(LogRecord::commit(Timestamp{1, 0}));
   reopened.sync();
   FileLog again(path_.string());
   ASSERT_EQ(again.size(), 2u);
-  EXPECT_EQ(again.records()[1].type, LogType::kCommit);
+  EXPECT_EQ(again.records().to_vector()[1].type, LogType::kCommit);
 }
 
 TEST_F(FileLogTest, RemoveUncommittedRewrites) {
@@ -154,13 +159,13 @@ TEST_F(FileLogTest, RemoveUncommittedRewrites) {
 }
 
 TEST(Replay, CommittedInTimestampOrder) {
-  std::vector<LogRecord> recs;
+  LogMirror recs;
   // PREPAREs arrive out of timestamp order; COMMIT marks are in order.
-  recs.push_back(LogRecord::prepare(Timestamp{2, 1}, cmd(2)));
-  recs.push_back(LogRecord::prepare(Timestamp{1, 0}, cmd(1)));
-  recs.push_back(LogRecord::commit(Timestamp{1, 0}));
-  recs.push_back(LogRecord::commit(Timestamp{2, 1}));
-  recs.push_back(LogRecord::prepare(Timestamp{3, 0}, cmd(3)));  // no commit
+  recs.append(LogRecord::prepare(Timestamp{2, 1}, cmd(2)));
+  recs.append(LogRecord::prepare(Timestamp{1, 0}, cmd(1)));
+  recs.append(LogRecord::commit(Timestamp{1, 0}));
+  recs.append(LogRecord::commit(Timestamp{2, 1}));
+  recs.append(LogRecord::prepare(Timestamp{3, 0}, cmd(3)));  // no commit
 
   const ReplayResult r = replay_log(recs);
   ASSERT_EQ(r.committed.size(), 2u);
@@ -179,29 +184,296 @@ TEST(Replay, EmptyLog) {
 }
 
 TEST(Replay, CommitWithoutPrepareThrows) {
-  std::vector<LogRecord> recs;
-  recs.push_back(LogRecord::commit(Timestamp{1, 0}));
+  LogMirror recs;
+  recs.append(LogRecord::commit(Timestamp{1, 0}));
   EXPECT_THROW((void)replay_log(recs), std::runtime_error);
 }
 
 TEST(Replay, OutOfOrderCommitMarksThrow) {
-  std::vector<LogRecord> recs;
-  recs.push_back(LogRecord::prepare(Timestamp{1, 0}, cmd(1)));
-  recs.push_back(LogRecord::prepare(Timestamp{2, 0}, cmd(2)));
-  recs.push_back(LogRecord::commit(Timestamp{2, 0}));
-  recs.push_back(LogRecord::commit(Timestamp{1, 0}));
+  LogMirror recs;
+  recs.append(LogRecord::prepare(Timestamp{1, 0}, cmd(1)));
+  recs.append(LogRecord::prepare(Timestamp{2, 0}, cmd(2)));
+  recs.append(LogRecord::commit(Timestamp{2, 0}));
+  recs.append(LogRecord::commit(Timestamp{1, 0}));
   EXPECT_THROW((void)replay_log(recs), std::runtime_error);
 }
 
 TEST(Replay, ApplyCallbackRunsInOrder) {
-  std::vector<LogRecord> recs;
-  recs.push_back(LogRecord::prepare(Timestamp{5, 0}, cmd(5)));
-  recs.push_back(LogRecord::prepare(Timestamp{4, 1}, cmd(4)));
-  recs.push_back(LogRecord::commit(Timestamp{4, 1}));
-  recs.push_back(LogRecord::commit(Timestamp{5, 0}));
+  LogMirror recs;
+  recs.append(LogRecord::prepare(Timestamp{5, 0}, cmd(5)));
+  recs.append(LogRecord::prepare(Timestamp{4, 1}, cmd(4)));
+  recs.append(LogRecord::commit(Timestamp{4, 1}));
+  recs.append(LogRecord::commit(Timestamp{5, 0}));
   std::vector<std::uint64_t> seen;
   replay_and_apply(recs, [&](const Command& c, Timestamp) { seen.push_back(c.seq); });
   EXPECT_EQ(seen, (std::vector<std::uint64_t>{4, 5}));
+}
+
+// --- LogMirror equivalence ----------------------------------------------
+//
+// Every log keeps its records in a LogMirror. These tests run one script
+// against each log and, beside it, against a reference that keeps whole
+// records in a plain vector; after every step the two agree record for
+// record.
+
+// The reference log: whole records, filtered and truncated one by one.
+struct ReferenceLog {
+  std::vector<LogRecord> records;
+  std::size_t durable = 0;  // CrashLossyLog's watermark
+
+  void append(const LogRecord& r) { records.push_back(r); }
+  void sync() { durable = records.size(); }
+  void truncate_prefix(Timestamp upto) {
+    std::erase_if(records, [upto](const LogRecord& r) { return r.ts <= upto; });
+    durable = records.size();
+  }
+  void remove_uncommitted_above(Timestamp bound,
+                                const std::function<bool(const Timestamp&)>& keep) {
+    std::unordered_set<Timestamp, TimestampHash> committed;
+    for (const LogRecord& r : records) {
+      if (r.type == LogType::kCommit) committed.insert(r.ts);
+    }
+    std::vector<LogRecord> out;
+    std::unordered_set<Timestamp, TimestampHash> removed;
+    for (LogRecord& r : records) {
+      if (r.type == LogType::kPrepare && r.ts > bound && !committed.contains(r.ts) &&
+          !(keep && keep(r.ts))) {
+        removed.insert(r.ts);
+        continue;
+      }
+      if (r.type == LogType::kCommit && removed.contains(r.ts)) continue;
+      out.push_back(std::move(r));
+    }
+    records = std::move(out);
+    durable = records.size();
+  }
+  void drop_unsynced() { records.resize(durable); }
+
+  // What LogMirror::bytes() should report for these records.
+  [[nodiscard]] std::size_t bytes() const {
+    std::size_t n = records.size() * sizeof(LogMirror::Entry);
+    for (const LogRecord& r : records) {
+      if (r.type == LogType::kPrepare) n += sizeof(Command) + r.cmd.payload.size();
+    }
+    return n;
+  }
+};
+
+enum class LogKind { kMem, kCrashLossy, kFile };
+
+class MirrorEquivalence : public ::testing::TestWithParam<LogKind> {
+ protected:
+  void SetUp() override {
+    path_ = std::filesystem::temp_directory_path() /
+            ("crsm_mirror_test_" + std::to_string(::getpid()) + "_" +
+             std::to_string(static_cast<int>(GetParam())));
+    std::filesystem::remove(path_);
+    switch (GetParam()) {
+      case LogKind::kMem: log_ = std::make_unique<MemLog>(); break;
+      case LogKind::kCrashLossy: log_ = std::make_unique<CrashLossyLog>(); break;
+      case LogKind::kFile: log_ = std::make_unique<FileLog>(path_.string()); break;
+    }
+  }
+  void TearDown() override {
+    log_.reset();
+    std::filesystem::remove(path_);
+  }
+
+  void append(const LogRecord& r) {
+    log_->append(r);
+    ref_.append(r);
+  }
+  void sync() {
+    log_->sync();
+    ref_.sync();
+  }
+  void expect_same(const char* step) {
+    SCOPED_TRACE(step);
+    EXPECT_EQ(log_->records().to_vector(), ref_.records);
+    EXPECT_EQ(log_->size(), ref_.records.size());
+    EXPECT_EQ(log_->records().bytes(), ref_.bytes());
+    std::size_t n = 0;
+    for (const LogRecord& r : log_->records()) {
+      ASSERT_LT(n, ref_.records.size());
+      EXPECT_EQ(r, ref_.records[n++]);
+    }
+    EXPECT_EQ(n, ref_.records.size());
+  }
+
+  std::filesystem::path path_;
+  std::unique_ptr<CommandLog> log_;
+  ReferenceLog ref_;
+};
+
+Command payload_cmd(std::uint64_t seq, std::string payload) {
+  Command c;
+  c.client = 9;
+  c.seq = seq;
+  c.payload = std::move(payload);
+  return c;
+}
+
+TEST_P(MirrorEquivalence, ScriptMatchesRecordVector) {
+  expect_same("empty");
+  // Interleaved PREPAREs (out of timestamp order, three origins) and COMMIT
+  // marks (in timestamp order), with a duplicate PREPARE, an empty payload
+  // and one with NULs.
+  for (std::uint64_t i = 1; i <= 40; i += 2) {
+    append(LogRecord::prepare(Timestamp{i + 1, static_cast<ReplicaId>(i % 3)},
+                              payload_cmd(i + 1, "v" + std::to_string(i + 1))));
+    append(LogRecord::prepare(Timestamp{i, 0}, payload_cmd(i, i % 10 == 1
+                                                                  ? std::string()
+                                                                  : std::string("n\0l", 3))));
+    if (i == 5) append(LogRecord::prepare(Timestamp{i, 0}, payload_cmd(i, "dup")));
+    if (i < 30) {
+      append(LogRecord::commit(Timestamp{i, 0}));
+      append(LogRecord::commit(Timestamp{i + 1, static_cast<ReplicaId>(i % 3)}));
+    }
+  }
+  expect_same("appends");
+  sync();
+
+  log_->truncate_prefix(Timestamp{12, 0});
+  ref_.truncate_prefix(Timestamp{12, 0});
+  expect_same("truncate_prefix");
+
+  append(LogRecord::prepare(Timestamp{50, 2}, payload_cmd(50, "late")));
+  append(LogRecord::prepare(Timestamp{45, 1}, payload_cmd(45, "keep me")));
+  expect_same("appends after truncation");
+
+  const auto keep = [](const Timestamp& ts) { return ts.ticks % 4 == 1; };
+  log_->remove_uncommitted_above(Timestamp{33, 0}, keep);
+  ref_.remove_uncommitted_above(Timestamp{33, 0}, keep);
+  expect_same("remove_uncommitted_above with keep");
+  log_->remove_uncommitted_above(Timestamp{33, 0}, nullptr);
+  ref_.remove_uncommitted_above(Timestamp{33, 0}, nullptr);
+  expect_same("remove_uncommitted_above without keep");
+
+  append(LogRecord::commit(Timestamp{45, 1}));
+  sync();
+  log_->truncate_prefix(Timestamp{20, 0});
+  ref_.truncate_prefix(Timestamp{20, 0});
+  append(LogRecord::prepare(Timestamp{60, 0}, payload_cmd(60, "unsynced")));
+  append(LogRecord::commit(Timestamp{60, 0}));
+  expect_same("appends after a second truncation");
+
+  if (GetParam() == LogKind::kCrashLossy) {
+    auto& lossy = static_cast<CrashLossyLog&>(*log_);
+    EXPECT_EQ(lossy.unsynced(), 2u);
+    lossy.drop_unsynced();
+    ref_.drop_unsynced();
+    expect_same("drop_unsynced after truncation");
+  }
+  if (GetParam() == LogKind::kFile) {
+    sync();
+    log_ = std::make_unique<FileLog>(path_.string());
+    expect_same("reopen");
+    log_->truncate_prefix(Timestamp{100, 0});
+    ref_.truncate_prefix(Timestamp{100, 0});
+    log_ = std::make_unique<FileLog>(path_.string());
+    expect_same("reopen after truncating everything");
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(AllLogs, MirrorEquivalence,
+                         ::testing::Values(LogKind::kMem, LogKind::kCrashLossy,
+                                           LogKind::kFile),
+                         [](const ::testing::TestParamInfo<LogKind>& info) {
+                           switch (info.param) {
+                             case LogKind::kMem: return std::string("MemLog");
+                             case LogKind::kCrashLossy: return std::string("CrashLossyLog");
+                             case LogKind::kFile: return std::string("FileLog");
+                           }
+                           return std::string();
+                         });
+
+// The records of tests/data/wal_v1.log, in append order. 300 commands from
+// three origins: PREPAREs arrive in swapped pairs (out of timestamp order),
+// COMMIT marks follow in timestamp order, the last 20 stay uncommitted and
+// command 7 is prepared twice. Payloads carry NULs, one is empty and one is
+// 70000 bytes, so the file spans more than one 64 KiB read.
+std::vector<LogRecord> wal_fixture_records() {
+  auto prepare = [](std::uint64_t i) {
+    Command c;
+    c.client = 100 + i % 5;
+    c.seq = i;
+    if (i == 150) {
+      std::string big(70000, '\0');
+      for (std::size_t k = 0; k < big.size(); ++k) big[k] = static_cast<char>(k * 31 % 251);
+      c.payload = big;
+    } else if (i % 50 != 0) {
+      c.payload = std::string(i % 40, static_cast<char>('a' + i % 26)) +
+                  std::string(1, '\0') + std::to_string(i);
+    }
+    return LogRecord::prepare(Timestamp{1000 + i * 7, static_cast<ReplicaId>(i % 3)}, c);
+  };
+  auto commit = [](std::uint64_t i) {
+    return LogRecord::commit(Timestamp{1000 + i * 7, static_cast<ReplicaId>(i % 3)});
+  };
+  std::vector<LogRecord> out;
+  for (std::uint64_t i = 1; i <= 300; i += 2) {
+    out.push_back(prepare(i + 1));
+    out.push_back(prepare(i));
+    if (i == 7) out.push_back(prepare(7));
+    if (i + 1 <= 280) {
+      out.push_back(commit(i));
+      out.push_back(commit(i + 1));
+    }
+  }
+  return out;
+}
+
+// tests/data/wal_v1.log was written by an earlier FileLog, one that kept
+// whole records in memory and read the file in one piece at open. It must
+// replay to the records it was written from, open without being trimmed,
+// and match byte for byte what FileLog writes for those records today.
+TEST_F(FileLogTest, CheckedInWalReplaysToItsRecords) {
+  const std::filesystem::path fixture =
+      std::filesystem::path(CRSM_TEST_DATA_DIR) / "wal_v1.log";
+  std::filesystem::copy_file(fixture, path_);
+  const auto size = std::filesystem::file_size(path_);
+  ASSERT_GT(size, std::uintmax_t{1} << 16) << "the fixture must span two reads";
+
+  const std::vector<LogRecord> expected = wal_fixture_records();
+  {
+    FileLog log(path_.string());
+    EXPECT_EQ(log.records().to_vector(), expected);
+    const ReplayResult rr = replay_log(log.records());
+    EXPECT_EQ(rr.committed.size(), 280u);
+    EXPECT_EQ(rr.unresolved.size(), 20u);
+  }
+  EXPECT_EQ(std::filesystem::file_size(path_), size) << "nothing was trimmed";
+
+  // Writing the same records today produces the same bytes.
+  const std::filesystem::path rewritten = path_.string() + ".new";
+  std::filesystem::remove(rewritten);
+  {
+    FileLog log(rewritten.string());
+    for (const LogRecord& r : expected) log.append(r);
+    log.sync();
+  }
+  auto slurp = [](const std::filesystem::path& p) {
+    std::ifstream in(p, std::ios::binary);
+    return std::string(std::istreambuf_iterator<char>(in), std::istreambuf_iterator<char>());
+  };
+  EXPECT_EQ(slurp(rewritten), slurp(fixture));
+  std::filesystem::remove(rewritten);
+
+  // A torn tail inside the big record, past the first 64 KiB read, trims
+  // back to the record before it.
+  std::size_t before_big = 0;
+  for (std::size_t i = 0; i < expected.size(); ++i) {
+    if (expected[i].type == LogType::kPrepare && expected[i].cmd.seq == 150) {
+      before_big = i;
+      break;
+    }
+  }
+  std::filesystem::resize_file(path_, (std::uintmax_t{1} << 16) + 100);
+  FileLog torn(path_.string());
+  const std::vector<LogRecord> prefix(expected.begin(),
+                                      expected.begin() + static_cast<std::ptrdiff_t>(before_big));
+  EXPECT_EQ(torn.records().to_vector(), prefix);
+  EXPECT_LT(std::filesystem::file_size(path_), std::uintmax_t{1} << 16);
 }
 
 }  // namespace

@@ -644,6 +644,12 @@ TEST_P(TcpBackendTest, MetricsScrapeAgreesWithStatsAndIsMonotone) {
   EXPECT_EQ(snap1.counter_value("crsm_storage_checkpoints_total"), 0u);
   EXPECT_GE(log_records->gauge, static_cast<double>(s1.appends));
   EXPECT_LE(log_records->gauge, static_cast<double>(s2.appends));
+  // Beside it, the bytes that log holds: 16 per record, plus a command and
+  // its payload per PREPARE entry.
+  const obs::MetricValue* log_bytes = snap1.find("crsm_log_bytes");
+  ASSERT_NE(log_bytes, nullptr);
+  EXPECT_EQ(log_bytes->kind, obs::MetricKind::kGauge);
+  EXPECT_GT(log_bytes->gauge, 16.0 * log_records->gauge);
 
   // (c) Monotone across scrapes with load in between; stage histograms fill.
   for (int i = 0; i < 20; ++i) cluster.submit(0, kv_put(1, 31 + i, "k", "v"));
