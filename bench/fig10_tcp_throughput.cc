@@ -1,22 +1,21 @@
-// Figure 10 (extension, not in the paper): io-backend / coalescing /
-// durability sweep on one host.
+// Figure 10 (extension, not in the paper): coalescing / durability /
+// batching sweep on one host.
 //
 // All rows host the same protocol reactors and the same encode-once /
 // zero-copy wire pipeline over loopback TCP; what changes is how bytes
 // reach the kernel:
 //
-//   tcp epoll|uring    — real loopback TCP sockets, driven by the epoll or
-//                        the io_uring event-loop backend.
 //   coalesce off|on    — per-pass wire coalescing: frames queued to one
 //                        peer during an event-loop pass leave as a single
-//                        writev (epoll) or a single SENDMSG SQE (uring).
+//                        writev ("on", the default 256 KiB budget), or
+//                        each frame leaves in its own sendmsg ("off", a
+//                        budget of 0).
 //
 // Reported per row: committed cmds/s, the per-command wire counters (msgs,
-// flushes — flushes/cmd < msgs/cmd is coalescing at work), the achieved
-// frames-per-flush batching factor, and on uring the SQEs handed over per
-// io_uring_enter. The msgs/bytes/encodes counters must match across rows
-// (same protocol, same framing) while throughput shows what each kernel
-// path costs.
+// flushes — flushes/cmd < msgs/cmd is coalescing at work) and the achieved
+// frames-per-flush batching factor. The msgs/bytes/encodes counters must
+// match across rows (same protocol, same framing) while throughput shows
+// what each kernel path costs.
 //
 // The wal rows add durability: the same TCP cluster on a FileLog WAL with
 // per-pass group commit. The acceptance bound for the durable runtime is
@@ -29,10 +28,6 @@
 // round, one WAL record inside the same group-commit fsync. Reported as
 // cmds/PREPARE (the achieved batch depth); throughput should climb with
 // depth until envelope size stops being the bottleneck.
-//
-// io_uring rows are skipped (with a note) when the kernel refuses the
-// backend; the factory's epoll fallback never silently pollutes a "uring"
-// row.
 #include <unistd.h>
 
 #include <cstdio>
@@ -44,7 +39,6 @@
 #include "bench_common.h"
 #include "harness/latency_experiment.h"
 #include "harness/report.h"
-#include "net/event_loop.h"
 #include "runtime/throughput.h"
 
 int main(int argc, char** argv) {
@@ -53,16 +47,9 @@ int main(int argc, char** argv) {
 
   const BenchArgs args = parse_bench_args(argc, argv);  // fixed-size workload
   JsonResult jr("fig10_tcp_throughput");
-  const bool uring_ok = net::uring_available();
-  jr.add("uring_available", uring_ok ? 1.0 : 0.0);
   if (!args.json) {
-    std::printf("Figure 10: io-backend x coalescing x durability sweep, "
-                "three replicas,\n100B commands, closed-loop clients\n");
-    if (!uring_ok) {
-      std::printf("(io_uring unavailable on this kernel: uring rows "
-                  "skipped)\n");
-    }
-    std::printf("\n");
+    std::printf("Figure 10: coalescing x durability x batching sweep, "
+                "three replicas,\n100B commands, closed-loop clients\n\n");
   }
 
   struct Proto {
@@ -75,35 +62,23 @@ int main(int argc, char** argv) {
       {"Paxos", paxos_factory(n, 0, false)},
   };
 
-  // One sweep point: which backend drives the links, coalescing on or off,
-  // and whether the nodes log to a WAL. Coalescing "on" uses the
-  // default 256 KiB per-pass budget; "off" flushes every send immediately
-  // (the pre-coalescing behaviour).
+  // One sweep point: coalescing on or off, and whether the nodes log to a
+  // WAL. Coalescing "on" uses the default 256 KiB per-pass budget; "off"
+  // is a budget of 0, which flushes every frame as it is queued.
   struct Row {
     const char* transport;  // tcp | tcp+wal
-    net::IoBackend backend = net::IoBackend::kEpoll;
     bool coalesce = true;
     bool all_protos = true;  // false: Clock-RSM only (the durable rows)
     std::size_t batch = 1;   // protocol-level command batching (1 = off)
   };
   const std::vector<Row> rows = {
-      {"tcp", net::IoBackend::kEpoll, false, true},
-      {"tcp", net::IoBackend::kEpoll, true, true},
-      {"tcp", net::IoBackend::kUring, false, false},
-      {"tcp", net::IoBackend::kUring, true, true},
-      {"tcp+wal", net::IoBackend::kEpoll, true, false},
-      {"tcp+wal", net::IoBackend::kEpoll, true, false, 4},
-      {"tcp+wal", net::IoBackend::kEpoll, true, false, 16},
-      {"tcp+wal", net::IoBackend::kEpoll, true, false, 64},
-      {"tcp+wal", net::IoBackend::kUring, true, false},
-      {"tcp+wal", net::IoBackend::kUring, true, false, 4},
-      {"tcp+wal", net::IoBackend::kUring, true, false, 16},
-      {"tcp+wal", net::IoBackend::kUring, true, false, 64},
+      {"tcp", false, true},          {"tcp", true, true},
+      {"tcp+wal", true, false},      {"tcp+wal", true, false, 4},
+      {"tcp+wal", true, false, 16},  {"tcp+wal", true, false, 64},
   };
 
-  Table t({"protocol", "transport", "backend", "coalesce", "batch", "kcmds/s",
-           "cmds/prep", "msgs/cmd", "flushes/cmd", "frames/flush",
-           "sqes/submit"});
+  Table t({"protocol", "transport", "coalesce", "batch", "kcmds/s",
+           "cmds/prep", "msgs/cmd", "flushes/cmd", "frames/flush"});
   Table stage_t({"row", "stage", "count", "p50 us", "p99 us"});
   for (const Proto& p : protos) {
     ThroughputOptions opt;
@@ -118,32 +93,20 @@ int main(int argc, char** argv) {
     for (const Row& row : rows) {
       const bool is_wal = std::string(row.transport) == "tcp+wal";
       if (!row.all_protos && std::string(p.label) != "Clock-RSM") continue;
-      const bool uring_row = row.backend == net::IoBackend::kUring;
-      const char* backend_label = net::io_backend_name(row.backend);
-      // Batch-1 rows keep their pre-sweep key names; batch rows add _bN.
+      // Batch-1 rows have no batch segment; batch rows add _bN.
       const std::string prefix =
           metric_key(p.label) + "_" + metric_key(row.transport) + "_" +
-          metric_key(backend_label) + "_" +
           (row.coalesce ? "coalesce_" : "nocoalesce_") +
           (row.batch > 1 ? "b" + std::to_string(row.batch) + "_" : "");
-      if (uring_row && !uring_ok) {
-        if (!args.json) {
-          t.add_row({p.label, row.transport, backend_label,
-                     row.coalesce ? "on" : "off", std::to_string(row.batch),
-                     "skipped", "-", "-", "-", "-", "-"});
-        }
-        continue;
-      }
 
       TcpClusterOptions copt;
-      copt.io_backend = row.backend;
       copt.max_coalesce_bytes = row.coalesce ? 256 * 1024 : 0;
       opt.max_batch_cmds = row.batch;
       std::string dir;
       if (is_wal) {
         dir = (std::filesystem::temp_directory_path() /
-               ("fig10_wal_" + std::to_string(::getpid()) + "_" +
-                metric_key(backend_label) + "_b" + std::to_string(row.batch)))
+               ("fig10_wal_" + std::to_string(::getpid()) + "_b" +
+                std::to_string(row.batch)))
                   .string();
         copt.log_dir = dir;
       }
@@ -157,29 +120,22 @@ int main(int argc, char** argv) {
       jr.add(prefix + "encodes_per_cmd", r.encodes_per_cmd);
       jr.add(prefix + "flushes_per_cmd", r.flushes_per_cmd);
       add_batching_columns(jr, prefix, r);
-      if (uring_row) jr.add(prefix + "sqes_per_submit", r.sqes_per_submit);
       if (!r.stages.empty()) {
         add_stage_breakdown(jr, prefix, r.stages,
                             args.json ? nullptr : &stage_t,
-                            std::string(p.label) + " " + row.transport + "/" +
-                                backend_label);
+                            std::string(p.label) + " " + row.transport);
       }
-      t.add_row({p.label, row.transport, backend_label,
-                 row.coalesce ? "on" : "off", std::to_string(row.batch),
-                 fmt_count(r.kops_per_sec, 2),
+      t.add_row({p.label, row.transport, row.coalesce ? "on" : "off",
+                 std::to_string(row.batch), fmt_count(r.kops_per_sec, 2),
                  fmt_count(r.cmds_per_prepare, 2),
                  fmt_count(r.msgs_per_cmd, 2), fmt_count(r.flushes_per_cmd, 2),
-                 fmt_count(r.frames_per_flush, 2),
-                 uring_row ? fmt_count(r.sqes_per_submit, 2) : "-"});
+                 fmt_count(r.frames_per_flush, 2)});
 
-      // The durable acceptance ratio tracks the matching-backend tcp row.
-      if (!is_wal && row.backend == net::IoBackend::kEpoll && row.coalesce &&
-          row.batch == 1) {
+      // The durable acceptance ratio tracks the coalescing tcp row.
+      if (!is_wal && row.coalesce && row.batch == 1) {
         tcp_baseline = r.kops_per_sec;
       }
-      if (is_wal && row.backend == net::IoBackend::kEpoll && row.batch == 1) {
-        wal_kops = r.kops_per_sec;
-      }
+      if (is_wal && row.batch == 1) wal_kops = r.kops_per_sec;
     }
     if (tcp_baseline > 0 && wal_kops > 0) {
       jr.add(metric_key(p.label) + "_wal_slowdown", tcp_baseline / wal_kops);
@@ -199,9 +155,7 @@ int main(int argc, char** argv) {
   std::printf("\nShape to check: per-command msgs/bytes/encodes match across "
               "rows (same\nprotocol, same frames). Coalescing shows up as "
               "flushes/cmd well under msgs/cmd\nand frames/flush > 1 — the "
-              "same frames, fewer kernel handoffs. The uring rows\nadd SQE "
-              "batching on top (sqes/submit ~ SQEs per io_uring_enter). The "
-              "tcp+wal\nrows (FileLog + per-pass group commit) must stay "
+              "same frames, fewer kernel handoffs. The tcp+wal\nrows (FileLog + per-pass group commit) must stay "
               "within ~3x of the matching\ntcp row — the durable "
               "deployment's acceptance bound. The batch rows sweep\n"
               "protocol-level command batching (cmds/prep is the achieved "

@@ -1,49 +1,40 @@
 #include "net/event_loop.h"
 
+#include <sys/epoll.h>
 #include <sys/eventfd.h>
 #include <unistd.h>
 
 #include <cerrno>
 #include <chrono>
-#include <cstdio>
 #include <cstring>
+#include <string>
 #include <utility>
 
-#include "net/epoll_loop.h"
 #include "net/socket.h"
-#include "net/uring_loop.h"
 
 namespace crsm::net {
 
-const char* io_backend_name(IoBackend b) {
-  switch (b) {
-    case IoBackend::kEpoll:
-      return "epoll";
-    case IoBackend::kUring:
-      return "uring";
-  }
-  return "?";
-}
-
-bool parse_io_backend(std::string_view s, IoBackend* out) {
-  if (s == "epoll") {
-    *out = IoBackend::kEpoll;
-    return true;
-  }
-  if (s == "uring" || s == "io_uring") {
-    *out = IoBackend::kUring;
-    return true;
-  }
-  return false;
-}
+namespace {
+constexpr int kMaxEvents = 64;
+}  // namespace
 
 EventLoop::EventLoop() {
+  epfd_ = ::epoll_create1(EPOLL_CLOEXEC);
+  if (epfd_ < 0) throw NetError("epoll_create1 failed");
   wake_fd_ = ::eventfd(0, EFD_NONBLOCK | EFD_CLOEXEC);
-  if (wake_fd_ < 0) throw NetError("eventfd failed");
+  epoll_event ev{};
+  ev.events = EPOLLIN;
+  ev.data.fd = wake_fd_;
+  if (wake_fd_ < 0 || ::epoll_ctl(epfd_, EPOLL_CTL_ADD, wake_fd_, &ev) < 0) {
+    if (wake_fd_ >= 0) ::close(wake_fd_);
+    ::close(epfd_);
+    throw NetError("eventfd wakeup setup failed");
+  }
 }
 
 EventLoop::~EventLoop() {
-  if (wake_fd_ >= 0) ::close(wake_fd_);
+  ::close(wake_fd_);
+  ::close(epfd_);
 }
 
 std::uint64_t EventLoop::mono_us() {
@@ -51,6 +42,32 @@ std::uint64_t EventLoop::mono_us() {
       std::chrono::duration_cast<std::chrono::microseconds>(
           std::chrono::steady_clock::now().time_since_epoch())
           .count());
+}
+
+void EventLoop::add_fd(int fd, std::uint32_t interest, FdCallback cb) {
+  epoll_event ev{};
+  ev.events = interest;
+  ev.data.fd = fd;
+  if (::epoll_ctl(epfd_, EPOLL_CTL_ADD, fd, &ev) < 0) {
+    throw NetError(std::string("epoll_ctl(ADD): ") + std::strerror(errno));
+  }
+  fds_[fd] = std::move(cb);
+}
+
+void EventLoop::mod_fd(int fd, std::uint32_t interest) {
+  epoll_event ev{};
+  ev.events = interest;
+  ev.data.fd = fd;
+  if (::epoll_ctl(epfd_, EPOLL_CTL_MOD, fd, &ev) < 0) {
+    throw NetError(std::string("epoll_ctl(MOD): ") + std::strerror(errno));
+  }
+}
+
+void EventLoop::del_fd(int fd) {
+  // The fd may already be closed (EBADF) — deregistration must not throw on
+  // teardown paths.
+  (void)::epoll_ctl(epfd_, EPOLL_CTL_DEL, fd, nullptr);
+  fds_.erase(fd);
 }
 
 TimerId EventLoop::schedule_after(std::uint64_t delay_us,
@@ -77,14 +94,36 @@ void EventLoop::wakeup() {
   (void)!::write(wake_fd_, &one, sizeof(one));
 }
 
-void EventLoop::drain_wake_fd() {
-  std::uint64_t buf;
-  (void)!::read(wake_fd_, &buf, sizeof(buf));
-}
-
 void EventLoop::stop() {
   stop_requested_.store(true, std::memory_order_release);
   wakeup();
+}
+
+void EventLoop::poll_io(int timeout_ms) {
+  epoll_event events[kMaxEvents];
+  const std::uint64_t wait_begin = observer_ ? mono_us() : 0;
+  const int n = ::epoll_wait(epfd_, events, kMaxEvents, timeout_ms);
+  // Only an observed loop pays the extra clock reads.
+  if (observer_) observer_->note_poll_wait(mono_us() - wait_begin);
+  if (n < 0 && errno != EINTR) {
+    throw NetError(std::string("epoll_wait: ") + std::strerror(errno));
+  }
+  for (int i = 0; i < n; ++i) {
+    const int fd = events[i].data.fd;
+    if (fd == wake_fd_) {
+      std::uint64_t buf;
+      (void)!::read(wake_fd_, &buf, sizeof(buf));
+      continue;
+    }
+    // Look the callback up per event: an earlier callback in this batch
+    // may have deregistered this fd (e.g. a peer close tearing down a
+    // sibling connection).
+    auto it = fds_.find(fd);
+    if (it == fds_.end()) continue;
+    // Copy: the callback may del_fd(fd) (invalidating `it`) or add fds.
+    FdCallback cb = it->second;
+    cb(events[i].events);
+  }
 }
 
 void EventLoop::drain_posted() {
@@ -148,59 +187,6 @@ void EventLoop::run() {
   drain_posted();
   if (pass_end_hook_) pass_end_hook_();
   if (wire_flush_hook_) wire_flush_hook_();
-  // Backend teardown that must run on the loop thread, while it still
-  // exists as the kernel's submitter task (io_uring binds completion task
-  // work — including file-reference puts — to that task; once it exits,
-  // releases fall back to an asynchronous kernel workqueue and a restarted
-  // node can race EADDRINUSE against its predecessor's listen port).
-  on_run_exit();
-}
-
-namespace {
-std::atomic<bool> g_force_uring_unavailable{false};
-}  // namespace
-
-void force_uring_unavailable_for_test(bool unavailable) {
-  g_force_uring_unavailable.store(unavailable, std::memory_order_relaxed);
-}
-
-bool uring_forced_unavailable() {
-  return g_force_uring_unavailable.load(std::memory_order_relaxed);
-}
-
-bool uring_available() {
-  if (uring_forced_unavailable()) return false;
-  // One real probe per process: a throwaway UringEventLoop exercises setup,
-  // ring mmaps and buffer-ring registration — everything the backend needs.
-  static const bool available = [] {
-    try {
-      UringEventLoop probe;
-      return true;
-    } catch (const NetError&) {
-      return false;
-    }
-  }();
-  return available;
-}
-
-std::unique_ptr<EventLoop> make_event_loop(IoBackend requested,
-                                           bool* fell_back) {
-  if (fell_back) *fell_back = false;
-  if (requested == IoBackend::kUring) {
-    try {
-      if (uring_forced_unavailable()) {
-        throw NetError("io_uring disabled (forced unavailable for test)");
-      }
-      return std::make_unique<UringEventLoop>();
-    } catch (const NetError& e) {
-      std::fprintf(stderr,
-                   "[crsm] warning: io_uring backend unavailable (%s); "
-                   "falling back to epoll\n",
-                   e.what());
-      if (fell_back) *fell_back = true;
-    }
-  }
-  return std::make_unique<EpollEventLoop>();
 }
 
 }  // namespace crsm::net

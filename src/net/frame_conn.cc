@@ -46,17 +46,7 @@ void FrameConn::start(std::uint32_t hello_id, HelloHandler on_hello,
   on_hello_ = std::move(on_hello);
   on_message_ = std::move(on_message);
   on_close_ = std::move(on_close);
-  // Prefer the backend's zero-syscall inbound stream (uring multishot
-  // recv); EPOLLIN + read() is the fallback. Either way a poll
-  // registration stays armed for write interest and error reporting.
-  recv_stream_ =
-      loop_.add_recv_stream(sock_.fd(), [this](std::string_view data,
-                                               bool eof) {
-        if (closed_) return;
-        if (!data.empty()) assembler_.append(data);
-        process_inbound(eof);
-      });
-  loop_.add_fd(sock_.fd(), recv_stream_ ? 0 : EPOLLIN,
+  loop_.add_fd(sock_.fd(), EPOLLIN,
                [this](std::uint32_t events) { handle_events(events); });
   pending_bytes_ += 8;
   out_.push_back(Pending{
@@ -69,7 +59,6 @@ void FrameConn::send(std::shared_ptr<const std::string> frame) {
   if (closed_ || frame->empty()) return;
   pending_bytes_ += frame->size();
   out_.push_back(Pending{std::move(frame), 0, /*is_hello=*/false});
-  if (!coalesce_) (void)flush();
 }
 
 bool FrameConn::flush() {
@@ -81,48 +70,18 @@ bool FrameConn::flush() {
 bool FrameConn::drain_committed() {
   while (committed_ > 0) {
     if (!write_some()) return false;
-    // Kernel buffer full (EPOLLOUT armed) or an async send is in flight
-    // (its completion continues the drain).
-    if (want_write_ || inflight_send_ != 0) break;
+    if (want_write_) break;  // kernel buffer full: EPOLLOUT resumes
   }
   return true;
 }
 
 bool FrameConn::write_some() {
-  if (inflight_send_ != 0) return true;
-  std::size_t nent = committed_;
-  if (nent > kMaxIov) nent = kMaxIov;
+  const std::size_t nent = committed_ < kMaxIov ? committed_ : kMaxIov;
   if (nent == 0) return true;
-
-  if (loop_.supports_send_queue()) {
-    // Async path: one SENDMSG SQE, submitted with everything else in the
-    // next pass's single io_uring_enter. The batch keeps the iov array and
-    // frame buffers alive for the kernel even across a teardown.
-    auto batch = std::make_shared<SendBatch>();
-    batch->iov.reserve(nent);
-    batch->bufs.reserve(nent);
-    for (const Pending& p : out_) {
-      if (batch->iov.size() == nent) break;
-      batch->iov.push_back(
-          iovec{const_cast<char*>(p.buf->data() + p.offset),
-                p.buf->size() - p.offset});
-      batch->bufs.push_back(p.buf);
-    }
-    const iovec* iov = batch->iov.data();
-    const std::uint64_t id = loop_.queue_send(
-        sock_.fd(), iov, static_cast<int>(nent), batch,
-        [this](ssize_t n) { on_send_complete(n); });
-    if (id != 0) {
-      inflight_send_ = id;
-      inflight_entries_ = nent;
-      return true;
-    }
-  }
-
   iovec iov[kMaxIov];
-  int niov = 0;
+  std::size_t niov = 0;
   for (const Pending& p : out_) {
-    if (static_cast<std::size_t>(niov) == nent) break;
+    if (niov == nent) break;
     iov[niov].iov_base = const_cast<char*>(p.buf->data() + p.offset);
     iov[niov].iov_len = p.buf->size() - p.offset;
     ++niov;
@@ -133,26 +92,24 @@ bool FrameConn::write_some() {
   // whole process instead of surfacing EPIPE to the close path below.
   msghdr msg{};
   msg.msg_iov = iov;
-  msg.msg_iovlen = static_cast<std::size_t>(niov);
+  msg.msg_iovlen = niov;
   const ssize_t n = ::sendmsg(sock_.fd(), &msg, MSG_NOSIGNAL);
-  return handle_write_result(n < 0 ? -errno : n);
-}
-
-bool FrameConn::handle_write_result(ssize_t n) {
-  if (n >= 0) {
-    if (n > 0) {
-      if (metrics_) {
-        metrics_->flushes.fetch_add(1, std::memory_order_relaxed);
-      }
-      advance_out(static_cast<std::size_t>(n));
+  if (n > 0) {
+    // Our hello preamble is no frame: a write that leads with it counts no
+    // flush, so frames_flushed / flushes stays the frames-per-flush factor.
+    if (metrics_ && !out_.front().is_hello) {
+      metrics_->flushes.fetch_add(1, std::memory_order_relaxed);
     }
+    advance_out(static_cast<std::size_t>(n));
+  }
+  if (n >= 0) {
     if (committed_ == 0 && want_write_) {
       want_write_ = false;
       update_interest();
     }
     return true;
   }
-  if (n == -EAGAIN || n == -EWOULDBLOCK || n == -EINTR) {
+  if (errno == EAGAIN || errno == EWOULDBLOCK || errno == EINTR) {
     if (!want_write_) {
       want_write_ = true;
       update_interest();
@@ -161,18 +118,6 @@ bool FrameConn::handle_write_result(ssize_t n) {
   }
   fail();
   return false;
-}
-
-void FrameConn::on_send_complete(ssize_t n) {
-  inflight_send_ = 0;
-  inflight_entries_ = 0;
-  if (closed_) return;
-  if (!handle_write_result(n)) return;
-  // A partial write (or committed frames beyond the iov cap) left bytes
-  // owed to the wire: keep draining unless the socket just said EAGAIN.
-  // Frames queued coalescing while this send was in flight stay queued
-  // until their own flush().
-  if (committed_ > 0 && !want_write_) (void)drain_committed();
 }
 
 void FrameConn::advance_out(std::size_t n) {
@@ -198,8 +143,7 @@ void FrameConn::advance_out(std::size_t n) {
 }
 
 void FrameConn::update_interest() {
-  const std::uint32_t base = recv_stream_ ? 0 : EPOLLIN;
-  loop_.mod_fd(sock_.fd(), base | (want_write_ ? EPOLLOUT : 0));
+  loop_.mod_fd(sock_.fd(), EPOLLIN | (want_write_ ? EPOLLOUT : 0u));
 }
 
 void FrameConn::handle_events(std::uint32_t events) {
@@ -211,7 +155,7 @@ void FrameConn::handle_events(std::uint32_t events) {
   if (events & EPOLLOUT) {
     if (!drain_committed()) return;
   }
-  if ((events & EPOLLIN) && !recv_stream_) handle_readable();
+  if (events & EPOLLIN) handle_readable();
 }
 
 void FrameConn::handle_readable() {
@@ -272,12 +216,8 @@ void FrameConn::process_inbound(bool eof) {
 
 std::deque<std::shared_ptr<const std::string>> FrameConn::take_pending() {
   std::deque<std::shared_ptr<const std::string>> frames;
-  std::size_t i = 0;
   for (Pending& p : out_) {
-    // Entries covered by an in-flight async send are "handed to a socket
-    // that then died": possibly delivered, so requeueing could duplicate.
-    const bool covered = i++ < inflight_entries_;
-    if (!covered && !p.is_hello) frames.push_back(std::move(p.buf));
+    if (!p.is_hello) frames.push_back(std::move(p.buf));
   }
   out_.clear();
   pending_bytes_ = 0;
@@ -289,8 +229,6 @@ void FrameConn::close() {
   if (closed_) return;
   closed_ = true;
   if (sock_.valid()) {
-    if (recv_stream_) loop_.del_recv_stream(sock_.fd());
-    if (inflight_send_ != 0) loop_.discard_send(inflight_send_);
     loop_.del_fd(sock_.fd());
     sock_.reset();
   }

@@ -1,19 +1,17 @@
 // Length-prefixed frame streaming over one non-blocking TCP connection.
 //
-// Read side: raw socket bytes are appended to a FrameAssembler, which
-// reassembles arbitrarily chunked input (1-byte reads, a varint header torn
-// across reads, many frames coalesced into one read) back into whole
-// frames; complete frames are decoded zero-copy with
-// Message::decode_stream_view straight out of the assembler's buffer. On
-// the uring backend bytes arrive through a multishot recv stream (no read()
-// syscalls); on epoll they are read() off EPOLLIN readiness.
+// Read side: raw socket bytes, read() off EPOLLIN readiness, are appended
+// to a FrameAssembler, which reassembles arbitrarily chunked input (1-byte
+// reads, a varint header torn across reads, many frames coalesced into one
+// read) back into whole frames; complete frames are decoded zero-copy with
+// Message::decode_stream_view straight out of the assembler's buffer.
 //
 // Write side: frames are queued as shared encodings (the WireFrame
 // shared_bytes() buffer), so a fan-out queues N references to one
-// serialization. In immediate mode every send() flushes; in coalescing
-// mode (set_coalescing) frames accumulate until the owner flushes at the
-// end of the event-loop pass, so one writev — or one SENDMSG SQE — covers
-// every frame queued to this peer during the pass.
+// serialization. send() only queues; frames go to the wire when the owner
+// calls flush() — at the end of the event-loop pass, or earlier once its
+// coalescing budget is reached — so one writev covers every frame queued
+// to this peer during the pass.
 #pragma once
 
 #include <atomic>
@@ -23,7 +21,6 @@
 #include <memory>
 #include <string>
 #include <string_view>
-#include <vector>
 
 #include "common/message.h"
 #include "common/wire_frame.h"
@@ -81,9 +78,8 @@ inline constexpr std::uint32_t kClientHello = 0xFFFFFFFFU;
 [[nodiscard]] bool parse_hello(std::string_view buf, std::uint32_t* id);
 
 // Wire-level flush accounting, shared by every conn of one transport (the
-// owner outlives its conns). One "flush" is one successful kernel handoff
-// (sendmsg call or completed SQE); frames_flushed / flushes is the achieved
-// coalescing factor.
+// owner outlives its conns). One "flush" is one sendmsg call that wrote
+// bytes; frames_flushed / flushes is the achieved coalescing factor.
 struct WireMetrics {
   std::atomic<std::uint64_t> flushes{0};
   std::atomic<std::uint64_t> frames_flushed{0};
@@ -112,19 +108,14 @@ class FrameConn {
   void start(std::uint32_t hello_id, HelloHandler on_hello,
              MessageHandler on_message, CloseHandler on_close);
 
-  // Coalescing mode: send() only queues, and the owner flushes at pass end
-  // (or earlier, when pending_bytes crosses its coalescing budget). Off by
-  // default: send() flushes immediately.
-  void set_coalescing(bool on) { coalesce_ = on; }
-
-  // Queues one encoded frame (and, unless coalescing, tries to write it
-  // immediately). The shared buffer keeps fan-out zero-copy: every conn
-  // queues the same encoding.
+  // Queues one encoded frame; nothing reaches the wire until flush(). The
+  // shared buffer keeps fan-out zero-copy: every conn queues the same
+  // encoding.
   void send(std::shared_ptr<const std::string> frame);
 
-  // Commits everything queued and attempts to drain it right now —
-  // writev/queued SQEs until done, EAGAIN, or one async send is in flight.
-  // Returns false if the connection died.
+  // Commits everything queued and attempts to drain it right now — writev
+  // until done or EAGAIN (EPOLLOUT then continues the drain). Returns false
+  // if the connection died.
   bool flush();
 
   [[nodiscard]] std::size_t pending_bytes() const { return pending_bytes_; }
@@ -138,11 +129,7 @@ class FrameConn {
   // Unsent frames (our hello preamble excluded), for requeueing onto a
   // replacement connection after a reconnect. A partially written head
   // frame is included from offset 0: the receiver discards partial frames
-  // on close, so a full resend cannot duplicate. Frames covered by an
-  // in-flight async send are NOT returned — they may still reach the wire,
-  // so resending could duplicate; like a frame fully written to a socket
-  // that then died, they are "sent, possibly lost" under the transport's
-  // at-most-once-across-repairs contract. Leaves the queue empty.
+  // on close, so a full resend cannot duplicate. Leaves the queue empty.
   [[nodiscard]] std::deque<std::shared_ptr<const std::string>> take_pending();
 
   void close();  // deregisters and closes; does NOT fire on_close
@@ -153,28 +140,17 @@ class FrameConn {
     std::size_t offset = 0;
     bool is_hello = false;
   };
-  // Owns everything a queued async send points at (see
-  // EventLoop::queue_send's keepalive contract).
-  struct SendBatch {
-    std::vector<iovec> iov;
-    std::vector<std::shared_ptr<const std::string>> bufs;
-  };
-
-  // Writes committed entries until drained, EAGAIN, or an async send is in
-  // flight. Never touches frames queued-but-not-yet-flushed in coalescing
-  // mode: a send completion or EPOLLOUT must not leak them to the wire
+  // Writes committed entries until drained or EAGAIN. Never touches frames
+  // queued but not yet flushed: EPOLLOUT must not leak them to the wire
   // early (send() alone puts nothing on the wire until flush()).
   bool drain_committed();
   void handle_events(std::uint32_t events);
   void handle_readable();
   // Decodes hello + buffered frames; `eof` fails the conn afterwards.
   void process_inbound(bool eof);
-  bool write_some();  // one writev/SQE pass; false if the conn died
-  // Shared sendmsg-result handling for the sync and async paths: advances
-  // the queue past exactly `n` written bytes (n >= 0) or arms write
-  // interest / fails on -errno. Returns false if the conn died.
-  bool handle_write_result(ssize_t n);
-  void on_send_complete(ssize_t n);
+  // One sendmsg: advances the queue past exactly the bytes written, or arms
+  // write interest on EAGAIN. Returns false if the conn died.
+  bool write_some();
   // Pops exactly `n` written bytes off out_, keeping the unsent tail —
   // a torn writev leaves the head frame at the precise unsent offset.
   void advance_out(std::size_t n);
@@ -187,18 +163,14 @@ class FrameConn {
   FrameAssembler assembler_;
   std::deque<Pending> out_;
   std::size_t pending_bytes_ = 0;
-  // Leading out_ entries eligible for the wire (committed by flush(), or by
-  // send() in immediate mode). The coalescing gap out_.size() - committed_
-  // is what the owner has queued since the last flush.
+  // Leading out_ entries eligible for the wire (committed by flush()). The
+  // gap out_.size() - committed_ is what the owner has queued since the
+  // last flush.
   std::size_t committed_ = 0;
-  bool coalesce_ = false;
   bool flush_queued_ = false;
-  bool recv_stream_ = false;
   bool want_write_ = false;
   bool hello_received_ = false;
   bool closed_ = false;
-  std::uint64_t inflight_send_ = 0;   // queue_send id, 0 = none
-  std::size_t inflight_entries_ = 0;  // out_ entries the in-flight iov covers
 
   HelloHandler on_hello_;
   MessageHandler on_message_;

@@ -3,17 +3,17 @@
 // One EventLoop pass is poll → fd dispatch → posted tasks/timers → pass-end
 // hook (group-commit fsync) → wire-flush hook (outbound coalescing). The
 // profiler implements net::LoopObserver: run() stamps the phase boundaries,
-// the backend reports how long it actually blocked inside the kernel wait,
+// the loop reports how long it actually blocked inside epoll_wait,
 // and the runtime reports how many commands each durability flush released.
 // Every pass folds into registry histograms:
 //
 //   crsm_loop_pass_us        full pass duration
-//   crsm_loop_poll_wait_us   blocked in epoll_wait / io_uring_enter
+//   crsm_loop_poll_wait_us   blocked in epoll_wait
 //   crsm_loop_io_dispatch_us poll phase minus the kernel wait (fd callbacks,
 //                            i.e. frame decode + protocol inbound handling)
 //   crsm_loop_protocol_us    posted tasks + timers (submits, retries)
 //   crsm_loop_fsync_us       pass-end hook (WAL group commit)
-//   crsm_loop_wire_flush_us  wire-flush hook (writev/SQE per peer)
+//   crsm_loop_wire_flush_us  wire-flush hook (one writev per peer)
 //   crsm_loop_busy_us        pass minus wait — the real CPU cost per pass
 //   crsm_loop_cmds_per_pass  commands released per durability flush
 //

@@ -35,9 +35,9 @@ class MultiGroupNode {
   using StateMachineFactory = NodeRuntime::StateMachineFactory;
 
   // `base` carries the per-process knobs (replica id, listen address and
-  // base port, storage base dir, io backend, batching, obs with base
-  // metrics port); the per-group configs are derived: port/metrics port
-  // striped by +g, storage under <dir>/group-<g>, group/num_groups set.
+  // base port, storage base dir, batching, obs with base metrics port);
+  // the per-group configs are derived: port/metrics port striped by +g,
+  // storage under <dir>/group-<g>, group/num_groups set.
   // With groups == 1 the base config is used untouched (no /group-0 nesting,
   // no label) — a 1-group MultiGroupNode is exactly a NodeRuntime.
   MultiGroupNode(const NodeConfig& base, MultiGroupOptions opt,

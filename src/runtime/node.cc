@@ -17,8 +17,7 @@ NodeRuntime::NodeRuntime(NodeConfig cfg, ProtocolFactory protocol_factory,
                          StateMachineFactory sm_factory)
     : cfg_(cfg),
       storage_(cfg.storage),
-      loop_(net::make_event_loop(cfg.io_backend, &io_fell_back_)),
-      transport_(*loop_, cfg.id, cfg.transport),
+      transport_(loop_, cfg.id, cfg.transport),
       sm_(sm_factory()),
       batch_(cfg.id, cfg.max_batch_cmds, cfg.max_batch_bytes,
              [this](const std::vector<Command>& members, Command submission) {
@@ -37,12 +36,12 @@ NodeRuntime::NodeRuntime(NodeConfig cfg, ProtocolFactory protocol_factory,
   }
   if (cfg_.obs.profile_loop) {
     profiler_ = std::make_unique<obs::LoopProfiler>(registry_);
-    loop_->set_observer(profiler_.get());
+    loop_.set_observer(profiler_.get());
   }
   if (cfg_.obs.metrics_http) {
     // Binds now, so an ephemeral port is readable before start().
     metrics_http_ = std::make_unique<obs::MetricsHttpServer>(
-        *loop_, registry_, cfg_.obs.metrics_host, cfg_.obs.metrics_port);
+        loop_, registry_, cfg_.obs.metrics_host, cfg_.obs.metrics_port);
   }
   if (cfg_.max_batch_cmds > 1) {
     batch_size_hist_ = &registry_.histogram(
@@ -63,7 +62,7 @@ NodeRuntime::NodeRuntime(NodeConfig cfg, ProtocolFactory protocol_factory,
       [this](std::uint64_t conn) { on_client_closed(conn); });
   // Pass-end order matters: cut the pass's command batch first so its WAL
   // append lands inside the same fsync the durability flush issues.
-  loop_->set_pass_end_hook([this] {
+  loop_.set_pass_end_hook([this] {
     batch_.cut();
     flush_durability();
   });
@@ -76,12 +75,12 @@ void NodeRuntime::start(std::vector<TcpPeer> peers) {
   started_ = true;
   // All initialization that touches the loop (fd registration, protocol
   // timers) runs as the loop's first task, on the loop thread.
-  loop_->post([this, peers = std::move(peers)]() mutable {
+  loop_.post([this, peers = std::move(peers)]() mutable {
     transport_.start(std::move(peers));
     if (metrics_http_) metrics_http_->start();
     proto_->start();
   });
-  thread_ = std::thread([this] { loop_->run(); });
+  thread_ = std::thread([this] { loop_.run(); });
   if (cfg_.pin_core >= 0) {
     // Affinity-pin the loop thread: each group of a multi-group process owns
     // one core, so protocol CPU scales with groups instead of timeslicing.
@@ -103,23 +102,23 @@ void NodeRuntime::start(std::vector<TcpPeer> peers) {
 void NodeRuntime::stop() {
   if (!started_) return;
   started_ = false;
-  loop_->post([this] {
+  loop_.post([this] {
     if (metrics_http_) metrics_http_->stop();
     transport_.shutdown();
   });
-  loop_->stop();
+  loop_.stop();
   if (thread_.joinable()) thread_.join();
 }
 
 void NodeRuntime::submit(Command cmd) {
-  loop_->post([this, cmd = std::move(cmd)]() mutable {
+  loop_.post([this, cmd = std::move(cmd)]() mutable {
     if (tracer_) tracer_->begin(cmd.client, cmd.seq, net::EventLoop::mono_us());
     enqueue_write(std::move(cmd));
   });
 }
 
 void NodeRuntime::submit_read(Command cmd) {
-  loop_->post([this, cmd = std::move(cmd)]() mutable {
+  loop_.post([this, cmd = std::move(cmd)]() mutable {
     if (!proto_->supports_local_reads()) {
       logged_reads_.insert({cmd.client, cmd.seq});
     }
@@ -135,7 +134,7 @@ std::uint64_t NodeRuntime::state_digest() {
   if (!started_) return sm_->state_digest();
   std::promise<std::uint64_t> p;
   auto f = p.get_future();
-  loop_->post([this, &p] { p.set_value(sm_->state_digest()); });
+  loop_.post([this, &p] { p.set_value(sm_->state_digest()); });
   return f.get();
 }
 
@@ -145,7 +144,7 @@ obs::Snapshot NodeRuntime::metrics_snapshot() {
   if (!started_) return registry_.snapshot();
   std::promise<obs::Snapshot> p;
   auto f = p.get_future();
-  loop_->post([this, &p] { p.set_value(registry_.snapshot()); });
+  loop_.post([this, &p] { p.set_value(registry_.snapshot()); });
   return f.get();
 }
 
@@ -170,17 +169,10 @@ void NodeRuntime::collect_metrics(obs::Registry& r) {
   sink("crsm_transport_backpressure_blocks_total", ts.backpressure_blocks);
   sink("crsm_transport_wire_flushes_total", ts.wire_flushes);
   sink("crsm_transport_frames_flushed_total", ts.frames_flushed);
-  sink("crsm_io_uring_fallbacks_total", ts.uring_fallbacks);
   sink("crsm_transport_wakes_sent_total", ts.wakes_sent);
   sink("crsm_transport_wakes_received_total", ts.wakes_received);
   sink("crsm_transport_connected_peers", transport_.connected_peers());
   sink("crsm_transport_backlog_bytes", transport_.backlog_bytes());
-
-  const net::IoRingStats rs = loop_->ring_stats();
-  sink("crsm_io_sqe_submits_total", rs.sqe_submits);
-  sink("crsm_io_sqes_submitted_total", rs.sqes_submitted);
-  sink("crsm_io_uring_active",
-       loop_->backend() == net::IoBackend::kUring ? 1 : 0);
 
   const StorageStats ss = storage_.stats();
   sink("crsm_storage_appends_total", ss.appends);
@@ -301,7 +293,7 @@ void NodeRuntime::multicast(const std::vector<ReplicaId>& tos, const Message& m)
 }
 
 void NodeRuntime::schedule_after(Tick delay_us, std::function<void()> fn) {
-  (void)loop_->schedule_after(delay_us, std::move(fn));
+  (void)loop_.schedule_after(delay_us, std::move(fn));
 }
 
 void NodeRuntime::install_checkpoint(std::string_view blob) {

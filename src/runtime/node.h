@@ -84,10 +84,6 @@ struct NodeConfig {
   // storage.dir empty = volatile MemLog (PR 3 behavior); set = durable,
   // restartable node. See StorageOptions.
   StorageOptions storage;
-  // Which kernel I/O interface drives the node's event loop. Requesting
-  // kUring on a kernel/seccomp profile without io_uring falls back to epoll
-  // with a logged warning (io_backend() reports what actually runs).
-  net::IoBackend io_backend = net::IoBackend::kEpoll;
   // Protocol-level command batching: client write commands arriving within
   // one event-loop pass accumulate and are replicated as one batch-envelope
   // command (one PREPARE, one timestamp/ack round, one WAL record). 1
@@ -186,15 +182,8 @@ class NodeRuntime final : private ProtocolEnv {
     return reads_served_.load(std::memory_order_relaxed);
   }
   [[nodiscard]] TransportStats transport_stats() const {
-    TransportStats s = transport_.stats();
-    if (io_fell_back_) s.uring_fallbacks = 1;
-    return s;
+    return transport_.stats();
   }
-  // The backend actually running (kEpoll after a uring fallback).
-  [[nodiscard]] net::IoBackend io_backend() const {
-    return loop_->backend();
-  }
-  [[nodiscard]] bool io_fell_back() const { return io_fell_back_; }
   [[nodiscard]] StorageStats storage_stats() const { return storage_.stats(); }
   // True when boot found prior durable state (the node is a restart).
   [[nodiscard]] bool recovering() const { return storage_.recovering(); }
@@ -266,9 +255,8 @@ class NodeRuntime final : private ProtocolEnv {
   NodeConfig cfg_;
   // Log + checkpoint; outlives proto_, which holds a reference to the log.
   ReplicaStorage storage_;
-  bool io_fell_back_ = false;
   obs::Registry registry_;  // before everything that registers metrics
-  std::unique_ptr<net::EventLoop> loop_;  // before transport_ (uses it)
+  net::EventLoop loop_;  // before transport_ (uses it)
   TcpTransport transport_;
   std::unique_ptr<obs::CommitTracer> tracer_;  // before proto_ (caches it)
   std::unique_ptr<obs::LoopProfiler> profiler_;

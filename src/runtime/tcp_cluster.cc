@@ -17,7 +17,6 @@ std::unique_ptr<NodeRuntime> TcpCluster::make_node(ReplicaId id,
   cfg.transport.policy = opt_.policy;
   cfg.transport.max_coalesce_bytes = opt_.max_coalesce_bytes;
   cfg.transport.reconnect = opt_.reconnect;
-  cfg.io_backend = opt_.io_backend;
   cfg.max_batch_cmds = opt_.max_batch_cmds;
   cfg.max_batch_bytes = opt_.max_batch_bytes;
   cfg.group = opt_.group;
@@ -158,9 +157,6 @@ TransportStats TcpCluster::stats() const {
     total.backpressure_blocks += s.backpressure_blocks;
     total.wire_flushes += s.wire_flushes;
     total.frames_flushed += s.frames_flushed;
-    total.sqe_submits += s.sqe_submits;
-    total.sqes_submitted += s.sqes_submitted;
-    total.uring_fallbacks += s.uring_fallbacks;
     total.wakes_sent += s.wakes_sent;
     total.wakes_received += s.wakes_received;
   }

@@ -33,11 +33,8 @@ struct TcpClusterOptions {
   bool group_commit = true;
   // Applied to durable and volatile nodes alike (see StorageOptions).
   std::uint64_t checkpoint_every = StorageOptions{}.checkpoint_every;
-  // I/O backend for every node's event loop. kUring falls back to epoll
-  // (logged, counted in stats().uring_fallbacks) when the kernel refuses.
-  net::IoBackend io_backend = net::IoBackend::kEpoll;
-  // Per-pass wire coalescing budget per connection; 0 disables coalescing
-  // (every send flushes immediately). See TcpTransportOptions.
+  // Per-pass wire coalescing budget per connection; 0 flushes every frame
+  // as it is queued. See TcpTransportOptions.
   std::size_t max_coalesce_bytes = 256 * 1024;
   // Peer-link redial backoff for every node (see TcpTransportOptions).
   net::ConnectorOptions reconnect;

@@ -63,12 +63,6 @@ void fill_per_cmd(ThroughputResult* res, const TransportStats& before,
     res->frames_per_flush =
         static_cast<double>(frames) / static_cast<double>(flushes);
   }
-  const std::uint64_t submits = after.sqe_submits - before.sqe_submits;
-  if (submits > 0) {
-    res->sqes_per_submit =
-        static_cast<double>(after.sqes_submitted - before.sqes_submitted) /
-        static_cast<double>(submits);
-  }
 }
 
 }  // namespace

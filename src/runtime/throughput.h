@@ -66,15 +66,11 @@ struct ThroughputResult {
   double msgs_per_cmd = 0.0;
   double bytes_per_cmd = 0.0;
   double encodes_per_cmd = 0.0;
-  // Wire coalescing at work: kernel/queue handoffs per committed command
+  // Wire coalescing at work: sendmsg calls per committed command
   // (flushes_per_cmd < msgs_per_cmd means frames shared a flush) and frames
-  // carried per flush (the achieved batching factor). Zero when the
-  // transport doesn't coalesce.
+  // carried per flush (the achieved batching factor).
   double flushes_per_cmd = 0.0;
   double frames_per_flush = 0.0;
-  // io_uring submission batching: SQEs per io_uring_enter that submitted
-  // work. Zero on the epoll backend.
-  double sqes_per_submit = 0.0;
   // Protocol batching at work: client write commands carried per protocol
   // submission (PREPARE round at the origin) over the measurement window.
   // 1.0 with batching off.

@@ -17,21 +17,20 @@ TcpTransport::TcpTransport(net::EventLoop& loop, ReplicaId self, Options opt)
 TcpTransport::~TcpTransport() { shutdown(); }
 
 std::unique_ptr<net::FrameConn> TcpTransport::make_conn(net::Socket sock) {
-  auto conn =
-      std::make_unique<net::FrameConn>(loop_, std::move(sock), &wire_metrics_);
-  conn->set_coalescing(coalescing());
-  return conn;
+  return std::make_unique<net::FrameConn>(loop_, std::move(sock),
+                                          &wire_metrics_);
 }
 
 void TcpTransport::mark_dirty(net::FrameConn* c) {
-  if (!coalescing() || c == nullptr || c->closed()) return;
+  if (c == nullptr || c->closed()) return;
   if (!c->flush_queued()) {
     c->set_flush_queued(true);
     dirty_.push_back(c);
   }
   // Budget guard: a conn that crossed max_coalesce_bytes mid-pass flushes
   // now instead of letting one pass accumulate unbounded wire data. It
-  // stays on the dirty list for the pass-end flush of whatever remains.
+  // stays on the dirty list for the pass-end flush of whatever remains. At
+  // a budget of 0 every frame flushes here, one sendmsg per frame.
   if (c->pending_bytes() >= opt_.max_coalesce_bytes) (void)c->flush();
 }
 
@@ -53,11 +52,9 @@ void TcpTransport::start(std::vector<TcpPeer> peers) {
   started_ = true;
   peers_.resize(peers.size());
   for (std::size_t i = 0; i < peers.size(); ++i) peers_[i].addr = peers[i];
-  if (coalescing()) {
-    // This transport owns the loop's wire-flush slot for its lifetime (one
-    // transport per loop); shutdown() releases it.
-    loop_.set_wire_flush_hook([this] { flush_pass(); });
-  }
+  // This transport owns the loop's wire-flush slot for its lifetime (one
+  // transport per loop); shutdown() releases it.
+  loop_.set_wire_flush_hook([this] { flush_pass(); });
   acceptor_.start([this](net::Socket&& s) { on_accept(std::move(s)); });
   // Deterministic dial direction — the lower id dials the higher — gives
   // each unordered pair exactly one socket regardless of startup order.
@@ -71,7 +68,7 @@ void TcpTransport::start(std::vector<TcpPeer> peers) {
 void TcpTransport::shutdown() {
   if (shut_down_) return;
   shut_down_ = true;
-  if (started_ && coalescing()) loop_.set_wire_flush_hook(nullptr);
+  if (started_) loop_.set_wire_flush_hook(nullptr);
   dirty_.clear();
   acceptor_.stop();
   routes_.clear();
@@ -409,12 +406,7 @@ void TcpTransport::apply_backpressure(PeerLink& link) {
          net::EventLoop::mono_us() < deadline_us) {
     pollfd p{link.conn->fd(), POLLOUT, 0};
     (void)::poll(&p, 1, 50);
-    if (link.conn && !link.conn->closed()) {
-      (void)link.conn->flush();
-      // On the uring backend a flush only queues an SQE; pump it to the
-      // kernel and take the completion now, or this spin never drains.
-      loop_.pump_writes();
-    }
+    if (link.conn && !link.conn->closed()) (void)link.conn->flush();
   }
 }
 
@@ -456,9 +448,6 @@ TransportStats TcpTransport::stats() const {
   s.wire_flushes = wire_metrics_.flushes.load(std::memory_order_relaxed);
   s.frames_flushed =
       wire_metrics_.frames_flushed.load(std::memory_order_relaxed);
-  const net::IoRingStats rs = loop_.ring_stats();
-  s.sqe_submits = rs.sqe_submits;
-  s.sqes_submitted = rs.sqes_submitted;
   return s;
 }
 

@@ -20,6 +20,9 @@
 //  * Fan-out encode-once: a multicast serializes its Message a single time
 //    (WireFrame shared encoding); every peer link queues a reference to the
 //    same buffer, and FrameConn's writev hands the kernel each link's copy.
+//  * Per-pass coalescing: frames queued to one connection during an
+//    event-loop pass leave in one writev at pass end (the loop's wire-flush
+//    hook), or sooner once the connection's budget is reached.
 //  * Zero-copy receive: inbound bytes are reassembled (FrameConn) and
 //    decoded as views into the connection's receive buffer
 //    (Message::decode_stream_view); handlers copy only what they retain.
@@ -72,9 +75,9 @@ struct TcpTransportOptions {
   std::size_t max_pending_bytes = 0;
   BackpressurePolicy policy = BackpressurePolicy::kBlock;
   // Per-pass wire coalescing budget: frames queued to one peer during an
-  // event-loop pass are flushed as one writev/SQE at pass end, or sooner
-  // once a connection's pending bytes reach this budget. 0 = off (every
-  // send flushes immediately, the pre-coalescing behaviour).
+  // event-loop pass are flushed as one writev at pass end, or sooner once a
+  // connection's pending bytes reach this budget. 0 flushes every frame as
+  // it is queued (one sendmsg per frame).
   std::size_t max_coalesce_bytes = 256 * 1024;
   // Redial backoff for peer links, and for wakes until their link is up.
   net::ConnectorOptions reconnect;
@@ -169,13 +172,10 @@ class TcpTransport final {
     std::uint64_t id = 0;
   };
 
-  [[nodiscard]] bool coalescing() const {
-    return opt_.max_coalesce_bytes > 0;
-  }
-  // Builds a conn wired for this transport's coalescing mode and metrics.
+  // Builds a conn that counts into this transport's wire metrics.
   [[nodiscard]] std::unique_ptr<net::FrameConn> make_conn(net::Socket sock);
-  // Queues `c` for the pass-end flush (coalescing mode only; flushes early
-  // when the conn crosses the coalescing budget).
+  // Queues `c` for the pass-end flush (flushes early when the conn crosses
+  // the coalescing budget).
   void mark_dirty(net::FrameConn* c);
   // The wire-flush hook: one flush per dirty conn, end of every pass.
   void flush_pass();

@@ -37,19 +37,11 @@ struct TransportStats {
   // knob. Both are also reflected in messages_dropped / messages_delivered.
   std::uint64_t messages_fault_dropped = 0;
   std::uint64_t messages_duplicated = 0;
-  // Per-pass wire coalescing (TcpTransport): one "flush" is one kernel
-  // handoff; frames_flushed / wire_flushes is the achieved
+  // Per-pass wire coalescing (TcpTransport): one "flush" is one sendmsg
+  // that wrote bytes; frames_flushed / wire_flushes is the achieved
   // frames-per-flush batching factor.
   std::uint64_t wire_flushes = 0;
   std::uint64_t frames_flushed = 0;
-  // io_uring submission batching: io_uring_enter calls that submitted SQEs
-  // and the SQEs they carried (sqes_submitted / sqe_submits = SQE batch
-  // size). Zero on the epoll backend.
-  std::uint64_t sqe_submits = 0;
-  std::uint64_t sqes_submitted = 0;
-  // Times a node asked for the uring backend and was handed epoll instead
-  // (kernel/seccomp refused io_uring).
-  std::uint64_t uring_fallbacks = 0;
   // TcpTransport rejoin: wake connections this node opened to lower-id
   // peers (its hello sent), and wakes it got from higher-id peers (each one
   // a peer that (re)started and asked to be redialed now rather than after

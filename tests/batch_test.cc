@@ -7,7 +7,7 @@
 // the cut rules (count cap, byte cap, pass-end flush, singleton fallback),
 // per-command reply ordering inside a batch, the cmds-per-PREPARE
 // accounting, and WAL replay of envelope records across a kill -9
-// mid-batch. Cluster cases run under both io backends.
+// mid-batch.
 #include <gtest/gtest.h>
 
 #include <unistd.h>
@@ -18,7 +18,6 @@
 #include <mutex>
 #include <string>
 #include <thread>
-#include <tuple>
 #include <vector>
 
 #include "clockrsm/clock_rsm.h"
@@ -34,7 +33,6 @@
 namespace crsm {
 namespace {
 
-using net::IoBackend;
 using test::kv_factory;
 using test::kv_put;
 
@@ -108,33 +106,20 @@ TEST(BatchEnvelope, SplitRejectsWrongMessageType) {
 
 // --- cut rules on the real runtime -----------------------------------------
 
-class BatchClusterTest : public ::testing::TestWithParam<IoBackend> {
+class BatchClusterTest : public ::testing::Test {
  protected:
-  void SetUp() override {
-    if (GetParam() == IoBackend::kUring && !net::uring_available()) {
-      GTEST_SKIP() << "io_uring unavailable on this kernel";
-    }
-  }
-  TcpClusterOptions opts(std::size_t max_cmds, std::size_t max_bytes) const {
+  static TcpClusterOptions opts(std::size_t max_cmds, std::size_t max_bytes) {
     TcpClusterOptions o;
-    o.io_backend = GetParam();
     o.max_batch_cmds = max_cmds;
     o.max_batch_bytes = max_bytes;
     return o;
   }
 };
 
-INSTANTIATE_TEST_SUITE_P(
-    Backends, BatchClusterTest,
-    ::testing::Values(IoBackend::kEpoll, IoBackend::kUring),
-    [](const ::testing::TestParamInfo<IoBackend>& info) {
-      return std::string(net::io_backend_name(info.param));
-    });
-
 // A lone command must not wait for a full batch: the pass-end flush ships
 // it immediately, as a bare command (submissions == cmds == 1, so no
 // envelope overhead was paid).
-TEST_P(BatchClusterTest, PassEndFlushShipsLoneCommandPromptly) {
+TEST_F(BatchClusterTest, PassEndFlushShipsLoneCommandPromptly) {
   TcpCluster cluster(3, clock_rsm_factory(3), kv_factory(),
                      opts(/*max_cmds=*/16, /*max_bytes=*/256 * 1024));
   std::atomic<int> replies{0};
@@ -156,7 +141,7 @@ TEST_P(BatchClusterTest, PassEndFlushShipsLoneCommandPromptly) {
 // Under a burst, the count cap amortizes: strictly fewer protocol
 // submissions than commands (cmds/PREPARE > 1), everything still commits
 // everywhere and replies fan out per member.
-TEST_P(BatchClusterTest, BurstAmortizesSubmissionsUnderCountCap) {
+TEST_F(BatchClusterTest, BurstAmortizesSubmissionsUnderCountCap) {
   TcpCluster cluster(3, clock_rsm_factory(3), kv_factory(),
                      opts(/*max_cmds=*/8, /*max_bytes=*/256 * 1024));
   std::atomic<int> replies{0};
@@ -190,7 +175,7 @@ TEST_P(BatchClusterTest, BurstAmortizesSubmissionsUnderCountCap) {
 // The byte cap cuts before overflow: with a cap smaller than one payload,
 // every cut is a singleton and ships bare — submissions == cmds exactly,
 // deterministically, no matter how the loop coalesces the burst.
-TEST_P(BatchClusterTest, ByteCapForcesSingletonCuts) {
+TEST_F(BatchClusterTest, ByteCapForcesSingletonCuts) {
   TcpCluster cluster(3, clock_rsm_factory(3), kv_factory(),
                      opts(/*max_cmds=*/16, /*max_bytes=*/64));
   std::atomic<int> replies{0};
@@ -213,7 +198,7 @@ TEST_P(BatchClusterTest, ByteCapForcesSingletonCuts) {
 // Replies inside and across batches preserve per-client submission order:
 // members execute in envelope order, envelopes commit in timestamp order,
 // and both fan replies out through the same ordered path.
-TEST_P(BatchClusterTest, RepliesPreservePerClientOrderAcrossBatches) {
+TEST_F(BatchClusterTest, RepliesPreservePerClientOrderAcrossBatches) {
   TcpCluster cluster(3, clock_rsm_factory(3), kv_factory(),
                      opts(/*max_cmds=*/8, /*max_bytes=*/256 * 1024));
   std::mutex mu;
@@ -255,17 +240,11 @@ TEST_P(BatchClusterTest, RepliesPreservePerClientOrderAcrossBatches) {
 
 // --- WAL replay and catch-up of envelope records ---------------------------
 
-class DurableBatchTest : public ::testing::TestWithParam<IoBackend> {
+class DurableBatchTest : public ::testing::Test {
  protected:
   void SetUp() override {
-    if (GetParam() == IoBackend::kUring && !net::uring_available()) {
-      GTEST_SKIP() << "io_uring unavailable on this kernel";
-    }
-    std::string name =
+    const std::string name =
         ::testing::UnitTest::GetInstance()->current_test_info()->name();
-    for (char& c : name) {
-      if (c == '/') c = '_';
-    }
     dir_ = std::filesystem::temp_directory_path() /
            ("crsm_batch_test_" + std::to_string(::getpid()) + "_" + name);
     std::filesystem::remove_all(dir_);
@@ -274,7 +253,6 @@ class DurableBatchTest : public ::testing::TestWithParam<IoBackend> {
 
   TcpClusterOptions opts() const {
     TcpClusterOptions o;
-    o.io_backend = GetParam();
     o.log_dir = dir_.string();
     o.max_batch_cmds = 16;
     return o;
@@ -289,18 +267,11 @@ class DurableBatchTest : public ::testing::TestWithParam<IoBackend> {
   std::filesystem::path dir_;
 };
 
-INSTANTIATE_TEST_SUITE_P(
-    Backends, DurableBatchTest,
-    ::testing::Values(IoBackend::kEpoll, IoBackend::kUring),
-    [](const ::testing::TestParamInfo<IoBackend>& info) {
-      return std::string(net::io_backend_name(info.param));
-    });
-
 // kill -9 mid-batch: the victim's WAL may end in a torn tail, but replay
 // must parse cleanly, every committed record that is an envelope must split
 // into its members (a torn envelope must never reach `committed`), and the
 // restarted replica must catch up to the same state.
-TEST_P(DurableBatchTest, KillMidBatchWalReplaysAndCatchesUp) {
+TEST_F(DurableBatchTest, KillMidBatchWalReplaysAndCatchesUp) {
   TcpCluster cluster(3, factory(), kv_factory(), opts());
   std::atomic<int> replies{0};
   cluster.set_reply_hook([&](ReplicaId, const Command&) { ++replies; });
@@ -315,7 +286,8 @@ TEST_P(DurableBatchTest, KillMidBatchWalReplaysAndCatchesUp) {
     load.emplace_back([&, r] {
       int seq = 0;
       while (!stop_load.load()) {
-        cluster.submit(r, kv_put(make_client_id(r, 0), ++seq, "k" + std::to_string(r),
+        ++seq;
+        cluster.submit(r, kv_put(make_client_id(r, 0), seq, "k" + std::to_string(r),
                                  std::to_string(seq)));
         ++submitted;
         if (seq % 64 == 0) std::this_thread::sleep_for(std::chrono::milliseconds(1));
@@ -332,7 +304,9 @@ TEST_P(DurableBatchTest, KillMidBatchWalReplaysAndCatchesUp) {
     EXPECT_FALSE(rr.committed.empty());
     std::size_t member_cmds = 0;
     for (std::size_t i = 0; i < rr.committed.size(); ++i) {
-      if (i > 0) EXPECT_LT(rr.committed[i - 1].ts, rr.committed[i].ts);
+      if (i > 0) {
+        EXPECT_LT(rr.committed[i - 1].ts, rr.committed[i].ts);
+      }
       if (is_batch(rr.committed[i].cmd)) {
         // A committed envelope is whole: split never throws, members intact.
         const std::vector<Command> members = split_batch(rr.committed[i].cmd);
@@ -370,7 +344,7 @@ TEST_P(DurableBatchTest, KillMidBatchWalReplaysAndCatchesUp) {
 // Batched commands survive a whole-cluster power cycle: every replica's WAL
 // holds envelope records, every replica replays them (splitting at apply)
 // and digests agree afterwards.
-TEST_P(DurableBatchTest, WholeClusterRestartReplaysEnvelopeRecords) {
+TEST_F(DurableBatchTest, WholeClusterRestartReplaysEnvelopeRecords) {
   TcpCluster cluster(3, factory(), kv_factory(), opts());
   std::atomic<int> replies{0};
   cluster.set_reply_hook([&](ReplicaId, const Command&) { ++replies; });

@@ -19,7 +19,6 @@
 #include <string>
 #include <string_view>
 #include <thread>
-#include <tuple>
 #include <vector>
 
 #include "clockrsm/clock_rsm.h"
@@ -89,21 +88,14 @@ TcpCluster::ProtocolFactory durable_clock_rsm_factory(std::size_t n) {
   return clock_rsm_factory(n, o);
 }
 
-// Every crash-restart scenario runs under both io backends: recovery and
-// held-until-durable ordering must hold whether frames leave through
-// writev or through io_uring SQEs. Uring cases skip where unavailable.
-// And under batch sizes {1, 16}: a kill -9 must be survivable whether the
-// WAL holds one record per command or one envelope record per batch.
-class DurableClusterTest
-    : public ::testing::TestWithParam<std::tuple<net::IoBackend, std::size_t>> {
+// Every crash-restart scenario runs under batch sizes {1, 16}: a kill -9
+// must be survivable whether the WAL holds one record per command or one
+// envelope record per batch.
+class DurableClusterTest : public ::testing::TestWithParam<std::size_t> {
  protected:
-  net::IoBackend backend() const { return std::get<0>(GetParam()); }
-  std::size_t batch() const { return std::get<1>(GetParam()); }
+  std::size_t batch() const { return GetParam(); }
 
   void SetUp() override {
-    if (backend() == net::IoBackend::kUring && !net::uring_available()) {
-      GTEST_SKIP() << "io_uring unavailable on this kernel";
-    }
     std::string name =
         ::testing::UnitTest::GetInstance()->current_test_info()->name();
     for (char& c : name) {
@@ -117,7 +109,6 @@ class DurableClusterTest
 
   TcpClusterOptions volatile_opts() const {
     TcpClusterOptions o;
-    o.io_backend = backend();
     o.max_batch_cmds = batch();
     return o;
   }
@@ -133,14 +124,8 @@ class DurableClusterTest
 };
 
 INSTANTIATE_TEST_SUITE_P(
-    Backends, DurableClusterTest,
-    ::testing::Combine(
-        ::testing::Values(net::IoBackend::kEpoll, net::IoBackend::kUring),
-        ::testing::Values<std::size_t>(1, 16)),
-    [](const auto& info) {
-      return std::string(net::io_backend_name(std::get<0>(info.param))) +
-             "_b" + std::to_string(std::get<1>(info.param));
-    });
+    Batches, DurableClusterTest, ::testing::Values<std::size_t>(1, 16),
+    [](const auto& info) { return "b" + std::to_string(info.param); });
 
 // The acceptance scenario: kill -9 a replica mid-run, restart it from its
 // log dir, and require (a) the cluster finishes every client's workload,
@@ -478,7 +463,9 @@ TEST_P(DurableClusterTest, KilledNodesWalReplaysCleanly) {
   // record carries exactly one (enveloped or bare) command.
   std::size_t member_cmds = 0;
   for (std::size_t i = 0; i < rr.committed.size(); ++i) {
-    if (i > 0) EXPECT_LT(rr.committed[i - 1].ts, rr.committed[i].ts);
+    if (i > 0) {
+      EXPECT_LT(rr.committed[i - 1].ts, rr.committed[i].ts);
+    }
     member_cmds +=
         is_batch(rr.committed[i].cmd) ? split_batch(rr.committed[i].cmd).size() : 1;
   }

@@ -251,7 +251,7 @@ TEST_P(FrameStreamFuzz, AdversarialChunkingReassembles) {
 // --- Coalesced multi-frame streams -----------------------------------------
 //
 // A coalescing transport flushes every frame queued to one peer during an
-// event-loop pass as a single writev / SENDMSG SQE, so the receiver sees
+// event-loop pass as a single writev, so the receiver sees
 // long mixed-type bursts arrive in one read — or, under a torn writev plus
 // small socket buffers, sliced at arbitrary offsets that respect nothing
 // about frame boundaries. These tests build such a burst (many frames,

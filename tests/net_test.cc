@@ -1,8 +1,6 @@
 // Tests for the src/net building blocks: EventLoop timers/posts,
 // FrameAssembler reassembly, Acceptor/Connector establishment (including
-// connect-before-listen retry) and FrameConn round trips on loopback — all
-// parameterized over both io backends (epoll and io_uring; uring cases skip
-// on kernels without it). Plus the io_uring fallback path and the
+// connect-before-listen retry), FrameConn round trips on loopback and the
 // exact-tail requeue of a torn coalesced writev.
 #include <gtest/gtest.h>
 
@@ -32,24 +30,20 @@ using net::Connector;
 using net::EventLoop;
 using net::FrameAssembler;
 using net::FrameConn;
-using net::IoBackend;
 using net::Socket;
 
-// Runs an EventLoop (of the requested backend) on a background thread for a
-// test's duration.
+// Runs an EventLoop on a background thread for a test's duration.
 class LoopThread {
  public:
-  explicit LoopThread(IoBackend backend = IoBackend::kEpoll)
-      : loop_(net::make_event_loop(backend)),
-        thread_([this] { loop_->run(); }) {}
+  LoopThread() : thread_([this] { loop_.run(); }) {}
   ~LoopThread() {
-    loop_->stop();
+    loop_.stop();
     thread_.join();
   }
-  EventLoop& loop() { return *loop_; }
+  EventLoop& loop() { return loop_; }
 
  private:
-  std::unique_ptr<EventLoop> loop_;
+  EventLoop loop_;
   std::thread thread_;
 };
 
@@ -64,28 +58,10 @@ bool eventually(Pred pred, std::chrono::milliseconds deadline =
   return pred();
 }
 
-// Every loop-level and conn-level test runs under both backends; uring
-// cases skip (not silently pass) where the kernel lacks io_uring.
-class NetBackendTest : public ::testing::TestWithParam<IoBackend> {
- protected:
-  void SetUp() override {
-    if (GetParam() == IoBackend::kUring && !net::uring_available()) {
-      GTEST_SKIP() << "io_uring unavailable on this kernel";
-    }
-  }
-};
-
-INSTANTIATE_TEST_SUITE_P(
-    Backends, NetBackendTest,
-    ::testing::Values(IoBackend::kEpoll, IoBackend::kUring),
-    [](const ::testing::TestParamInfo<IoBackend>& info) {
-      return std::string(net::io_backend_name(info.param));
-    });
-
 // --- EventLoop -------------------------------------------------------------
 
-TEST_P(NetBackendTest, PostRunsOnLoopThreadInOrder) {
-  LoopThread lt(GetParam());
+TEST(EventLoop, PostRunsOnLoopThreadInOrder) {
+  LoopThread lt;
   std::vector<int> order;
   std::atomic<bool> done{false};
   for (int i = 0; i < 10; ++i) {
@@ -99,8 +75,8 @@ TEST_P(NetBackendTest, PostRunsOnLoopThreadInOrder) {
   EXPECT_EQ(order, (std::vector<int>{0, 1, 2, 3, 4, 5, 6, 7, 8, 9}));
 }
 
-TEST_P(NetBackendTest, TimersFireInDeadlineOrder) {
-  LoopThread lt(GetParam());
+TEST(EventLoop, TimersFireInDeadlineOrder) {
+  LoopThread lt;
   std::vector<int> order;
   std::atomic<int> fired{0};
   lt.loop().post([&] {
@@ -112,8 +88,8 @@ TEST_P(NetBackendTest, TimersFireInDeadlineOrder) {
   EXPECT_EQ(order, (std::vector<int>{1, 2, 3}));
 }
 
-TEST_P(NetBackendTest, CancelledTimerDoesNotFire) {
-  LoopThread lt(GetParam());
+TEST(EventLoop, CancelledTimerDoesNotFire) {
+  LoopThread lt;
   std::atomic<bool> fired{false};
   std::atomic<bool> late{false};
   lt.loop().post([&] {
@@ -126,43 +102,10 @@ TEST_P(NetBackendTest, CancelledTimerDoesNotFire) {
   EXPECT_FALSE(fired.load());
 }
 
-TEST_P(NetBackendTest, StopBeforeRunReturnsImmediately) {
-  auto loop = net::make_event_loop(GetParam());
-  loop->stop();
-  loop->run();  // must not hang
-}
-
-// --- io_uring availability & fallback --------------------------------------
-
-TEST(IoBackendFactory, FallsBackToEpollWhenUringUnavailable) {
-  net::force_uring_unavailable_for_test(true);
-  EXPECT_FALSE(net::uring_available());
-  bool fell_back = false;
-  auto loop = net::make_event_loop(IoBackend::kUring, &fell_back);
-  net::force_uring_unavailable_for_test(false);
-  ASSERT_NE(loop, nullptr);
-  EXPECT_TRUE(fell_back);
-  EXPECT_EQ(loop->backend(), IoBackend::kEpoll);
-  // The fallback loop is a working loop, not a stub.
-  loop->stop();
-  loop->run();
-}
-
-TEST(IoBackendFactory, EpollRequestNeverFallsBack) {
-  bool fell_back = true;
-  auto loop = net::make_event_loop(IoBackend::kEpoll, &fell_back);
-  EXPECT_FALSE(fell_back);
-  EXPECT_EQ(loop->backend(), IoBackend::kEpoll);
-}
-
-TEST(IoBackendFactory, ParseNames) {
-  IoBackend b = IoBackend::kEpoll;
-  EXPECT_TRUE(net::parse_io_backend("uring", &b));
-  EXPECT_EQ(b, IoBackend::kUring);
-  EXPECT_TRUE(net::parse_io_backend("epoll", &b));
-  EXPECT_EQ(b, IoBackend::kEpoll);
-  EXPECT_FALSE(net::parse_io_backend("kqueue", &b));
-  EXPECT_STREQ(net::io_backend_name(IoBackend::kUring), "uring");
+TEST(EventLoop, StopBeforeRunReturnsImmediately) {
+  EventLoop loop;
+  loop.stop();
+  loop.run();  // must not hang
 }
 
 // --- FrameAssembler --------------------------------------------------------
@@ -214,8 +157,8 @@ TEST(WireFrame, SharedBytesIsCachedAndMatchesEncode) {
 
 // One established FrameConn pair over loopback: frames sent from one end
 // arrive decoded on the other, hellos carry identity both ways.
-TEST_P(NetBackendTest, FrameConnHelloAndFramesRoundTrip) {
-  LoopThread lt(GetParam());
+TEST(FrameConn, HelloAndFramesRoundTrip) {
+  LoopThread lt;
   EventLoop& loop = lt.loop();
 
   std::unique_ptr<Acceptor> acceptor;
@@ -256,6 +199,7 @@ TEST_P(NetBackendTest, FrameConnHelloAndFramesRoundTrip) {
         m.a = i * 10;
         client->send(WireFrame(std::move(m)).shared_bytes());
       }
+      (void)client->flush();
     });
   });
 
@@ -277,8 +221,8 @@ TEST_P(NetBackendTest, FrameConnHelloAndFramesRoundTrip) {
 
 // A connector started before any listener exists must keep retrying with
 // backoff and succeed once the listener appears — the reconnect primitive.
-TEST_P(NetBackendTest, ConnectorConnectsAfterListenerAppears) {
-  LoopThread lt(GetParam());
+TEST(Connector, ConnectsAfterListenerAppears) {
+  LoopThread lt;
   EventLoop& loop = lt.loop();
 
   // Reserve an ephemeral port, remember it, and close the listener so the
@@ -325,8 +269,8 @@ TEST_P(NetBackendTest, ConnectorConnectsAfterListenerAppears) {
 // A connector deep in backoff (the far end was down) must dial at once on
 // retry_now(): the transport calls it when a restarted peer wakes it, so
 // the link comes back without waiting out the timer.
-TEST_P(NetBackendTest, RetryNowSkipsBackoffOnceListenerExists) {
-  LoopThread lt(GetParam());
+TEST(Connector, RetryNowSkipsBackoffOnceListenerExists) {
+  LoopThread lt;
   EventLoop& loop = lt.loop();
 
   std::uint16_t port = 0;
@@ -386,10 +330,9 @@ TEST_P(NetBackendTest, RetryNowSkipsBackoffOnceListenerExists) {
 // A coalesced flush over a socket with a tiny send buffer is guaranteed to
 // tear: the kernel accepts only part of the gathered write, possibly
 // mid-frame. The conn must requeue the exact unsent tail — every frame
-// arrives whole, in order, with no bytes duplicated or lost. Runs on both
-// backends (epoll partial sendmsg; uring partial SENDMSG CQE).
-TEST_P(NetBackendTest, TornCoalescedWritevRequeuesExactTail) {
-  LoopThread lt(GetParam());
+// arrives whole, in order, with no bytes duplicated or lost.
+TEST(FrameConn, TornCoalescedWritevRequeuesExactTail) {
+  LoopThread lt;
   EventLoop& loop = lt.loop();
 
   int fds[2] = {-1, -1};
@@ -433,7 +376,6 @@ TEST_P(NetBackendTest, TornCoalescedWritevRequeuesExactTail) {
         [&] { died = true; });
 
     writer = std::make_unique<FrameConn>(loop, Socket(fds[0]));
-    writer->set_coalescing(true);
     writer->start(
         /*hello_id=*/2, [](std::uint32_t) {}, [](const Message&) {},
         [&] { died = true; });
@@ -468,83 +410,10 @@ TEST_P(NetBackendTest, TornCoalescedWritevRequeuesExactTail) {
   ASSERT_TRUE(eventually([&] { return cleaned.load(); }));
 }
 
-// --- Discarded send vs fd reuse ---------------------------------------------
-
-// A SENDMSG SQE queued but not yet handed to the kernel targets a raw fd
-// number. If the connection closes (discard_send + close) and the number is
-// reused before the pass-end io_uring_enter, the stale batch must NOT be
-// written onto the unrelated new socket. dup2 re-points the exact fd number
-// deterministically, standing in for the accept/connect reuse race.
-TEST(UringDiscardSend, QueuedSendNeutralizedBeforeFdReuse) {
-  if (!net::uring_available()) {
-    GTEST_SKIP() << "io_uring unavailable on this kernel";
-  }
-  LoopThread lt(IoBackend::kUring);
-  EventLoop& loop = lt.loop();
-  ASSERT_TRUE(loop.supports_send_queue());
-
-  int a[2] = {-1, -1};  // doomed connection
-  int b[2] = {-1, -1};  // innocent bystander that inherits a[0]'s number
-  ASSERT_EQ(::socketpair(AF_UNIX, SOCK_STREAM, 0, a), 0);
-  ASSERT_EQ(::socketpair(AF_UNIX, SOCK_STREAM, 0, b), 0);
-  net::set_nonblocking(b[1]);
-
-  struct Batch {
-    iovec iov;
-    std::shared_ptr<std::string> buf;
-  };
-  std::atomic<bool> stale_cb{false};
-  std::atomic<bool> staged{false};
-  loop.post([&] {
-    auto batch = std::make_shared<Batch>();
-    batch->buf = std::make_shared<std::string>("STALE FRAME BYTES");
-    batch->iov = iovec{batch->buf->data(), batch->buf->size()};
-    const std::uint64_t id = loop.queue_send(
-        a[0], &batch->iov, 1, batch, [&](ssize_t) { stale_cb = true; });
-    ASSERT_NE(id, 0u);
-    // FrameConn::close() in miniature: discard, close — then the fd number
-    // is reused before the queued SQE could reach the kernel.
-    loop.discard_send(id);
-    ::close(a[0]);
-    ASSERT_EQ(::dup2(b[0], a[0]), a[0]);
-    staged = true;
-  });
-  ASSERT_TRUE(eventually([&] { return staged.load(); }));
-
-  // Positive control through the very same fd number: an undiscarded send
-  // queued now must land on b's peer — proving this harness would observe
-  // any stale bytes the neutralized SQE leaked.
-  std::atomic<bool> live_cb{false};
-  loop.post([&] {
-    auto batch = std::make_shared<Batch>();
-    batch->buf = std::make_shared<std::string>("live");
-    batch->iov = iovec{batch->buf->data(), batch->buf->size()};
-    (void)loop.queue_send(a[0], &batch->iov, 1, batch,
-                          [&](ssize_t) { live_cb = true; });
-  });
-  ASSERT_TRUE(eventually([&] { return live_cb.load(); }));
-
-  char rx[64];
-  ASSERT_TRUE(eventually([&] {
-    const ssize_t n = ::recv(b[1], rx, sizeof(rx), MSG_PEEK | MSG_DONTWAIT);
-    return n > 0;
-  }));
-  const ssize_t n = ::recv(b[1], rx, sizeof(rx), MSG_DONTWAIT);
-  // Only the live payload — had the stale SQE reached the kernel, its bytes
-  // would precede (or follow) it on this socket.
-  EXPECT_EQ(std::string(rx, static_cast<std::size_t>(n)), "live");
-  EXPECT_FALSE(stale_cb.load());  // discarded sends never call back
-
-  ::close(a[0]);
-  ::close(a[1]);
-  ::close(b[0]);
-  ::close(b[1]);
-}
-
-// Coalescing mode really defers: send() alone puts nothing on the wire
-// until flush() (the transport's pass-end hook in production).
-TEST_P(NetBackendTest, CoalescedSendDefersUntilFlush) {
-  LoopThread lt(GetParam());
+// Sends really defer: send() alone puts nothing on the wire until flush()
+// (the transport's pass-end hook in production).
+TEST(FrameConn, CoalescedSendDefersUntilFlush) {
+  LoopThread lt;
   EventLoop& loop = lt.loop();
 
   int fds[2] = {-1, -1};
@@ -561,7 +430,6 @@ TEST_P(NetBackendTest, CoalescedSendDefersUntilFlush) {
         /*hello_id=*/1, [](std::uint32_t) {},
         [&](const Message&) { ++got; }, [] {});
     writer = std::make_unique<FrameConn>(loop, Socket(fds[0]));
-    writer->set_coalescing(true);
     writer->start(
         /*hello_id=*/2, [](std::uint32_t) {}, [](const Message&) {}, [] {});
     for (std::uint64_t i = 0; i < 8; ++i) {

@@ -16,8 +16,7 @@
 //  * per-group isolation — one group's stalled fsync must not hold back
 //    another group's commits or metrics.
 //
-// Parameterized over io backend x batch size {1, 16} like the single-group
-// suites; uring cases skip on kernels without it.
+// Parameterized over batch size {1, 16} like the single-group suites.
 #include <gtest/gtest.h>
 
 #include <unistd.h>
@@ -29,7 +28,6 @@
 #include <mutex>
 #include <string>
 #include <thread>
-#include <tuple>
 #include <vector>
 
 #include "clockrsm/clock_rsm.h"
@@ -92,16 +90,11 @@ std::vector<std::vector<std::string>> keys_per_group(const ShardRouter& router,
   return keys;
 }
 
-class ShardedClusterTest
-    : public ::testing::TestWithParam<std::tuple<net::IoBackend, std::size_t>> {
+class ShardedClusterTest : public ::testing::TestWithParam<std::size_t> {
  protected:
-  net::IoBackend backend() const { return std::get<0>(GetParam()); }
-  std::size_t batch() const { return std::get<1>(GetParam()); }
+  std::size_t batch() const { return GetParam(); }
 
   void SetUp() override {
-    if (backend() == net::IoBackend::kUring && !net::uring_available()) {
-      GTEST_SKIP() << "io_uring unavailable on this kernel";
-    }
     std::string name =
         ::testing::UnitTest::GetInstance()->current_test_info()->name();
     for (char& c : name) {
@@ -117,7 +110,6 @@ class ShardedClusterTest
     ShardedTcpClusterOptions o;
     o.groups = groups;
     o.replicas = 3;
-    o.base.io_backend = backend();
     o.base.max_batch_cmds = batch();
     if (durable) o.base.log_dir = dir_.string();
     return o;
@@ -127,14 +119,8 @@ class ShardedClusterTest
 };
 
 INSTANTIATE_TEST_SUITE_P(
-    Backends, ShardedClusterTest,
-    ::testing::Combine(
-        ::testing::Values(net::IoBackend::kEpoll, net::IoBackend::kUring),
-        ::testing::Values<std::size_t>(1, 16)),
-    [](const auto& info) {
-      return std::string(net::io_backend_name(std::get<0>(info.param))) +
-             "_b" + std::to_string(std::get<1>(info.param));
-    });
+    Batches, ShardedClusterTest, ::testing::Values<std::size_t>(1, 16),
+    [](const auto& info) { return "b" + std::to_string(info.param); });
 
 // The acceptance scenario: two durable groups, closed-loop writers on every
 // group, kill -9 of the process hosting replica 2 (one replica of EVERY

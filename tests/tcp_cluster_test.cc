@@ -4,9 +4,6 @@
 // checker, the client wire path (SyncClient speaking
 // kClientRequest/kClientReply) must work, and the transport's encode-once
 // fan-out, coalescing and backpressure accounting must hold.
-//
-// Everything runs under both io backends (epoll and io_uring); uring cases
-// skip with a message on kernels without it.
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -35,7 +32,6 @@
 namespace crsm {
 namespace {
 
-using net::IoBackend;
 using test::kv_factory;
 using test::kv_put;
 
@@ -50,26 +46,12 @@ bool eventually(Pred pred, std::chrono::milliseconds deadline =
   return pred();
 }
 
-void skip_unless_backend_available(IoBackend b) {
-  if (b == IoBackend::kUring && !net::uring_available()) {
-    GTEST_SKIP() << "io_uring unavailable on this kernel";
-  }
-}
-
-std::string backend_suffix(IoBackend b) {
-  return std::string(net::io_backend_name(b));
-}
-
-// Protocol agreement suite: every protocol x every io backend x batch
-// size {1, 16} — agreement and ordering must hold whether commands
-// replicate one per PREPARE or rolled up into envelopes.
+// Protocol agreement suite: every protocol x batch size {1, 16} —
+// agreement and ordering must hold whether commands replicate one per
+// PREPARE or rolled up into envelopes.
 class TcpClusterTest
-    : public ::testing::TestWithParam<
-          std::tuple<const char*, IoBackend, std::size_t>> {
+    : public ::testing::TestWithParam<std::tuple<const char*, std::size_t>> {
  protected:
-  void SetUp() override {
-    skip_unless_backend_available(std::get<1>(GetParam()));
-  }
   TcpCluster::ProtocolFactory factory(std::size_t n) const {
     const std::string p = std::get<0>(GetParam());
     if (p == "clockrsm") return clock_rsm_factory(n);
@@ -79,8 +61,7 @@ class TcpClusterTest
   }
   TcpClusterOptions opts() const {
     TcpClusterOptions o;
-    o.io_backend = std::get<1>(GetParam());
-    o.max_batch_cmds = std::get<2>(GetParam());
+    o.max_batch_cmds = std::get<1>(GetParam());
     return o;
   }
 };
@@ -144,41 +125,44 @@ INSTANTIATE_TEST_SUITE_P(
     Protocols, TcpClusterTest,
     ::testing::Combine(::testing::Values("clockrsm", "paxos", "paxos-bcast",
                                          "mencius"),
-                       ::testing::Values(IoBackend::kEpoll, IoBackend::kUring),
                        ::testing::Values<std::size_t>(1, 16)),
     [](const auto& info) {
       std::string s = std::get<0>(info.param);
       for (char& c : s) {
         if (c == '-') c = '_';
       }
-      return s + "_" + backend_suffix(std::get<1>(info.param)) + "_b" +
-             std::to_string(std::get<2>(info.param));
+      return s + "_b" + std::to_string(std::get<1>(info.param));
     });
 
-// Single-protocol suites, still run under both backends and batch sizes
-// {1, 16}.
-class TcpBackendTest
-    : public ::testing::TestWithParam<std::tuple<IoBackend, std::size_t>> {
- protected:
-  IoBackend backend() const { return std::get<0>(GetParam()); }
-  std::size_t batch() const { return std::get<1>(GetParam()); }
+// Single-protocol suites, run under batch sizes {1, 16} and two wire
+// coalescing budgets: the default, and 0 (one sendmsg per frame).
+constexpr std::size_t kDefaultCoalesce = TcpClusterOptions{}.max_coalesce_bytes;
 
-  void SetUp() override { skip_unless_backend_available(backend()); }
+std::string config_name(std::size_t batch, std::size_t coalesce_budget) {
+  return (coalesce_budget > 0 ? "coalesce_b" : "nocoalesce_b") +
+         std::to_string(batch);
+}
+
+class TcpBackendTest
+    : public ::testing::TestWithParam<std::tuple<std::size_t, std::size_t>> {
+ protected:
+  std::size_t batch() const { return std::get<0>(GetParam()); }
+  std::size_t coalesce_budget() const { return std::get<1>(GetParam()); }
+
   TcpClusterOptions opts() const {
     TcpClusterOptions o;
-    o.io_backend = backend();
     o.max_batch_cmds = batch();
+    o.max_coalesce_bytes = coalesce_budget();
     return o;
   }
 };
 
 INSTANTIATE_TEST_SUITE_P(
-    Backends, TcpBackendTest,
-    ::testing::Combine(::testing::Values(IoBackend::kEpoll, IoBackend::kUring),
-                       ::testing::Values<std::size_t>(1, 16)),
+    Configs, TcpBackendTest,
+    ::testing::Combine(::testing::Values<std::size_t>(1, 16),
+                       ::testing::Values<std::size_t>(kDefaultCoalesce, 0)),
     [](const auto& info) {
-      return backend_suffix(std::get<0>(info.param)) + "_b" +
-             std::to_string(std::get<1>(info.param));
+      return config_name(std::get<0>(info.param), std::get<1>(info.param));
     });
 
 // The acceptance criterion: a 3-replica Clock-RSM cluster over real TCP
@@ -416,8 +400,9 @@ TEST_P(TcpBackendTest, ProtocolsWithoutLocalReadsAnswerViaTheLog) {
 // Encode-once over TCP: a Clock-RSM broadcast is serialized once and
 // written to every peer socket, so encode_calls stays well below
 // messages_sent (the same acceptance bound the other transports meet).
-// With per-pass coalescing on (the default), the wire counters must also
-// show batching: fewer kernel handoffs than frames, frames/flush > 1.
+// With per-pass coalescing on (the default budget), the wire counters must
+// also show batching: fewer kernel handoffs than frames, frames/flush > 1.
+// At a budget of 0 every frame leaves in its own sendmsg.
 TEST_P(TcpBackendTest, EncodeOnceAndCoalescingCountersHold) {
   const std::size_t n = 3;
   TcpCluster cluster(n, clock_rsm_factory(n), kv_factory(), opts());
@@ -430,66 +415,41 @@ TEST_P(TcpBackendTest, EncodeOnceAndCoalescingCountersHold) {
                    kv_put(make_client_id(i % n, 0), i / n + 1, "k", "v"));
   }
   ASSERT_TRUE(eventually([&] { return replies.load() == kCmds; }));
-  const TransportStats s = cluster.stats();
-  const bool uring = backend() == IoBackend::kUring;
+  // Stopped loops: the flush and frame counters are final and consistent
+  // with each other.
   cluster.stop();
+  const TransportStats s = cluster.stats();
   EXPECT_GT(s.messages_sent, 0u);
   EXPECT_GT(s.bytes_sent, 0u);
   EXPECT_GT(s.messages_delivered, 0u);
   // Every Clock-RSM message is a 3-replica broadcast: ~3 sends per encode.
   EXPECT_LE(s.encode_calls * 2, s.messages_sent)
       << "fan-out encode-once not in effect over TCP";
-  // Per-pass coalescing: frames leave through counted flushes, and a burst
-  // of 30 commands cannot have taken one kernel handoff per frame (frames
-  // still queued at the sampling instant keep this a strict < comparison,
-  // not an exact accounting identity). Only asserted for batch size 1: at
-  // batch 16 the commands are already rolled up into a handful of envelope
-  // PREPAREs upstream of the transport, so a pass often has exactly one
-  // frame per peer to flush and frames/flush legitimately sits at 1.
   EXPECT_GT(s.wire_flushes, 0u);
-  if (batch() == 1) {
+  if (coalesce_budget() == 0) {
+    // Each frame is flushed as it is queued: one sendmsg per frame, and the
+    // pass-end flush that follows finds nothing left to write.
+    EXPECT_EQ(s.wire_flushes, s.frames_flushed);
+  } else if (batch() == 1) {
+    // A burst of 30 commands cannot have taken one kernel handoff per
+    // frame. Only asserted for batch size 1: at batch 16 the commands are
+    // already rolled up into a handful of envelope PREPAREs upstream of the
+    // transport, so a pass often has exactly one frame per peer to flush
+    // and frames/flush legitimately sits at 1.
     EXPECT_LT(s.wire_flushes, s.frames_flushed)
         << "coalescing never batched two frames into one flush";
   }
-  if (uring) {
-    // The uring backend must actually batch SQE submission.
-    EXPECT_GT(s.sqe_submits, 0u);
-    EXPECT_GE(s.sqes_submitted, s.sqe_submits);
-    EXPECT_EQ(s.uring_fallbacks, 0u);
-  } else {
-    EXPECT_EQ(s.sqe_submits, 0u);
-  }
-}
-
-// Requesting uring on a kernel (or test-forced environment) without it
-// must yield a working epoll cluster and surface the fallback in stats.
-TEST(TcpClusterFallback, UringRequestFallsBackToWorkingEpollCluster) {
-  net::force_uring_unavailable_for_test(true);
-  TcpClusterOptions o;
-  o.io_backend = IoBackend::kUring;
-  TcpCluster cluster(3, clock_rsm_factory(3), kv_factory(), o);
-  net::force_uring_unavailable_for_test(false);
-  std::atomic<int> replies{0};
-  cluster.set_reply_hook([&](ReplicaId, const Command&) { ++replies; });
-  cluster.start();
-  for (ReplicaId r = 0; r < 3; ++r) {
-    EXPECT_EQ(cluster.node(r).io_backend(), IoBackend::kEpoll);
-    EXPECT_TRUE(cluster.node(r).io_fell_back());
-  }
-  for (int i = 0; i < 5; ++i) cluster.submit(0, kv_put(1, i + 1, "k", "v"));
-  EXPECT_TRUE(eventually([&] { return replies.load() == 5; }));
-  EXPECT_EQ(cluster.stats().uring_fallbacks, 3u);
-  cluster.stop();
 }
 
 // Bounded send queues on the TCP transport: with a kDrop policy and a dead
 // peer, the per-link backlog sheds beyond the byte limit and the drops are
 // visible in TransportStats (the overload-test contract).
 TEST_P(TcpBackendTest, DropPolicyBoundsDisconnectedBacklog) {
-  auto loop = net::make_event_loop(backend());
-  std::thread loop_thread([&] { loop->run(); });
+  net::EventLoop loop;
+  std::thread loop_thread([&] { loop.run(); });
 
   TcpTransport::Options opt;
+  opt.max_coalesce_bytes = coalesce_budget();
   opt.max_pending_bytes = 256;
   opt.policy = BackpressurePolicy::kDrop;
   // Reserve-and-release a port so peer 1 is genuinely dead but dialable.
@@ -498,9 +458,9 @@ TEST_P(TcpBackendTest, DropPolicyBoundsDisconnectedBacklog) {
     net::Socket probe = net::tcp_listen("127.0.0.1", 0);
     dead_port = net::local_port(probe.fd());
   }
-  auto transport = std::make_unique<TcpTransport>(*loop, /*self=*/0, opt);
+  auto transport = std::make_unique<TcpTransport>(loop, /*self=*/0, opt);
   std::atomic<bool> started{false};
-  loop->post([&] {
+  loop.post([&] {
     transport->start({TcpPeer{"127.0.0.1", transport->port()},
                       TcpPeer{"127.0.0.1", dead_port}});
     started = true;
@@ -524,12 +484,12 @@ TEST_P(TcpBackendTest, DropPolicyBoundsDisconnectedBacklog) {
   EXPECT_EQ(s.backpressure_blocks, 0u);
 
   std::atomic<bool> cleaned{false};
-  loop->post([&] {
+  loop.post([&] {
     transport->shutdown();
     cleaned = true;
   });
   ASSERT_TRUE(eventually([&] { return cleaned.load(); }));
-  loop->stop();
+  loop.stop();
   loop_thread.join();
 }
 
@@ -537,9 +497,7 @@ TEST_P(TcpBackendTest, DropPolicyBoundsDisconnectedBacklog) {
 // frame, a send that leaves bytes queued stalls the loop until the socket
 // drains (counted in backpressure_blocks), nothing is shed, and the cluster
 // still commits every command — the stall drains instead of deadlocking.
-// Epoll only: on the uring backend each such stall runs to its 1 s
-// deadline (a known defect of the uring write path, see ROADMAP item 3).
-TEST(TcpBlockPolicy, StallsUntilLinkDrainsOnEpoll) {
+TEST(TcpBlockPolicy, StallsUntilLinkDrains) {
   const std::size_t n = 3;
   TcpClusterOptions o;
   o.max_pending_bytes = 1;
@@ -568,7 +526,7 @@ TEST_P(TcpBackendTest, MetricsScrapeAgreesWithStatsAndIsMonotone) {
   const std::filesystem::path dir =
       std::filesystem::temp_directory_path() /
       ("crsm_metrics_test_" + std::to_string(::getpid()) + "_" +
-       backend_suffix(backend()) + "_b" + std::to_string(batch()));
+       config_name(batch(), coalesce_budget()));
   std::filesystem::remove_all(dir);
   TcpClusterOptions o = opts();
   o.log_dir = dir.string();      // durable: the WAL stage histogram is live

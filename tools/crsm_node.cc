@@ -4,12 +4,12 @@
 // address table. Peers connect on the same port as clients; see
 // docs/DEPLOYMENT.md for a 3-node walkthrough.
 //
-//   crsm_node --id 0 --peers 127.0.0.1:7000,127.0.0.1:7001,127.0.0.1:7002 \
-//             [--protocol clockrsm|paxos|paxos-bcast|mencius] [--stats-every 5] \
-//             [--log-dir DIR] [--checkpoint-every N] [--no-group-commit] \
-//             [--io-backend epoll|uring] [--max-coalesce-bytes N] \
-//             [--max-batch-cmds N] [--max-batch-bytes N] \
-//             [--groups N] [--pin-cores] \
+//   crsm_node --id 0 --peers 127.0.0.1:7000,127.0.0.1:7001,127.0.0.1:7002
+//             [--protocol clockrsm|paxos|paxos-bcast|mencius] [--stats-every 5]
+//             [--log-dir DIR] [--checkpoint-every N] [--no-group-commit]
+//             [--max-coalesce-bytes N]
+//             [--max-batch-cmds N] [--max-batch-bytes N]
+//             [--groups N] [--pin-cores]
 //             [--metrics-port P] [--trace-sample N] [--slow-ms MS]
 //
 // The listen address is peers[id]. Runs until SIGINT/SIGTERM, printing a
@@ -44,10 +44,9 @@
 // then (Clock-RSM) catches up over TCP from live peers. See
 // docs/OPERATIONS.md for the full walkthrough.
 //
-// --io-backend uring drives the node's event loop through io_uring
-// (multishot recv, one submit per pass); on a kernel without io_uring the
-// node logs a warning and runs on epoll. --max-coalesce-bytes bounds the
-// per-pass wire coalescing budget (0 disables coalescing entirely).
+// --max-coalesce-bytes bounds the per-pass wire coalescing budget: a
+// connection flushes once its queued bytes reach it, and at pass end
+// (0 flushes every frame as it is queued).
 //
 // --max-batch-cmds N > 1 turns on protocol-level command batching: client
 // writes arriving within one event-loop pass replicate as one batch
@@ -85,8 +84,7 @@ void on_signal(int) { g_stop.store(true); }
                "[--stats-every SECONDS] \\\n"
                "          [--log-dir DIR] [--checkpoint-every N (default %llu, "
                "0 = never)] [--no-group-commit] \\\n"
-               "          [--io-backend epoll|uring] "
-               "[--max-coalesce-bytes N] \\\n"
+               "          [--max-coalesce-bytes N] \\\n"
                "          [--max-batch-cmds N] [--max-batch-bytes N] \\\n"
                "          [--groups N] [--pin-cores] \\\n"
                "          [--metrics-port P] [--trace-sample N] "
@@ -128,7 +126,6 @@ int main(int argc, char** argv) {
   std::string protocol = "clockrsm";
   int stats_every = 5;
   StorageOptions storage;
-  net::IoBackend io_backend = net::IoBackend::kEpoll;
   std::size_t max_coalesce_bytes = 256 * 1024;
   std::size_t max_batch_cmds = 1;
   std::size_t max_batch_bytes = 256 * 1024;
@@ -156,13 +153,6 @@ int main(int argc, char** argv) {
         storage.checkpoint_every = std::stoull(next());
       } else if (a == "--no-group-commit") {
         storage.group_commit = false;
-      } else if (a == "--io-backend") {
-        const std::string b = next();
-        if (!net::parse_io_backend(b, &io_backend)) {
-          std::fprintf(stderr, "unknown io backend '%s' (epoll|uring)\n",
-                       b.c_str());
-          usage(argv[0]);
-        }
       } else if (a == "--max-coalesce-bytes") {
         max_coalesce_bytes = std::stoull(next());
       } else if (a == "--max-batch-cmds") {
@@ -229,7 +219,6 @@ int main(int argc, char** argv) {
   cfg.transport.listen_port = peers[id].port;
   cfg.transport.max_coalesce_bytes = max_coalesce_bytes;
   cfg.storage = storage;
-  cfg.io_backend = io_backend;
   cfg.max_batch_cmds = max_batch_cmds;
   cfg.max_batch_bytes = max_batch_bytes;
   cfg.obs = obs;
@@ -242,17 +231,11 @@ int main(int argc, char** argv) {
   std::signal(SIGTERM, on_signal);
 
   node.start(peers);
-  // The banner names the backend actually running, not the one requested:
-  // a uring request on a kernel without it has already fallen back (and
-  // logged a warning) by this point.
   std::fprintf(stderr,
                "crsm_node: replica %u (%s) listening on %s:%u, %zu peers "
-               "| io %s%s | coalesce %zu bytes | batch %zu cmds%s\n",
+               "| coalesce %zu bytes | batch %zu cmds%s\n",
                id, protocol.c_str(), peers[id].host.c_str(),
-               node.group(0).port(), n - 1,
-               net::io_backend_name(node.group(0).io_backend()),
-               node.group(0).io_fell_back() ? " (fell back from uring)" : "",
-               max_coalesce_bytes, max_batch_cmds,
+               node.group(0).port(), n - 1, max_coalesce_bytes, max_batch_cmds,
                groups > 1
                    ? (" | " + std::to_string(groups) + " groups (port stride)" +
                       (mg.pin_cores ? ", pinned" : ""))
