@@ -61,10 +61,9 @@ inline constexpr std::uint64_t kMaxFrameBody = 1ull << 30;
 class WireFrame {
  public:
   // The message is moved into shared storage up front: SimTransport's
-  // delivery events retain it past the send call without a second deep
-  // copy. The cached encoding is shared storage too, so socket transports
-  // can queue the same buffer on every outbound link; both allocations are
-  // per frame, amortized over the fan-out.
+  // delivery events (and TcpTransport's self-deliveries) retain it past the
+  // send call without a second deep copy. The encoding is cached inline;
+  // socket transports copy it into each outbound link's send queue.
   explicit WireFrame(Message m)
       : msg_(std::make_shared<const Message>(std::move(m))) {}
   explicit WireFrame(std::shared_ptr<const Message> m) : msg_(std::move(m)) {}
@@ -80,16 +79,9 @@ class WireFrame {
 
   // Framed wire bytes (length-prefixed, concatenable). Encoded on first use
   // and cached; the view is valid for this frame's lifetime.
-  [[nodiscard]] std::string_view bytes() const { return *shared_bytes(); }
-
-  // The same cached encoding behind shared ownership, for transports whose
-  // links outlive the frame (TcpTransport queues the encoding on N per-peer
-  // send queues: one serialization, one buffer, N references).
-  [[nodiscard]] const std::shared_ptr<const std::string>& shared_bytes() const {
+  [[nodiscard]] std::string_view bytes() const {
     if (!encoded_) {
-      auto b = std::make_shared<std::string>();
-      msg_->encode(b.get());
-      bytes_ = std::move(b);
+      msg_->encode(&bytes_);
       encoded_ = true;
     }
     return bytes_;
@@ -97,7 +89,7 @@ class WireFrame {
 
  private:
   std::shared_ptr<const Message> msg_;
-  mutable std::shared_ptr<const std::string> bytes_;  // filled at most once
+  mutable std::string bytes_;  // filled at most once
   mutable bool encoded_ = false;
 };
 

@@ -15,9 +15,9 @@ namespace crsm::net {
 
 namespace {
 constexpr std::size_t kReadChunk = 64 * 1024;
-// Frames gathered per kernel handoff. Coalescing batches whole passes into
-// one writev, so give it room well past the old per-send fan-out.
-constexpr std::size_t kMaxIov = 64;
+// Chunks gathered per kernel handoff: 16 packed chunks of up to 64 KiB are
+// well past any socket send buffer.
+constexpr std::size_t kMaxIov = 16;
 }  // namespace
 
 std::string encode_hello(std::uint32_t id) {
@@ -48,17 +48,19 @@ void FrameConn::start(std::uint32_t hello_id, HelloHandler on_hello,
   on_close_ = std::move(on_close);
   loop_.add_fd(sock_.fd(), EPOLLIN,
                [this](std::uint32_t events) { handle_events(events); });
-  pending_bytes_ += 8;
-  out_.push_back(Pending{
-      std::make_shared<const std::string>(encode_hello(hello_id)), 0,
-      /*is_hello=*/true});
+  out_.push(encode_hello(hello_id));
+  hello_queued_ = true;
   (void)flush();
 }
 
-void FrameConn::send(std::shared_ptr<const std::string> frame) {
-  if (closed_ || frame->empty()) return;
-  pending_bytes_ += frame->size();
-  out_.push_back(Pending{std::move(frame), 0, /*is_hello=*/false});
+void FrameConn::send(std::string_view frame) {
+  if (closed_) return;
+  out_.push(frame);
+}
+
+void FrameConn::send(ByteQueue&& frames) {
+  if (closed_) return;
+  out_.append(std::move(frames));
 }
 
 bool FrameConn::flush() {
@@ -76,16 +78,8 @@ bool FrameConn::drain_committed() {
 }
 
 bool FrameConn::write_some() {
-  const std::size_t nent = committed_ < kMaxIov ? committed_ : kMaxIov;
-  if (nent == 0) return true;
   iovec iov[kMaxIov];
-  std::size_t niov = 0;
-  for (const Pending& p : out_) {
-    if (niov == nent) break;
-    iov[niov].iov_base = const_cast<char*>(p.buf->data() + p.offset);
-    iov[niov].iov_len = p.buf->size() - p.offset;
-    ++niov;
-  }
+  const std::size_t niov = out_.gather(iov, kMaxIov, committed_);
   // sendmsg + MSG_NOSIGNAL rather than writev: a peer that died (or was
   // kill -9'd) can reset the connection between our readiness check and
   // this write, and a raw writev would then raise SIGPIPE and kill the
@@ -97,7 +91,7 @@ bool FrameConn::write_some() {
   if (n > 0) {
     // Our hello preamble is no frame: a write that leads with it counts no
     // flush, so frames_flushed / flushes stays the frames-per-flush factor.
-    if (metrics_ && !out_.front().is_hello) {
+    if (metrics_ && !hello_queued_) {
       metrics_->flushes.fetch_add(1, std::memory_order_relaxed);
     }
     advance_out(static_cast<std::size_t>(n));
@@ -121,24 +115,16 @@ bool FrameConn::write_some() {
 }
 
 void FrameConn::advance_out(std::size_t n) {
-  pending_bytes_ -= n;
-  std::size_t left = n;
-  while (left > 0) {
-    Pending& p = out_.front();
-    const std::size_t rest = p.buf->size() - p.offset;
-    if (left < rest) {
-      // Torn write: keep the head frame, advanced to the exact unsent
-      // tail — the next writev resumes mid-frame, never resending bytes.
-      p.offset += left;
-      left = 0;
-    } else {
-      left -= rest;
-      if (metrics_ && !p.is_hello) {
-        metrics_->frames_flushed.fetch_add(1, std::memory_order_relaxed);
-      }
-      out_.pop_front();
-      if (committed_ > 0) --committed_;  // written entries were committed
-    }
+  // A torn write leaves the head frame at the exact unsent byte: the next
+  // writev resumes mid-frame, never resending bytes.
+  committed_ -= n;  // written bytes were committed
+  std::size_t done = out_.consume(n);
+  if (hello_queued_ && done > 0) {
+    hello_queued_ = false;
+    --done;
+  }
+  if (metrics_ && done > 0) {
+    metrics_->frames_flushed.fetch_add(done, std::memory_order_relaxed);
   }
 }
 
@@ -214,15 +200,14 @@ void FrameConn::process_inbound(bool eof) {
   if (eof) fail();
 }
 
-std::deque<std::shared_ptr<const std::string>> FrameConn::take_pending() {
-  std::deque<std::shared_ptr<const std::string>> frames;
-  for (Pending& p : out_) {
-    if (!p.is_hello) frames.push_back(std::move(p.buf));
+ByteQueue FrameConn::take_pending() {
+  out_.rewind();
+  if (hello_queued_) {
+    out_.pop_front();
+    hello_queued_ = false;
   }
-  out_.clear();
-  pending_bytes_ = 0;
   committed_ = 0;
-  return frames;
+  return std::exchange(out_, ByteQueue());
 }
 
 void FrameConn::close() {

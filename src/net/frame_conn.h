@@ -6,24 +6,24 @@
 // read) back into whole frames; complete frames are decoded zero-copy with
 // Message::decode_stream_view straight out of the assembler's buffer.
 //
-// Write side: frames are queued as shared encodings (the WireFrame
-// shared_bytes() buffer), so a fan-out queues N references to one
-// serialization. send() only queues; frames go to the wire when the owner
-// calls flush() — at the end of the event-loop pass, or earlier once its
-// coalescing budget is reached — so one writev covers every frame queued
-// to this peer during the pass.
+// Write side: frames are copied into one packed ByteQueue (byte_queue.h),
+// chunked contiguous bytes with frame boundaries kept, so a stalled
+// connection costs its frame bytes rather than an allocation per frame.
+// send() only queues; frames go to the wire when the owner calls flush() —
+// at the end of the event-loop pass, or earlier once its coalescing budget
+// is reached — so one writev covers every frame queued to this peer during
+// the pass, usually one iovec per 64 KiB chunk.
 #pragma once
 
 #include <atomic>
 #include <cstdint>
-#include <deque>
 #include <functional>
-#include <memory>
 #include <string>
 #include <string_view>
 
 #include "common/message.h"
 #include "common/wire_frame.h"
+#include "net/byte_queue.h"
 #include "net/event_loop.h"
 #include "net/socket.h"
 
@@ -108,17 +108,19 @@ class FrameConn {
   void start(std::uint32_t hello_id, HelloHandler on_hello,
              MessageHandler on_message, CloseHandler on_close);
 
-  // Queues one encoded frame; nothing reaches the wire until flush(). The
-  // shared buffer keeps fan-out zero-copy: every conn queues the same
-  // encoding.
-  void send(std::shared_ptr<const std::string> frame);
+  // Copies one encoded frame into the send queue; nothing reaches the wire
+  // until flush().
+  void send(std::string_view frame);
+  // Splices whole frames (a reconnect backlog) onto the send queue without
+  // copying them.
+  void send(ByteQueue&& frames);
 
   // Commits everything queued and attempts to drain it right now — writev
   // until done or EAGAIN (EPOLLOUT then continues the drain). Returns false
   // if the connection died.
   bool flush();
 
-  [[nodiscard]] std::size_t pending_bytes() const { return pending_bytes_; }
+  [[nodiscard]] std::size_t pending_bytes() const { return out_.size(); }
   [[nodiscard]] bool closed() const { return closed_; }
   [[nodiscard]] int fd() const { return sock_.fd(); }
 
@@ -128,19 +130,15 @@ class FrameConn {
 
   // Unsent frames (our hello preamble excluded), for requeueing onto a
   // replacement connection after a reconnect. A partially written head
-  // frame is included from offset 0: the receiver discards partial frames
-  // on close, so a full resend cannot duplicate. Leaves the queue empty.
-  [[nodiscard]] std::deque<std::shared_ptr<const std::string>> take_pending();
+  // frame is included from its first byte: the receiver discards partial
+  // frames on close, so a full resend cannot duplicate. Leaves the queue
+  // empty.
+  [[nodiscard]] ByteQueue take_pending();
 
   void close();  // deregisters and closes; does NOT fire on_close
 
  private:
-  struct Pending {
-    std::shared_ptr<const std::string> buf;
-    std::size_t offset = 0;
-    bool is_hello = false;
-  };
-  // Writes committed entries until drained or EAGAIN. Never touches frames
+  // Writes committed bytes until drained or EAGAIN. Never touches frames
   // queued but not yet flushed: EPOLLOUT must not leak them to the wire
   // early (send() alone puts nothing on the wire until flush()).
   bool drain_committed();
@@ -151,8 +149,8 @@ class FrameConn {
   // One sendmsg: advances the queue past exactly the bytes written, or arms
   // write interest on EAGAIN. Returns false if the conn died.
   bool write_some();
-  // Pops exactly `n` written bytes off out_, keeping the unsent tail —
-  // a torn writev leaves the head frame at the precise unsent offset.
+  // Marks exactly `n` written bytes off out_, keeping the unsent tail —
+  // a torn writev leaves the head frame at the precise unsent byte.
   void advance_out(std::size_t n);
   void update_interest();
   void fail();  // close + fire on_close
@@ -161,9 +159,10 @@ class FrameConn {
   Socket sock_;
   WireMetrics* metrics_;
   FrameAssembler assembler_;
-  std::deque<Pending> out_;
-  std::size_t pending_bytes_ = 0;
-  // Leading out_ entries eligible for the wire (committed by flush()). The
+  // Our hello preamble leads out_ until written, then frames only.
+  ByteQueue out_;
+  bool hello_queued_ = false;
+  // Leading out_ bytes eligible for the wire (committed by flush()). The
   // gap out_.size() - committed_ is what the owner has queued since the
   // last flush.
   std::size_t committed_ = 0;

@@ -9,6 +9,7 @@
 
 #include "common/batch.h"
 #include "common/codec.h"
+#include "common/wire_frame.h"
 #include "kv/kv_store.h"
 
 namespace crsm {
@@ -208,23 +209,18 @@ void NodeRuntime::collect_metrics(obs::Registry& r) {
 
 // --- ProtocolEnv -----------------------------------------------------------
 
-void NodeRuntime::dispatch(HeldSend&& send) {
+void NodeRuntime::fence_if_owed() {
   // Group commit: any frame produced while the WAL owes a durability point
   // waits for the pass-end fsync — in particular the PREPAREOK acknowledging
-  // the append that made the sync owed. Held frames keep their order, and
-  // once anything is held, everything later in the pass queues behind it
-  // even if the sync was meanwhile satisfied (e.g. a checkpoint truncation
-  // rewrote + synced the WAL): per-link FIFO in increasing-timestamp order
-  // is what Clock-RSM's stability argument rests on.
-  if (storage_.sync_pending() || !held_.empty()) {
+  // the append that made the sync owed. Once the fence is up, everything
+  // later in the pass queues behind it even if the sync was meanwhile
+  // satisfied (e.g. a checkpoint truncation rewrote + synced the WAL):
+  // per-link FIFO in increasing-timestamp order is what Clock-RSM's
+  // stability argument rests on.
+  if (storage_.sync_pending()) transport_.raise_fence();
+  if (transport_.fenced()) {
     storage_.count_held_message();
-    held_.push_back(std::move(send));
-    return;
-  }
-  if (send.to_client) {
-    transport_.send_to_client(send.client_conn, send.frame);
-  } else {
-    transport_.multicast(cfg_.id, send.tos, send.frame);
+    ++held_this_pass_;
   }
 }
 
@@ -267,29 +263,28 @@ void NodeRuntime::submit_cut(const std::vector<Command>& members,
 
 void NodeRuntime::flush_durability() {
   storage_.flush();  // one fdatasync covers the whole pass's appends
-  if (held_.empty()) return;
-  std::vector<HeldSend> held;
-  held.swap(held_);
-  if (profiler_) profiler_->note_batch(held.size());
-  for (HeldSend& h : held) dispatch(std::move(h));
+  // The wire flush that follows this hook sends everything the fence held.
+  transport_.lift_fence();
+  if (held_this_pass_ == 0) return;
+  if (profiler_) profiler_->note_batch(held_this_pass_);
+  held_this_pass_ = 0;
 }
 
 void NodeRuntime::send(ReplicaId to, const Message& m) {
-  // Volatile nodes never owe a durability point: skip the HeldSend wrapper
-  // (and its vector allocation) on that hot path entirely.
-  if (!storage_.durable()) {
-    transport_.send(cfg_.id, to, FrameWriter(cfg_.id).frame(m));
-    return;
-  }
-  dispatch(HeldSend{{to}, 0, false, FrameWriter(cfg_.id).frame(m)});
+  fence_if_owed();
+  transport_.send(cfg_.id, to, FrameWriter(cfg_.id).frame(m));
 }
 
 void NodeRuntime::multicast(const std::vector<ReplicaId>& tos, const Message& m) {
-  if (!storage_.durable()) {
-    transport_.multicast(cfg_.id, tos, FrameWriter(cfg_.id).frame(m));
-    return;
-  }
-  dispatch(HeldSend{tos, 0, false, FrameWriter(cfg_.id).frame(m)});
+  fence_if_owed();
+  transport_.multicast(cfg_.id, tos, FrameWriter(cfg_.id).frame(m));
+}
+
+void NodeRuntime::reply_to_client(std::uint64_t conn, const Message& reply) {
+  // A reply shares its connection with replies held for the fsync: the
+  // fence keeps it behind them (FIFO), even when it owes no durability.
+  fence_if_owed();
+  transport_.send_to_client(conn, FrameWriter(cfg_.id).frame(reply));
 }
 
 void NodeRuntime::schedule_after(Tick delay_us, std::function<void()> fn) {
@@ -349,11 +344,7 @@ void NodeRuntime::apply_and_reply(const Command& cmd, Timestamp ts,
     reply.cmd.client = cmd.client;
     reply.cmd.seq = cmd.seq;
     reply.blob = output;
-    if (!storage_.durable()) {
-      transport_.send_to_client(it->second, FrameWriter(cfg_.id).frame(reply));
-    } else {
-      dispatch(HeldSend{{}, it->second, true, FrameWriter(cfg_.id).frame(reply)});
-    }
+    reply_to_client(it->second, reply);
   }
   if (traced) tracer_->finish(cmd.client, cmd.seq, net::EventLoop::mono_us());
 }
@@ -377,13 +368,7 @@ void NodeRuntime::finish_read(const Command& cmd, const std::string& output) {
   reply.cmd.client = cmd.client;
   reply.cmd.seq = cmd.seq;
   reply.blob = output;
-  if (!storage_.durable()) {
-    transport_.send_to_client(it->second, FrameWriter(cfg_.id).frame(reply));
-    return;
-  }
-  // The read itself owes no durability, but its reply must not overtake
-  // frames held for the pass-end fsync on the same connection (FIFO).
-  dispatch(HeldSend{{}, it->second, true, FrameWriter(cfg_.id).frame(reply)});
+  reply_to_client(it->second, reply);
 }
 
 // --- inbound ---------------------------------------------------------------
@@ -409,12 +394,7 @@ bool NodeRuntime::reject_wrong_group(std::uint64_t conn, const Command& cmd) {
   redirect.cmd.client = cmd.client;
   redirect.cmd.seq = cmd.seq;
   redirect.a = owner;
-  if (!storage_.durable()) {
-    transport_.send_to_client(conn, FrameWriter(cfg_.id).frame(redirect));
-  } else {
-    // FIFO with frames held for the pass-end fsync on this connection.
-    dispatch(HeldSend{{}, conn, true, FrameWriter(cfg_.id).frame(redirect)});
-  }
+  reply_to_client(conn, redirect);
   return true;
 }
 

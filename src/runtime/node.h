@@ -14,10 +14,11 @@
 //
 // Durability (NodeConfig::storage): with a log directory configured the
 // node runs on a FileLog WAL with group commit — protocol durability
-// requests (CommandLog::sync) accumulate over one event-loop pass, every
-// outbound message produced while a sync is owed is held back, and the
-// loop's pass-end hook issues a single fdatasync and then releases the held
-// frames. PREPAREOK therefore never precedes the durability point it
+// requests (CommandLog::sync) accumulate over one event-loop pass, the
+// first send made while a sync is owed raises the transport's flush fence
+// (TcpTransport::raise_fence), and the loop's pass-end hook issues a single
+// fdatasync and then lifts it, so the pass-end wire flush releases every
+// held frame. PREPAREOK therefore never precedes the durability point it
 // acknowledges, at one fsync per pass instead of one per append. On boot
 // the node restores the checkpoint (if any) into the state machine and the
 // hosted protocol replays the WAL; Clock-RSM with catchup_on_recovery then
@@ -44,7 +45,6 @@
 #include "common/command.h"
 #include "common/message.h"
 #include "common/types.h"
-#include "common/wire_frame.h"
 #include "net/event_loop.h"
 #include "obs/loop_profiler.h"
 #include "obs/metrics.h"
@@ -233,16 +233,13 @@ class NodeRuntime final : private ProtocolEnv {
   void on_client_message(std::uint64_t conn, const Message& m);
   void on_client_closed(std::uint64_t conn);
 
-  // Group commit: outbound frames produced while a WAL sync is owed wait
-  // here; the loop's pass-end hook fsyncs once, then releases them in order.
-  struct HeldSend {
-    std::vector<ReplicaId> tos;  // peer fan-out (empty for client sends)
-    std::uint64_t client_conn = 0;
-    bool to_client = false;
-    WireFrame frame;
-  };
-  void dispatch(HeldSend&& send);
+  // Group commit: called before every send. Raises the transport's flush
+  // fence while the WAL owes a sync and counts the sends it holds; the
+  // loop's pass-end hook fsyncs once, then lifts the fence.
+  void fence_if_owed();
   void flush_durability();
+  // Replies to a networked client (dropped if it has gone away).
+  void reply_to_client(std::uint64_t conn, const Message& reply);
 
   // Protocol batching: buffers a client write for the pass's batch (or
   // submits it straight through when batching is off); the batch is cut at
@@ -267,7 +264,7 @@ class NodeRuntime final : private ProtocolEnv {
   ReplyHook reply_hook_;
   CommitHook commit_hook_;
   ReadHook read_hook_;
-  std::vector<HeldSend> held_;
+  std::uint64_t held_this_pass_ = 0;  // sends behind the fence this pass
 
   // Loop-thread-only batch accumulator (cut at the caps / pass end).
   BatchAccumulator batch_;

@@ -66,7 +66,7 @@ struct StorageStats {
   std::uint64_t sync_requests = 0;  // durability points requested (sync())
   std::uint64_t syncs = 0;          // fdatasync batches actually issued
   std::uint64_t max_batch = 0;      // largest appends-per-fsync batch
-  std::uint64_t held_messages = 0;  // sends held until the durability point
+  std::uint64_t held_messages = 0;  // sends queued behind the flush fence
   std::uint64_t checkpoints = 0;    // checkpoints taken or installed
 };
 

@@ -30,12 +30,15 @@ void TcpTransport::mark_dirty(net::FrameConn* c) {
   // Budget guard: a conn that crossed max_coalesce_bytes mid-pass flushes
   // now instead of letting one pass accumulate unbounded wire data. It
   // stays on the dirty list for the pass-end flush of whatever remains. At
-  // a budget of 0 every frame flushes here, one sendmsg per frame.
-  if (c->pending_bytes() >= opt_.max_coalesce_bytes) (void)c->flush();
+  // a budget of 0 every frame flushes here, one sendmsg per frame. The
+  // fence overrides the budget: held frames wait for the pass-end flush.
+  if (!fenced_ && c->pending_bytes() >= opt_.max_coalesce_bytes) {
+    (void)c->flush();
+  }
 }
 
 void TcpTransport::flush_pass() {
-  if (dirty_.empty()) return;
+  if (fenced_ || dirty_.empty()) return;
   std::vector<net::FrameConn*> dirty;
   dirty.swap(dirty_);
   for (net::FrameConn* c : dirty) {
@@ -78,7 +81,6 @@ void TcpTransport::shutdown() {
     link.conn.reset();
     link.wake.reset();
     link.backlog.clear();
-    link.backlog_bytes = 0;
   }
   pending_.clear();
   clients_.clear();
@@ -156,12 +158,9 @@ void TcpTransport::on_wake(ReplicaId from,
 }
 
 void TcpTransport::requeue_unsent(PeerLink& link) {
-  auto unsent = link.conn->take_pending();
-  while (!unsent.empty()) {
-    link.backlog_bytes += unsent.back()->size();
-    link.backlog.push_front(std::move(unsent.back()));
-    unsent.pop_back();
-  }
+  net::ByteQueue unsent = link.conn->take_pending();
+  unsent.append(std::move(link.backlog));
+  link.backlog = std::move(unsent);
 }
 
 void TcpTransport::adopt_peer_conn(ReplicaId id,
@@ -207,14 +206,11 @@ void TcpTransport::adopt_peer_conn(ReplicaId id,
     link.redial_delay_us = 0;
   }
   if (!link.conn || link.conn.get() != raw) return;  // torn down synchronously
-  // Flush frames queued while the link was down (FIFO preserved: backlog
+  // Send frames queued while the link was down (FIFO preserved: backlog
   // first, then new sends go straight to the connection).
-  while (!link.backlog.empty() && link.conn && !link.conn->closed()) {
-    auto frame = std::move(link.backlog.front());
-    link.backlog.pop_front();
-    link.backlog_bytes -= frame->size();
-    link.conn->send(std::move(frame));
-    mark_dirty(link.conn.get());
+  if (!link.backlog.empty() && !raw->closed()) {
+    raw->send(std::move(link.backlog));
+    mark_dirty(raw);
   }
 }
 
@@ -325,40 +321,51 @@ void TcpTransport::send(ReplicaId from, ReplicaId to, const WireFrame& f) {
   if (from != self_ || to >= peers_.size()) {
     throw std::out_of_range("TcpTransport::send: bad replica id");
   }
-  const bool fresh = !f.encoded_yet();
-  std::shared_ptr<const std::string> bytes = f.shared_bytes();
-  if (fresh) encode_calls_.fetch_add(1, std::memory_order_relaxed);
+  if (!f.encoded_yet()) encode_calls_.fetch_add(1, std::memory_order_relaxed);
+  const std::string_view bytes = f.bytes();
   messages_sent_.fetch_add(1, std::memory_order_relaxed);
-  bytes_sent_.fetch_add(bytes->size(), std::memory_order_relaxed);
-
-  if (to == self_) {
-    // Local delivery skips the wire but keeps the async contract: the
-    // handler runs on a later loop pass, never synchronously inside send.
-    loop_.post([this, msg = f.shared_msg()] {
-      messages_delivered_.fetch_add(1, std::memory_order_relaxed);
-      if (handler_) handler_(*msg);
-    });
-    return;
-  }
+  bytes_sent_.fetch_add(bytes.size(), std::memory_order_relaxed);
   if (loop_.on_loop_thread()) {
-    send_on_loop(to, std::move(bytes));
+    send_on_loop(to, f);
   } else {
-    loop_.post([this, to, b = std::move(bytes)]() mutable {
-      send_on_loop(to, std::move(b));
-    });
+    loop_.post([this, to, f] { send_on_loop(to, f); });
   }
 }
 
 void TcpTransport::multicast(ReplicaId from, const std::vector<ReplicaId>& tos,
                              const WireFrame& f) {
-  // The first send() encodes (shared); every further destination reuses the
-  // same buffer — one serialization, N link queues.
+  // The first send() encodes; every further destination copies the same
+  // cached bytes — one serialization, N link queues.
   for (ReplicaId to : tos) send(from, to, f);
 }
 
-void TcpTransport::send_on_loop(ReplicaId to,
-                                std::shared_ptr<const std::string> bytes) {
+void TcpTransport::deliver_local(std::shared_ptr<const Message> msg) {
+  if (fenced_) {
+    fenced_local_.push_back(std::move(msg));
+    return;
+  }
+  // Local delivery skips the wire but keeps the async contract: the
+  // handler runs on a later loop pass, never synchronously inside send.
+  loop_.post([this, msg = std::move(msg)] {
+    messages_delivered_.fetch_add(1, std::memory_order_relaxed);
+    if (handler_) handler_(*msg);
+  });
+}
+
+void TcpTransport::lift_fence() {
+  fenced_ = false;
+  std::vector<std::shared_ptr<const Message>> held;
+  held.swap(fenced_local_);
+  for (auto& m : held) deliver_local(std::move(m));  // in production order
+}
+
+void TcpTransport::send_on_loop(ReplicaId to, const WireFrame& f) {
+  if (to == self_) {
+    deliver_local(f.shared_msg());
+    return;
+  }
   if (shut_down_) return;
+  const std::string_view bytes = f.bytes();
   PeerLink& link = peers_[to];
   const std::size_t limit = opt_.max_pending_bytes;
   // An empty queue always admits, whatever the frame's size — otherwise a
@@ -369,23 +376,22 @@ void TcpTransport::send_on_loop(ReplicaId to,
     // loop that performs the reconnect, so kBlock queues unbounded while
     // disconnected; kDrop sheds as usual.
     if (limit > 0 && opt_.policy == BackpressurePolicy::kDrop &&
-        !link.backlog.empty() && link.backlog_bytes + bytes->size() > limit) {
+        !link.backlog.empty() && link.backlog.size() + bytes.size() > limit) {
       messages_dropped_.fetch_add(1, std::memory_order_relaxed);
       return;
     }
-    link.backlog_bytes += bytes->size();
-    link.backlog.push_back(std::move(bytes));
+    link.backlog.push(bytes);
     return;
   }
   if (limit > 0 && opt_.policy == BackpressurePolicy::kDrop &&
       link.conn->pending_bytes() > 0 &&
-      link.conn->pending_bytes() + bytes->size() > limit) {
+      link.conn->pending_bytes() + bytes.size() > limit) {
     messages_dropped_.fetch_add(1, std::memory_order_relaxed);
     return;
   }
-  link.conn->send(std::move(bytes));
+  link.conn->send(bytes);
   mark_dirty(link.conn.get());
-  if (limit > 0 && opt_.policy == BackpressurePolicy::kBlock &&
+  if (limit > 0 && opt_.policy == BackpressurePolicy::kBlock && !fenced_ &&
       link.conn && link.conn->pending_bytes() > limit) {
     apply_backpressure(link);
   }
@@ -413,15 +419,14 @@ void TcpTransport::apply_backpressure(PeerLink& link) {
 void TcpTransport::send_to_client(std::uint64_t conn, const WireFrame& f) {
   auto it = clients_.find(conn);
   if (it == clients_.end()) return;  // client went away; reply dropped
-  const bool fresh = !f.encoded_yet();
-  std::shared_ptr<const std::string> bytes = f.shared_bytes();
   // Client replies are transport traffic like any other: counting all
   // three preserves the documented encode_calls <= messages_sent
   // invariant on reply-heavy nodes.
-  if (fresh) encode_calls_.fetch_add(1, std::memory_order_relaxed);
+  if (!f.encoded_yet()) encode_calls_.fetch_add(1, std::memory_order_relaxed);
+  const std::string_view bytes = f.bytes();
   messages_sent_.fetch_add(1, std::memory_order_relaxed);
-  bytes_sent_.fetch_add(bytes->size(), std::memory_order_relaxed);
-  it->second->send(std::move(bytes));
+  bytes_sent_.fetch_add(bytes.size(), std::memory_order_relaxed);
+  it->second->send(bytes);
   mark_dirty(it->second.get());
 }
 
@@ -431,7 +436,7 @@ std::size_t TcpTransport::connected_peers() const {
 
 std::size_t TcpTransport::backlog_bytes() const {
   std::size_t total = 0;
-  for (const PeerLink& link : peers_) total += link.backlog_bytes;
+  for (const PeerLink& link : peers_) total += link.backlog.size();
   return total;
 }
 

@@ -18,11 +18,19 @@
 //
 // Hot-path properties, matching SimTransport:
 //  * Fan-out encode-once: a multicast serializes its Message a single time
-//    (WireFrame shared encoding); every peer link queues a reference to the
-//    same buffer, and FrameConn's writev hands the kernel each link's copy.
+//    (WireFrame's cached encoding) and copies those bytes into each peer
+//    link's packed send queue (net::ByteQueue) — one encode, N memcpys, no
+//    allocation per frame.
 //  * Per-pass coalescing: frames queued to one connection during an
 //    event-loop pass leave in one writev at pass end (the loop's wire-flush
 //    hook), or sooner once the connection's budget is reached.
+//  * Flush fence (group commit): while the host has raised the fence,
+//    nothing queued reaches the wire or a local handler — not the budget
+//    guard, not a reconnect backlog adopted mid-pass, not a kBlock stall,
+//    not a self-delivery. The host lifts it right after its pass-end
+//    fsync, and the wire flush that follows sends every held frame, in
+//    production order per destination. A frame produced while the WAL owes
+//    a durability point therefore never precedes that point.
 //  * Zero-copy receive: inbound bytes are reassembled (FrameConn) and
 //    decoded as views into the connection's receive buffer
 //    (Message::decode_stream_view); handlers copy only what they retain.
@@ -31,10 +39,12 @@
 //
 // Send queues are bounded (Options::max_pending_bytes): a connected link
 // over its limit either blocks the sender until the kernel drains
-// (kBlock — counted) or sheds the frame (kDrop). While a peer link is down,
-// frames queue at the transport and are re-sent on reconnect; only frames
-// fully written to a socket that then died can be lost, so the channel is
-// reliable-FIFO while a connection lives and at-most-once across repairs.
+// (kBlock — counted; skipped while the fence is up) or sheds the frame
+// (kDrop). While a peer link is down, frames queue in the link's packed
+// backlog and are spliced onto the next connection; a dead connection's
+// unsent frames are spliced back in front of it. Only frames fully written
+// to a socket that then died can be lost, so the channel is reliable-FIFO
+// while a connection lives and at-most-once across repairs.
 //
 // Threading: everything runs on the EventLoop thread, including the
 // registered message handler. send()/multicast() from other threads post
@@ -43,7 +53,6 @@
 
 #include <atomic>
 #include <cstdint>
-#include <deque>
 #include <functional>
 #include <memory>
 #include <string>
@@ -54,6 +63,7 @@
 #include "common/types.h"
 #include "common/wire_frame.h"
 #include "net/acceptor.h"
+#include "net/byte_queue.h"
 #include "net/connector.h"
 #include "net/event_loop.h"
 #include "net/frame_conn.h"
@@ -77,7 +87,8 @@ struct TcpTransportOptions {
   // Per-pass wire coalescing budget: frames queued to one peer during an
   // event-loop pass are flushed as one writev at pass end, or sooner once a
   // connection's pending bytes reach this budget. 0 flushes every frame as
-  // it is queued (one sendmsg per frame).
+  // it is queued (one sendmsg per frame), except while the flush fence is
+  // up; a reconnect backlog is spliced on and flushed as one.
   std::size_t max_coalesce_bytes = 256 * 1024;
   // Redial backoff for peer links, and for wakes until their link is up.
   net::ConnectorOptions reconnect;
@@ -127,6 +138,15 @@ class TcpTransport final {
 
   void send_to_client(std::uint64_t conn, const WireFrame& f);
 
+  // --- flush fence (loop-thread only) ---
+  // Raised, it holds every frame queued from then on — and everything
+  // already queued but not yet flushed — off the wire, and holds
+  // self-deliveries back; lifting it lets the next wire flush (the loop's
+  // pass-end hook) send them all. Raising an up fence is a no-op.
+  void raise_fence() { fenced_ = true; }
+  void lift_fence();
+  [[nodiscard]] bool fenced() const { return fenced_; }
+
   // Live peer links (connected and past the hello), for tests/monitoring.
   [[nodiscard]] std::size_t connected_peers() const;
   // Bytes queued for peer links that are down. Loop-thread only.
@@ -154,8 +174,7 @@ class TcpTransport final {
     std::unique_ptr<net::FrameConn> conn;  // the pair's one socket
     std::unique_ptr<net::FrameConn> wake;  // self > id: the wake in flight
     // Frames awaiting a live connection (or requeued after one died).
-    std::deque<std::shared_ptr<const std::string>> backlog;
-    std::size_t backlog_bytes = 0;
+    net::ByteQueue backlog;
     // Delay before the next redial after an established connection (link
     // or wake) died. Doubles per consecutive death (a connect-then-die
     // cycle — e.g. a miswired mesh answering with the wrong hello — must
@@ -175,12 +194,14 @@ class TcpTransport final {
   // Builds a conn that counts into this transport's wire metrics.
   [[nodiscard]] std::unique_ptr<net::FrameConn> make_conn(net::Socket sock);
   // Queues `c` for the pass-end flush (flushes early when the conn crosses
-  // the coalescing budget).
+  // the coalescing budget, unless the fence is up).
   void mark_dirty(net::FrameConn* c);
   // The wire-flush hook: one flush per dirty conn, end of every pass.
   void flush_pass();
 
-  void send_on_loop(ReplicaId to, std::shared_ptr<const std::string> bytes);
+  void send_on_loop(ReplicaId to, const WireFrame& f);
+  // Posts `msg` to our own handler (held while the fence is up).
+  void deliver_local(std::shared_ptr<const Message> msg);
   // Starts the peer's Connector: the link when to > self, a wake otherwise.
   void dial(ReplicaId to);
   // Redials `to` after the link's throttled redial delay.
@@ -190,7 +211,7 @@ class TcpTransport final {
   void end_wake(ReplicaId to, net::FrameConn* raw);
   // A higher-id peer's hello arrived on an accepted socket: it (re)started.
   void on_wake(ReplicaId from, std::unique_ptr<net::FrameConn> conn);
-  // Moves a dead link's unsent frames to the front of its backlog.
+  // Splices a dead link's unsent frames in front of its backlog.
   void requeue_unsent(PeerLink& link);
   void adopt_peer_conn(ReplicaId id, std::unique_ptr<net::FrameConn> conn,
                        bool needs_start);
@@ -229,6 +250,9 @@ class TcpTransport final {
   // on bury/shutdown so it never holds a dangling pointer.
   std::vector<net::FrameConn*> dirty_;
   net::WireMetrics wire_metrics_;
+  bool fenced_ = false;
+  // Self-deliveries produced while the fence was up, in order.
+  std::vector<std::shared_ptr<const Message>> fenced_local_;
 
   Handler handler_;
   ClientHandler client_handler_;

@@ -1,11 +1,13 @@
 // Tests for the src/net building blocks: EventLoop timers/posts,
-// FrameAssembler reassembly, Acceptor/Connector establishment (including
-// connect-before-listen retry), FrameConn round trips on loopback and the
-// exact-tail requeue of a torn coalesced writev.
+// FrameAssembler reassembly, the packed ByteQueue (torn consumes, rewind,
+// splice), Acceptor/Connector establishment (including connect-before-listen
+// retry), FrameConn round trips on loopback, the exact-tail resume of a torn
+// coalesced writev and take_pending's whole-frame handback.
 #include <gtest/gtest.h>
 
 #include <sys/epoll.h>
 #include <sys/socket.h>
+#include <unistd.h>
 
 #include <atomic>
 #include <chrono>
@@ -16,6 +18,7 @@
 
 #include "common/wire_frame.h"
 #include "net/acceptor.h"
+#include "net/byte_queue.h"
 #include "net/connector.h"
 #include "net/event_loop.h"
 #include "net/frame_conn.h"
@@ -26,6 +29,7 @@ namespace crsm {
 namespace {
 
 using net::Acceptor;
+using net::ByteQueue;
 using net::Connector;
 using net::EventLoop;
 using net::FrameAssembler;
@@ -141,16 +145,115 @@ TEST(FrameAssembler, MalformedHeaderThrows) {
   EXPECT_THROW((void)a.complete_prefix(), CodecError);
 }
 
-TEST(WireFrame, SharedBytesIsCachedAndMatchesEncode) {
-  Message m;
-  m.type = MsgType::kClockTime;
-  m.clock_ts = 99;
-  const WireFrame f(m);
-  const auto b1 = f.shared_bytes();
-  const auto b2 = f.shared_bytes();
-  EXPECT_EQ(b1.get(), b2.get());  // one encode, one buffer
-  EXPECT_EQ(*b1, m.encode());
-  EXPECT_EQ(f.bytes(), std::string_view(*b1));
+// --- ByteQueue -------------------------------------------------------------
+
+// Every unsent byte of `q`, in order, as gather() hands them to the kernel.
+std::string contents(const ByteQueue& q) {
+  std::vector<iovec> iov(q.size() / ByteQueue::kMinChunkBytes + 8);
+  const std::size_t n = q.gather(iov.data(), iov.size(), q.size());
+  std::string out;
+  for (std::size_t i = 0; i < n; ++i) {
+    out.append(static_cast<const char*>(iov[i].iov_base), iov[i].iov_len);
+  }
+  return out;
+}
+
+// `count` frames of `size` bytes, each filled with its own letter so a
+// misplaced byte range shows.
+std::vector<std::string> lettered_frames(std::size_t count, std::size_t size) {
+  std::vector<std::string> frames;
+  for (std::size_t i = 0; i < count; ++i) {
+    frames.emplace_back(size, static_cast<char>('a' + i % 26));
+  }
+  return frames;
+}
+
+std::string joined(const std::vector<std::string>& frames, std::size_t from = 0) {
+  std::string out;
+  for (std::size_t i = from; i < frames.size(); ++i) out += frames[i];
+  return out;
+}
+
+// Small frames pack back to back into one chunk; a torn write — a consume
+// that ends inside a frame inside that chunk — resumes at the exact next
+// byte, and only whole frames count as done.
+TEST(ByteQueue, TornConsumeResumesInsideAPackedChunkAtTheExactByte) {
+  const auto frames = lettered_frames(5, 100);
+  const std::string stream = joined(frames);
+  ByteQueue q;
+  for (const std::string& f : frames) q.push(f);
+  iovec iov[4];
+  ASSERT_EQ(q.gather(iov, 4, q.size()), 1u) << "five small frames, one chunk";
+  EXPECT_EQ(q.size(), 500u);
+  EXPECT_EQ(q.frames(), 5u);
+
+  EXPECT_EQ(q.consume(137), 1u);  // frame 0 done, frame 1 torn at byte 37
+  EXPECT_EQ(q.size(), 363u);
+  EXPECT_EQ(q.frames(), 4u);
+  EXPECT_EQ(contents(q), stream.substr(137));
+  // A gather capped mid-frame stops at the cap.
+  ASSERT_EQ(q.gather(iov, 4, 10), 1u);
+  EXPECT_EQ(std::string(static_cast<const char*>(iov[0].iov_base), 10),
+            stream.substr(137, 10));
+
+  EXPECT_EQ(q.consume(63), 1u);  // exactly the rest of frame 1
+  EXPECT_EQ(contents(q), stream.substr(200));
+  EXPECT_EQ(q.consume(1), 0u);
+  EXPECT_EQ(contents(q), stream.substr(201));
+  EXPECT_EQ(q.consume(299), 3u);
+  EXPECT_TRUE(q.empty());
+  EXPECT_EQ(q.size(), 0u);
+  EXPECT_EQ(q.gather(iov, 4, 100), 0u) << "a drained queue holds no chunk";
+}
+
+// Frames larger than a chunk span several; consuming at odd offsets walks
+// every chunk boundary without losing or repeating a byte.
+TEST(ByteQueue, FramesSpanChunksAndDrainByteExact) {
+  const auto frames = lettered_frames(4, 100 * 1024 + 3);
+  const std::string stream = joined(frames);
+  ByteQueue q;
+  for (const std::string& f : frames) q.push(f);
+  EXPECT_EQ(q.size(), stream.size());
+  std::size_t off = 0, done = 0;
+  while (!q.empty()) {
+    ASSERT_EQ(contents(q), stream.substr(off));
+    const std::size_t step = std::min<std::size_t>(q.size(), 7919);
+    done += q.consume(step);
+    off += step;
+  }
+  EXPECT_EQ(off, stream.size());
+  EXPECT_EQ(done, frames.size());
+}
+
+// rewind() hands a torn queue back as whole frames from the head frame's
+// start; append() splices whole frames behind without copying; pop_front()
+// drops the head frame.
+TEST(ByteQueue, RewindSpliceAndPopKeepWholeFrames) {
+  const auto frames = lettered_frames(6, 300);
+  ByteQueue q;
+  for (std::size_t i = 0; i < 3; ++i) q.push(frames[i]);
+  (void)q.consume(450);  // frame 0 done, frame 1 half written
+  q.rewind();
+  EXPECT_EQ(q.size(), 600u);
+  EXPECT_EQ(contents(q), frames[1] + frames[2]);
+
+  ByteQueue tail;
+  for (std::size_t i = 3; i < 6; ++i) tail.push(frames[i]);
+  q.append(std::move(tail));
+  EXPECT_TRUE(tail.empty());
+  EXPECT_EQ(q.frames(), 5u);
+  EXPECT_EQ(contents(q), joined(frames, 1));
+  q.push(frames[0]);  // pushes land behind the spliced frames
+  EXPECT_EQ(contents(q), joined(frames, 1) + frames[0]);
+
+  q.pop_front();
+  EXPECT_EQ(contents(q), joined(frames, 2) + frames[0]);
+  EXPECT_EQ(q.consume(q.size()), 5u);
+  EXPECT_TRUE(q.empty());
+
+  ByteQueue empty;
+  empty.append(std::move(q));  // splicing an empty queue is a no-op
+  EXPECT_TRUE(empty.empty());
 }
 
 // --- Acceptor / Connector / FrameConn --------------------------------------
@@ -197,7 +300,7 @@ TEST(FrameConn, HelloAndFramesRoundTrip) {
         m.type = MsgType::kMenAck;
         m.slot = i;
         m.a = i * 10;
-        client->send(WireFrame(std::move(m)).shared_bytes());
+        client->send(WireFrame(std::move(m)).bytes());
       }
       (void)client->flush();
     });
@@ -383,7 +486,7 @@ TEST(FrameConn, TornCoalescedWritevRequeuesExactTail) {
       Message m;
       m.type = MsgType::kClientRequest;
       m.cmd = test::kv_put(7, i + 1, "key", big_value);
-      writer->send(WireFrame(std::move(m)).shared_bytes());
+      writer->send(WireFrame(std::move(m)).bytes());
     }
     // Far more queued than the send buffer admits: this one flush MUST
     // tear, exercising the partial-write requeue path repeatedly as the
@@ -408,6 +511,132 @@ TEST(FrameConn, TornCoalescedWritevRequeuesExactTail) {
     cleaned = true;
   });
   ASSERT_TRUE(eventually([&] { return cleaned.load(); }));
+}
+
+// The packed counterpart of the test above: hundreds of small frames share
+// each 64 KiB chunk, so the kernel's partial accepts tear the writev inside
+// a chunk and inside a frame, again and again. Every frame still arrives
+// whole, in order, byte-exact.
+TEST(FrameConn, TornWriteResumesInsideAPackedChunk) {
+  LoopThread lt;
+  EventLoop& loop = lt.loop();
+
+  int fds[2] = {-1, -1};
+  ASSERT_EQ(::socketpair(AF_UNIX, SOCK_STREAM, 0, fds), 0);
+  const int tiny = 1;
+  ASSERT_EQ(::setsockopt(fds[0], SOL_SOCKET, SO_SNDBUF, &tiny, sizeof(tiny)),
+            0);
+  ASSERT_EQ(::setsockopt(fds[1], SOL_SOCKET, SO_RCVBUF, &tiny, sizeof(tiny)),
+            0);
+  net::set_nonblocking(fds[0]);
+  net::set_nonblocking(fds[1]);
+
+  constexpr std::uint64_t kFrames = 600;
+  const std::string value(213, 'p');  // odd-sized frames
+  const std::string expect_payload =
+      test::kv_put(7, 1, "key", value).payload.str();
+
+  std::unique_ptr<FrameConn> writer, reader;
+  std::atomic<std::uint64_t> got{0};
+  std::atomic<bool> order_ok{true}, payload_ok{true}, died{false};
+  std::atomic<bool> started{false};
+  loop.post([&] {
+    reader = std::make_unique<FrameConn>(loop, Socket(fds[1]));
+    reader->start(
+        /*hello_id=*/1, [](std::uint32_t) {},
+        [&](const Message& m) {
+          if (m.cmd.seq != got.load() + 1) order_ok = false;
+          if (m.cmd.payload.view() != expect_payload) payload_ok = false;
+          ++got;
+        },
+        [&] { died = true; });
+    writer = std::make_unique<FrameConn>(loop, Socket(fds[0]));
+    writer->start(
+        /*hello_id=*/2, [](std::uint32_t) {}, [](const Message&) {},
+        [&] { died = true; });
+    for (std::uint64_t i = 0; i < kFrames; ++i) {
+      Message m;
+      m.type = MsgType::kClientRequest;
+      m.cmd = test::kv_put(7, i + 1, "key", value);
+      writer->send(WireFrame(std::move(m)).bytes());
+    }
+    (void)writer->flush();
+    started = true;
+  });
+  ASSERT_TRUE(eventually([&] { return started.load(); }));
+  ASSERT_TRUE(eventually([&] { return got.load() == kFrames || died.load(); }));
+  EXPECT_FALSE(died.load());
+  EXPECT_EQ(got.load(), kFrames);
+  EXPECT_TRUE(order_ok.load());
+  EXPECT_TRUE(payload_ok.load());
+
+  std::atomic<bool> cleaned{false};
+  loop.post([&] {
+    writer.reset();
+    reader.reset();
+    cleaned = true;
+  });
+  ASSERT_TRUE(eventually([&] { return cleaned.load(); }));
+}
+
+// take_pending() after a torn write hands back whole frames: the torn head
+// frame from its first byte (the receiver drops a partial frame when the
+// socket dies, so resending it whole cannot duplicate), never our hello.
+TEST(FrameConn, TakePendingReturnsWholeFramesFromTheHeadHelloExcluded) {
+  EventLoop loop;  // not run: the test thread is the loop thread here
+  const auto frames = lettered_frames(40, 1000);
+  // Wire frames: a varint length prefix (2 bytes for 998) plus the body.
+  std::vector<std::string> wire;
+  for (const std::string& f : frames) {
+    std::string w;
+    w.push_back(static_cast<char>(0x80 | (998 & 0x7F)));
+    w.push_back(static_cast<char>(998 >> 7));
+    w.append(f, 0, 998);
+    wire.push_back(std::move(w));
+  }
+
+  {
+    // Torn: a tiny send buffer takes the hello and part of the frames.
+    int fds[2] = {-1, -1};
+    ASSERT_EQ(::socketpair(AF_UNIX, SOCK_STREAM, 0, fds), 0);
+    const int tiny = 1;
+    ASSERT_EQ(::setsockopt(fds[0], SOL_SOCKET, SO_SNDBUF, &tiny, sizeof(tiny)),
+              0);
+    net::set_nonblocking(fds[0]);
+    FrameConn writer(loop, Socket(fds[0]));
+    writer.start(2, [](std::uint32_t) {}, [](const Message&) {}, [] {});
+    for (const std::string& w : wire) writer.send(w);
+    const std::size_t queued = writer.pending_bytes();
+    ASSERT_TRUE(writer.flush());
+    // start() already wrote the hello, so `written` counts frame bytes.
+    const std::size_t written = queued - writer.pending_bytes();
+    ASSERT_GT(written, 0u);
+    ASSERT_LT(written, queued) << "the send buffer took everything";
+    const std::size_t head = written / 1000;  // frame holding the next byte
+    const ByteQueue taken = writer.take_pending();
+    EXPECT_EQ(taken.frames(), wire.size() - head);
+    EXPECT_EQ(contents(taken), joined(wire, head));
+    EXPECT_EQ(writer.pending_bytes(), 0u);
+    ::close(fds[1]);
+  }
+  {
+    // Hello unsent: a send buffer already full takes nothing at all.
+    int fds[2] = {-1, -1};
+    ASSERT_EQ(::socketpair(AF_UNIX, SOCK_STREAM, 0, fds), 0);
+    net::set_nonblocking(fds[0]);
+    const std::string filler(4096, 'x');
+    while (::send(fds[0], filler.data(), filler.size(), MSG_DONTWAIT) > 0) {
+    }
+    FrameConn writer(loop, Socket(fds[0]));
+    writer.start(2, [](std::uint32_t) {}, [](const Message&) {}, [] {});
+    for (std::size_t i = 0; i < 3; ++i) writer.send(wire[i]);
+    ASSERT_TRUE(writer.flush());
+    EXPECT_EQ(writer.pending_bytes(), 8u + 3u * 1000u);
+    const ByteQueue taken = writer.take_pending();
+    EXPECT_EQ(taken.frames(), 3u);
+    EXPECT_EQ(contents(taken), wire[0] + wire[1] + wire[2]);
+    ::close(fds[1]);
+  }
 }
 
 // Sends really defer: send() alone puts nothing on the wire until flush()
@@ -436,7 +665,7 @@ TEST(FrameConn, CoalescedSendDefersUntilFlush) {
       Message m;
       m.type = MsgType::kMenAck;
       m.slot = i;
-      writer->send(WireFrame(std::move(m)).shared_bytes());
+      writer->send(WireFrame(std::move(m)).bytes());
     }
     armed = true;
   });

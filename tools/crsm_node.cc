@@ -13,7 +13,9 @@
 //             [--metrics-port P] [--trace-sample N] [--slow-ms MS]
 //
 // The listen address is peers[id]. Runs until SIGINT/SIGTERM, printing a
-// periodic one-line metrics snapshot (sorted k=v pairs) to stderr.
+// periodic one-line metrics snapshot (sorted k=v pairs) to stderr. Both
+// signals are blocked in every thread and taken synchronously by the main
+// thread (sigtimedwait), so shutdown begins the moment one arrives.
 //
 // --groups N hosts N independent replica groups in this process (one event
 // loop thread each; --pin-cores pins group g to core g). Group g listens on
@@ -46,22 +48,24 @@
 //
 // --max-coalesce-bytes bounds the per-pass wire coalescing budget: a
 // connection flushes once its queued bytes reach it, and at pass end
-// (0 flushes every frame as it is queued).
+// (0 flushes every frame as it is queued; frames held for the pass-end
+// fsync on a durable node still leave together after it).
 //
 // --max-batch-cmds N > 1 turns on protocol-level command batching: client
 // writes arriving within one event-loop pass replicate as one batch
 // envelope (one PREPARE, one ack round, one WAL record), cut early at N
 // commands or --max-batch-bytes of payload. See docs/OPERATIONS.md for
 // tuning guidance.
-#include <atomic>
+#include <pthread.h>
+#include <signal.h>
+
+#include <algorithm>
 #include <chrono>
-#include <csignal>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
 #include <memory>
 #include <string>
-#include <thread>
 #include <vector>
 
 #include "clockrsm/clock_rsm.h"
@@ -72,10 +76,6 @@
 #include "runtime/node.h"
 
 namespace {
-
-std::atomic<bool> g_stop{false};
-
-void on_signal(int) { g_stop.store(true); }
 
 [[noreturn]] void usage(const char* argv0) {
   std::fprintf(stderr,
@@ -223,12 +223,17 @@ int main(int argc, char** argv) {
   cfg.max_batch_bytes = max_batch_bytes;
   cfg.obs = obs;
 
+  // Blocked before any thread exists, so every loop thread inherits the
+  // mask and the main thread's sigtimedwait below is the only taker.
+  sigset_t stop_signals;
+  sigemptyset(&stop_signals);
+  sigaddset(&stop_signals, SIGINT);
+  sigaddset(&stop_signals, SIGTERM);
+  pthread_sigmask(SIG_BLOCK, &stop_signals, nullptr);
+
   MultiGroupNode node(cfg, mg, factory,
                       [] { return std::make_unique<KvStore>(); });
   const std::size_t groups = node.num_groups();
-
-  std::signal(SIGINT, on_signal);
-  std::signal(SIGTERM, on_signal);
 
   node.start(peers);
   std::fprintf(stderr,
@@ -266,8 +271,20 @@ int main(int argc, char** argv) {
 
   std::vector<std::uint64_t> last_executed(groups, 0);
   auto last = std::chrono::steady_clock::now();
-  while (!g_stop.load()) {
-    std::this_thread::sleep_for(std::chrono::milliseconds(200));
+  for (;;) {
+    // Wait for a stop signal until the next stats line is due (an hour at
+    // a time with stats off). A timeout or EINTR just re-checks the clock.
+    std::chrono::nanoseconds wait = std::chrono::hours(1);
+    if (stats_every > 0) {
+      wait = std::max(std::chrono::nanoseconds(0),
+                      last + std::chrono::seconds(stats_every) -
+                          std::chrono::steady_clock::now());
+    }
+    const timespec ts{
+        static_cast<time_t>(wait.count() / 1'000'000'000),
+        static_cast<long>(wait.count() % 1'000'000'000)};
+    const int sig = sigtimedwait(&stop_signals, nullptr, &ts);
+    if (sig == SIGINT || sig == SIGTERM) break;
     const auto now = std::chrono::steady_clock::now();
     if (stats_every > 0 &&
         now - last >= std::chrono::seconds(stats_every)) {

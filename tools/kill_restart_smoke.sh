@@ -11,7 +11,8 @@
 # be relinked to both peers within 0.5 s of coming up: it wakes the
 # survivors' redial rather than waiting for their backoff. Once load stops,
 # every replica of a group must report the same crsm_executed_total: the
-# restarted one counts the commands its checkpoint covers. Exercises
+# restarted one counts the commands its checkpoint covers. Finally every
+# process must exit cleanly within 50 ms of a SIGTERM. Exercises
 # exactly the path docs/OPERATIONS.md documents; CI runs it against the
 # Release build.
 #
@@ -215,5 +216,16 @@ for g in 0 1; do
     || { echo "group $g: replicas 0/1/2 executed ${counts[*]} commands"; exit 1; }
   echo "  group $g: every replica executed ${counts[0]} commands"
 done
+
+echo "== SIGTERM: every process exits cleanly within 50 ms"
+for i in 0 1 2; do
+  t0=$(date +%s%N)
+  kill -TERM "${PIDS[$i]}"
+  wait "${PIDS[$i]}" || { echo "process $i exited with status $? on SIGTERM"; exit 1; }
+  ms=$(( ($(date +%s%N) - t0) / 1000000 ))
+  echo "  process $i exited $ms ms after SIGTERM"
+  (( ms <= 50 )) || { echo "process $i took $ms ms to exit (bound 50 ms)"; exit 1; }
+done
+PIDS=()
 
 echo "== smoke OK: killed process rejoined and served traffic on both groups"
