@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cassert>
+#include <limits>
 #include <set>
 #include <stdexcept>
 #include <unordered_set>
@@ -23,12 +24,15 @@ bool contains(const std::vector<ReplicaId>& v, ReplicaId r) {
   return std::find(v.begin(), v.end(), r) != v.end();
 }
 
-// Timestamps with a COMMIT mark in `records` (catch-up serving/recovery
-// needs to tell genuinely committed prepares from stale ones).
-std::unordered_set<Timestamp, TimestampHash> commit_marks(const LogMirror& records) {
+// Timestamps in (lo, hi] with a COMMIT mark in `records` (catch-up
+// serving/recovery needs to tell genuinely committed prepares from stale
+// ones). Bounding the range keeps a reply's set to the span it asks about.
+std::unordered_set<Timestamp, TimestampHash> commit_marks(
+    const LogMirror& records, Timestamp lo = kZeroTimestamp,
+    Timestamp hi = {std::numeric_limits<Tick>::max(), kNoReplica}) {
   std::unordered_set<Timestamp, TimestampHash> marks;
   for (const LogRecord& r : records) {
-    if (r.type == LogType::kCommit) marks.insert(r.ts);
+    if (r.type == LogType::kCommit && r.ts > lo && r.ts <= hi) marks.insert(r.ts);
   }
   return marks;
 }
@@ -69,6 +73,7 @@ ClockRsmReplica::ClockRsmReplica(ProtocolEnv& env, std::vector<ReplicaId> spec,
     throw std::invalid_argument("reconfig requires the clock-time extension");
   }
   latest_tv_.assign(spec_.size(), 0);
+  runs_.resize(spec_.size());
   if (opt_.reconfig_enabled) {
     std::vector<ReplicaId> peers;
     for (ReplicaId r : spec_) {
@@ -136,10 +141,10 @@ Tick ClockRsmReplica::next_send_ticks() {
   return t;
 }
 
-void ClockRsmReplica::broadcast(const Message& m) {
+void ClockRsmReplica::broadcast(Message m) {
   // Fan-out goes through the environment's transport, which serializes the
   // message once for all destinations.
-  env_.multicast(config_, m);
+  env_.multicast(config_, std::move(m));
 }
 
 Tick ClockRsmReplica::min_latest_tv() const {
@@ -152,12 +157,119 @@ std::size_t ClockRsmReplica::slot(ReplicaId r) const {
                                   spec_.begin());
 }
 
+namespace {
+
+// Orders a run's entries by ticks (one origin per run).
+template <class Run>
+auto run_lower_bound(Run& run, Tick ticks) {
+  return std::lower_bound(run.begin(), run.end(), ticks,
+                          [](const auto& e, Tick t) { return e.ticks < t; });
+}
+
+// The first early ack at or above `ts`.
+template <class EarlyAcks>
+auto early_lower_bound(EarlyAcks& acks, Timestamp ts) {
+  return std::lower_bound(acks.begin(), acks.end(), ts,
+                          [](const auto& a, const Timestamp& t) { return a.ts < t; });
+}
+
+}  // namespace
+
 const ClockRsmReplica::AckSet& ClockRsmReplica::add_acker(Timestamp ts,
                                                           ReplicaId from) {
-  AckSet& ackers = rep_counter_[ts];
+  AckSet* ackers = nullptr;
+  if (PendingEntry* e = find_pending(ts)) {
+    ackers = &e->acks;
+  } else {
+    auto it = early_lower_bound(early_acks_, ts);
+    if (it == early_acks_.end() || it->ts != ts) {
+      it = early_acks_.insert(it, EarlyAck{ts, {}});
+    }
+    ackers = &it->acks;
+  }
   const std::size_t i = slot(from);
-  if (i < spec_.size()) ackers.set(i);
-  return ackers;
+  if (i < spec_.size()) ackers->set(i);
+  return *ackers;
+}
+
+ClockRsmReplica::PendingEntry* ClockRsmReplica::find_pending(Timestamp ts) {
+  const std::size_t s = slot(ts.origin);
+  if (s >= runs_.size()) return nullptr;
+  auto& run = runs_[s];
+  // Acks mostly name the newest PREPAREs: try the tail before searching.
+  if (run.empty() || run.back().ticks < ts.ticks) return nullptr;
+  if (run.back().ticks == ts.ticks) return &run.back();
+  const auto it = run_lower_bound(run, ts.ticks);
+  return it->ticks == ts.ticks ? &*it : nullptr;
+}
+
+bool ClockRsmReplica::stage(Timestamp ts, const Command& cmd) {
+  const std::size_t s = slot(ts.origin);
+  if (s >= runs_.size()) return false;
+  auto& run = runs_[s];
+  PendingEntry* e = nullptr;
+  if (run.empty() || run.back().ticks < ts.ticks) {
+    e = &run.emplace_back(PendingEntry{ts.ticks, {}, cmd});
+  } else {
+    // Catch-up staging: a sorted insert below the tail.
+    const auto it = run_lower_bound(run, ts.ticks);
+    if (it->ticks == ts.ticks) return false;  // duplicate PREPARE
+    e = &*run.insert(it, PendingEntry{ts.ticks, {}, cmd});
+  }
+  ++pending_size_;
+  if (!early_acks_.empty()) {
+    const auto it = early_lower_bound(early_acks_, ts);
+    if (it != early_acks_.end() && it->ts == ts) {
+      e->acks = it->acks;
+      early_acks_.erase(it);
+    }
+  }
+  return true;
+}
+
+bool ClockRsmReplica::erase_pending(Timestamp ts) {
+  const std::size_t s = slot(ts.origin);
+  if (s >= runs_.size()) return false;
+  auto& run = runs_[s];
+  const auto it = run_lower_bound(run, ts.ticks);
+  if (it == run.end() || it->ticks != ts.ticks) return false;
+  run.erase(it);
+  --pending_size_;
+  return true;
+}
+
+std::size_t ClockRsmReplica::least_run() const {
+  std::size_t best = runs_.size();
+  for (std::size_t s = 0; s < runs_.size(); ++s) {
+    if (runs_[s].empty()) continue;
+    if (best == runs_.size() ||
+        Timestamp{runs_[s].front().ticks, spec_[s]} <
+            Timestamp{runs_[best].front().ticks, spec_[best]}) {
+      best = s;
+    }
+  }
+  return best;
+}
+
+void ClockRsmReplica::drop_committed_pending() {
+  const Timestamp bound = last_commit_ts_;
+  for (std::size_t s = 0; s < runs_.size(); ++s) {
+    auto& run = runs_[s];
+    // Within a run the origin is fixed, so `<= bound` is a cut in ticks.
+    const Tick cut = spec_[s] <= bound.origin ? bound.ticks + 1 : bound.ticks;
+    const auto end = run_lower_bound(run, cut);
+    pending_size_ -= static_cast<std::size_t>(end - run.begin());
+    run.erase(run.begin(), end);
+  }
+  prune_early_acks();
+}
+
+void ClockRsmReplica::prune_early_acks() {
+  if (early_acks_.empty() || early_acks_.front().ts > last_commit_ts_) return;
+  const auto it = std::upper_bound(
+      early_acks_.begin(), early_acks_.end(), last_commit_ts_,
+      [](const Timestamp& t, const EarlyAck& a) { return t < a.ts; });
+  early_acks_.erase(early_acks_.begin(), it);
 }
 
 // --------------------------------------------------------------------------
@@ -209,7 +321,7 @@ void ClockRsmReplica::maybe_serve_reads() {
                  static_cast<unsigned long long>(pending_reads_.begin()->first),
                  frozen_ ? 1 : 0, catching_up_ ? 1 : 0, tvs.c_str(),
                  static_cast<unsigned long long>(
-                     pending_.empty() ? 0 : pending_.begin()->first.ticks));
+                     pending_size_ == 0 ? 0 : runs_[least_run()].front().ticks));
   }
   // Held, not served stale: a frozen replica's state may be about to be
   // rewritten by a reconfiguration decision, and a catching-up replica's
@@ -224,7 +336,7 @@ void ClockRsmReplica::maybe_serve_reads() {
     // (2) Every write already pending at or below the read timestamp has
     // executed here (maybe_commit drains in timestamp order, so checking
     // the head suffices).
-    if (!pending_.empty() && pending_.begin()->first.ticks <= rts) break;
+    if (pending_size_ > 0 && runs_[least_run()].front().ticks <= rts) break;
     Command cmd = std::move(it->second);
     pending_reads_.erase(it);
     ++stats_.reads_served;
@@ -250,9 +362,10 @@ void ClockRsmReplica::handle_request(Command cmd) {
   }
   m.cmd = std::move(cmd);
   ++stats_.prepares_sent;
-  broadcast(m);
+  const Timestamp ts = m.ts;
+  broadcast(std::move(m));
   if (tracer_ != nullptr && tracer_->active()) {
-    tracer_->stamp_ts(m.ts, obs::Stage::kBroadcast, obs::trace_now_us());
+    tracer_->stamp_ts(ts, obs::Stage::kBroadcast, obs::trace_now_us());
   }
 }
 
@@ -321,7 +434,7 @@ void ClockRsmReplica::on_message(const Message& m) {
             d.type = MsgType::kConsDecide;
             d.epoch = epoch_;
             d.blob = it->second->decision();
-            env_.send(m.from, d);
+            env_.send(m.from, std::move(d));
           }
         }
         return;
@@ -350,7 +463,7 @@ void ClockRsmReplica::handle_prepare(const Message& m) {
   // materialized here, once); the pending entry and the log record share
   // its payload.
   const Command cmd = m.cmd;
-  pending_.emplace(m.ts, Pending{cmd});
+  stage(m.ts, cmd);  // a duplicate PREPARE leaves the entry as it was
   Tick& tv = latest_tv_[slot(m.from)];
   tv = std::max(tv, m.ts.ticks);
   env_.log().append(LogRecord::prepare(m.ts, cmd));
@@ -383,7 +496,7 @@ void ClockRsmReplica::ack_prepare(Timestamp ts, Epoch epoch_at_receipt) {
   ok.epoch = epoch_;
   ok.ts = ts;
   ok.clock_ts = next_send_ticks();
-  broadcast(ok);
+  broadcast(std::move(ok));
 }
 
 void ClockRsmReplica::handle_prepare_ok(const Message& m) {
@@ -434,21 +547,20 @@ void ClockRsmReplica::maybe_commit() {
   // replication, (2) stable order and (3) prefix replication hold. Checking
   // only the head of PendingCmds and executing in timestamp order makes
   // condition (3) inductive.
-  while (!pending_.empty()) {
-    const auto it = pending_.begin();
-    const Timestamp ts = it->first;
+  while (pending_size_ > 0) {
+    const std::size_t s = least_run();
+    auto& run = runs_[s];
+    PendingEntry& head = run.front();
+    const Timestamp ts{head.ticks, spec_[s]};
     if (ts <= last_commit_ts_) {
       // Superseded while pending (e.g. committed through catch-up, or
       // covered by an installed checkpoint): executing it now would break
       // timestamp order. Drop it.
-      pending_.erase(it);
-      rep_counter_.erase(ts);
+      run.pop_front();
+      --pending_size_;
       continue;
     }
-    auto rc = rep_counter_.find(ts);
-    if (rc == rep_counter_.end() || rc->second.count() < majority(spec_.size())) {
-      break;
-    }
+    if (head.acks.count() < majority(spec_.size())) break;
     if (!stable(ts)) break;
     if (tracer_ != nullptr && ts.origin == env_.self() && tracer_->active()) {
       tracer_->stamp_ts(ts, obs::Stage::kStable, obs::trace_now_us());
@@ -457,15 +569,15 @@ void ClockRsmReplica::maybe_commit() {
     if (debug_reconfig()) {
       std::string who;
       for (std::size_t i = 0; i < spec_.size(); ++i) {
-        if (rc->second.test(i)) who += std::to_string(spec_[i]) + ",";
+        if (head.acks.test(i)) who += std::to_string(spec_[i]) + ",";
       }
       std::fprintf(stderr, "[r%u] normal-commit ts=%s ackers=%s clock=%llu\n",
                    env_.self(), ts.to_string().c_str(), who.c_str(),
                    static_cast<unsigned long long>(env_.clock_now()));
     }
-    Command cmd = std::move(it->second.cmd);
-    pending_.erase(it);
-    rep_counter_.erase(rc);
+    Command cmd = std::move(head.cmd);
+    run.pop_front();
+    --pending_size_;
 
     env_.log().append(LogRecord::commit(ts));
     // Durability point for the client reply: the commit mark must survive a
@@ -477,6 +589,7 @@ void ClockRsmReplica::maybe_commit() {
     ++stats_.committed;
     env_.deliver(cmd, ts, ts.origin == env_.self());
   }
+  prune_early_acks();
   // Stability just advanced (or the blocking pending head committed):
   // queued reads may now be servable. Every stability-advancing message
   // (PREPARE, PREPAREOK, CLOCKTIME) funnels through here.
@@ -498,7 +611,7 @@ void ClockRsmReplica::arm_clocktime_timer() {
         m.epoch = epoch_;
         m.clock_ts = next_send_ticks();
         ++stats_.clocktimes_sent;
-        broadcast(m);
+        broadcast(std::move(m));
       }
     }
     arm_clocktime_timer();
@@ -548,7 +661,7 @@ void ClockRsmReplica::reconfigure(std::vector<ReplicaId> new_config) {
   m.type = MsgType::kSuspend;
   m.epoch = proposed_epoch_;
   m.ts = proposed_cts_;
-  env_.multicast(spec_, m);
+  env_.multicast(spec_, std::move(m));
 }
 
 void ClockRsmReplica::handle_suspend(const Message& m) {
@@ -562,7 +675,7 @@ void ClockRsmReplica::handle_suspend(const Message& m) {
       d.type = MsgType::kConsDecide;
       d.epoch = m.epoch;
       d.blob = it->second->decision();
-      env_.send(m.from, d);
+      env_.send(m.from, std::move(d));
     }
     return;
   }
@@ -577,7 +690,7 @@ void ClockRsmReplica::handle_suspend(const Message& m) {
       r.records.push_back(rec);
     }
   }
-  env_.send(m.from, r);
+  env_.send(m.from, std::move(r));
   contributed_epochs_.insert(m.epoch);
 }
 
@@ -619,7 +732,7 @@ void ClockRsmReplica::handle_retrieve_cmds(const Message& m) {
   r.type = MsgType::kRetrieveReply;
   r.epoch = m.epoch;
   r.ts = last_commit_ts_;
-  const auto marks = commit_marks(env_.log().records());
+  const auto marks = commit_marks(env_.log().records(), from, to);
   std::unordered_set<Timestamp, TimestampHash> seen;
   for (const LogRecord& rec : env_.log().records()) {
     if (rec.type != LogType::kPrepare || rec.ts <= from || rec.ts > to) continue;
@@ -628,7 +741,7 @@ void ClockRsmReplica::handle_retrieve_cmds(const Message& m) {
       r.records.push_back(rec);
     }
   }
-  env_.send(m.from, r);
+  env_.send(m.from, std::move(r));
 }
 
 void ClockRsmReplica::handle_retrieve_reply(const Message& m) {
@@ -699,13 +812,12 @@ void ClockRsmReplica::begin_catchup() {
   // reach majority again and commit — essential when *several* replicas
   // restart together and all soft state (replication counters) was lost.
   // Re-acking is idempotent: the counter tracks distinct ackers.
-  const auto marks = commit_marks(env_.log().records());
+  const auto marks = commit_marks(env_.log().records(), last_commit_ts_);
   for (const LogRecord& rec : env_.log().records()) {
     if (rec.type != LogType::kPrepare || rec.ts <= last_commit_ts_ ||
-        marks.contains(rec.ts) || pending_.contains(rec.ts)) {
+        marks.contains(rec.ts) || !stage(rec.ts, rec.cmd)) {
       continue;
     }
-    pending_.emplace(rec.ts, Pending{rec.cmd});
     catchup_restaged_.insert(rec.ts);
     ack_prepare(rec.ts, epoch_);
   }
@@ -722,7 +834,7 @@ void ClockRsmReplica::send_catchup_request() {
   for (ReplicaId r : config_) {
     if (r != env_.self()) peers.push_back(r);
   }
-  env_.multicast(peers, m);
+  env_.multicast(peers, std::move(m));
   ++stats_.catchup_rounds;
 }
 
@@ -756,24 +868,42 @@ void ClockRsmReplica::handle_catchup_req(const Message& m) {
     return;  // answered this very request less than an interval ago
   }
   prev->second = CatchupAnswer{m.epoch, m.ts, now};
+  //
+  // The reply can carry every command stalled behind a dead replica, so it
+  // is built at its final size: commit marks only over the span that needs
+  // them, (m.ts, last_commit_ts_], records counted, then deduplicated in
+  // place (they travel in timestamp order), and the message moved into its
+  // frame.
   Message r;
   r.type = MsgType::kCatchupReply;
   r.epoch = epoch_;
   r.ts = last_commit_ts_;
-  const auto marks = commit_marks(env_.log().records());
-  std::unordered_set<Timestamp, TimestampHash> seen;
-  for (const LogRecord& rec : env_.log().records()) {
-    if (rec.type != LogType::kPrepare || rec.ts <= m.ts) continue;
-    if (rec.ts <= last_commit_ts_ && !marks.contains(rec.ts)) continue;
-    if (seen.insert(rec.ts).second) r.records.push_back(rec);
+  const LogMirror& log = env_.log().records();
+  const auto marks = commit_marks(log, m.ts, last_commit_ts_);
+  const auto wanted = [&](const LogRecord& rec) {
+    return rec.type == LogType::kPrepare && rec.ts > m.ts &&
+           (rec.ts > last_commit_ts_ || marks.contains(rec.ts));
+  };
+  std::size_t n = 0;
+  for (const LogRecord& rec : log) n += wanted(rec) ? 1 : 0;
+  r.records.reserve(n);
+  for (const LogRecord& rec : log) {
+    if (wanted(rec)) r.records.push_back(rec);
   }
+  const auto by_ts = [](const LogRecord& a, const LogRecord& b) { return a.ts < b.ts; };
+  std::sort(r.records.begin(), r.records.end(), by_ts);
+  r.records.erase(std::unique(r.records.begin(), r.records.end(),
+                              [](const LogRecord& a, const LogRecord& b) {
+                                return a.ts == b.ts;
+                              }),
+                  r.records.end());
   if (env_.recovery_floor() > m.ts) {
     // Our log was truncated past the requested range; the checkpoint stands
     // in for the missing committed prefix.
     r.blob = env_.encoded_checkpoint();
     r.a = r.blob.empty() ? 0 : 1;
   }
-  env_.send(m.from, r);
+  env_.send(m.from, std::move(r));
 }
 
 void ClockRsmReplica::handle_catchup_reply(const Message& m) {
@@ -812,11 +942,7 @@ void ClockRsmReplica::handle_catchup_reply(const Message& m) {
     if (cp_last_applied > last_commit_ts_) {
       env_.install_checkpoint(m.blob.view());
       last_commit_ts_ = cp_last_applied;
-      pending_.erase(pending_.begin(),
-                     pending_.upper_bound(last_commit_ts_));
-      std::erase_if(rep_counter_, [this](const auto& entry) {
-        return entry.first <= last_commit_ts_;
-      });
+      drop_committed_pending();
     }
   }
 
@@ -850,10 +976,10 @@ void ClockRsmReplica::handle_catchup_reply(const Message& m) {
     last_commit_ts_ = ts;
     ++stats_.committed;
     ++stats_.catchup_commits;
-    pending_.erase(ts);
-    rep_counter_.erase(ts);
+    erase_pending(ts);
     env_.deliver(cmd, ts, ts.origin == env_.self());
   }
+  prune_early_acks();
   // Open entries are staged like a normal PREPARE and acked: when several
   // replicas recover together the pre-crash replication counters are gone,
   // so these re-acks are what lets an in-flight command reach majority
@@ -871,13 +997,13 @@ void ClockRsmReplica::handle_catchup_reply(const Message& m) {
   for (const auto& [ts, cmd] : open) {
     if (ts <= last_commit_ts_) continue;
     add_acker(ts, m.from);
-    if (pending_.contains(ts)) continue;
+    if (find_pending(ts) != nullptr) continue;
     if (!in_log.contains(ts)) {
       env_.log().append(LogRecord::prepare(ts, cmd));
       in_log.insert(ts);
       appended = true;
     }
-    pending_.emplace(ts, Pending{cmd});
+    stage(ts, cmd);  // adopts the responder's ack from early_acks_
     env_.log().sync();
     appended = false;  // the sync request covers everything appended so far
     ack_prepare(ts, epoch_);
@@ -916,10 +1042,7 @@ void ClockRsmReplica::maybe_finish_catchup() {
   std::set<Timestamp> dropped;
   if (catchup_all_replied_) {
     for (const Timestamp& ts : catchup_restaged_) {
-      if (ts <= last_commit_ts_ || !pending_.contains(ts)) continue;
-      pending_.erase(ts);
-      rep_counter_.erase(ts);
-      dropped.insert(ts);
+      if (ts > last_commit_ts_ && erase_pending(ts)) dropped.insert(ts);
     }
   }
   catchup_restaged_.clear();
@@ -1035,7 +1158,7 @@ void ClockRsmReplica::finish_decision(Epoch e, const ReconfigDecision& dec,
                  env_.self(), static_cast<unsigned long long>(e),
                  dec.cts.to_string().c_str(), dec.cmds.size(), extra.size(),
                  last_commit_ts_.to_string().c_str(), dec.config.size(),
-                 pending_.size(), static_cast<unsigned long long>(env_.clock_now()));
+                 pending_size_, static_cast<unsigned long long>(env_.clock_now()));
   }
 
   // `extra` holds state-transferred commands in (last_commit_ts, dec.cts];
@@ -1077,8 +1200,9 @@ void ClockRsmReplica::finish_decision(Epoch e, const ReconfigDecision& dec,
   const Tick base = std::max(last_commit_ts_.ticks, dec.cts.ticks);
   for (ReplicaId r : config_) latest_tv_[slot(r)] = base;
   last_sent_ = std::max(last_sent_, base);
-  pending_.clear();
-  rep_counter_.clear();
+  for (auto& run : runs_) run.clear();
+  pending_size_ = 0;
+  early_acks_.clear();
   frozen_ = false;
   reconfig_in_progress_ = false;
   suspend_oks_.clear();
@@ -1206,7 +1330,7 @@ void ClockRsmReplica::fill_metrics(const obs::MetricSink& sink) const {
   sink("crsm_proto_catchup_commits_total", stats_.catchup_commits);
   sink("crsm_proto_reads_submitted_total", stats_.reads_submitted);
   sink("crsm_proto_reads_served_total", stats_.reads_served);
-  sink("crsm_proto_pending", pending_.size());
+  sink("crsm_proto_pending", pending_size_);
   sink("crsm_proto_pending_reads", pending_reads_.size());
   sink("crsm_proto_epoch", epoch_);
 }

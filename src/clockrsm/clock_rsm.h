@@ -105,7 +105,9 @@ class ClockRsmReplica final : public ReplicaProtocol {
   [[nodiscard]] const std::vector<ReplicaId>& config() const { return config_; }
   [[nodiscard]] const std::vector<ReplicaId>& spec() const { return spec_; }
   [[nodiscard]] Timestamp last_commit_ts() const { return last_commit_ts_; }
-  [[nodiscard]] std::size_t pending_count() const { return pending_.size(); }
+  [[nodiscard]] std::size_t pending_count() const { return pending_size_; }
+  // PREPAREOKs held for a PREPARE that has not arrived (yet).
+  [[nodiscard]] std::size_t early_ack_count() const { return early_acks_.size(); }
   [[nodiscard]] std::size_t pending_read_count() const {
     return pending_reads_.size();
   }
@@ -127,11 +129,20 @@ class ClockRsmReplica final : public ReplicaProtocol {
   [[nodiscard]] const Stats& stats() const { return stats_; }
 
  private:
-  struct Pending {
-    Command cmd;
-  };
   // Distinct ackers of one timestamp: bit i stands for spec_[i].
   using AckSet = std::bitset<kMaxReplicas>;
+  // A pending command, held inline in its origin's run (the origin is the
+  // run's slot, so only the ticks are stored).
+  struct PendingEntry {
+    Tick ticks = 0;
+    AckSet acks;
+    Command cmd;
+  };
+  // Acks for a timestamp whose PREPARE has not arrived (yet).
+  struct EarlyAck {
+    Timestamp ts;
+    AckSet acks;
+  };
 
   // --- Algorithm 1 ---
   void handle_request(Command cmd);
@@ -173,7 +184,7 @@ class ClockRsmReplica final : public ReplicaProtocol {
   void maybe_set_catchup_barrier(bool fallback);
   void maybe_finish_catchup();
 
-  void broadcast(const Message& m);
+  void broadcast(Message m);
   [[nodiscard]] Tick next_send_ticks();
   [[nodiscard]] Tick min_latest_tv() const;
   // Position of `r` in spec_ (spec_.size() when absent). Every configuration
@@ -182,6 +193,23 @@ class ClockRsmReplica final : public ReplicaProtocol {
   [[nodiscard]] std::size_t slot(ReplicaId r) const;
   // Records `from` as an acker of `ts`; returns the ackers so far.
   const AckSet& add_acker(Timestamp ts, ReplicaId from);
+
+  // --- pending runs ---
+  // The entry for `ts`, or nullptr.
+  [[nodiscard]] PendingEntry* find_pending(Timestamp ts);
+  // Stages `cmd` at `ts` in its origin's run, adopting any early acks;
+  // false (and no effect) when `ts` is already pending or its origin is
+  // outside the specification.
+  bool stage(Timestamp ts, const Command& cmd);
+  // Drops the entry for `ts`; false when there is none.
+  bool erase_pending(Timestamp ts);
+  // The slot whose run holds the smallest pending timestamp (runs_.size()
+  // when nothing is pending).
+  [[nodiscard]] std::size_t least_run() const;
+  // Drops every pending entry and early ack at or below last_commit_ts_.
+  void drop_committed_pending();
+  // Drops early acks that commits have passed.
+  void prune_early_acks();
 
   ProtocolEnv& env_;
   ClockRsmOptions opt_;
@@ -195,13 +223,22 @@ class ClockRsmReplica final : public ReplicaProtocol {
   std::vector<ReplicaId> config_;
   Epoch epoch_ = 0;
 
-  // Soft state (Table I). The replication counter tracks *distinct* ackers
-  // so duplicate PREPAREOKs (crash-restart re-acks, catch-up staging) are
-  // idempotent: majority means a majority of replicas, never a count that a
-  // repeated sender could inflate. Only pending_ is walked in timestamp
-  // order; the counter is looked up by timestamp, so it is hashed.
-  std::map<Timestamp, Pending> pending_;
-  std::unordered_map<Timestamp, AckSet, TimestampHash> rep_counter_;
+  // Soft state (Table I): PendingCmds and the replication counter, as one
+  // run per specification slot. Each origin sends its PREPAREs in
+  // timestamp order over a FIFO channel, so its run grows at the back and
+  // commits from the front; the commit scan takes the least head over the
+  // runs. Only catch-up staging inserts below a run's tail (a sorted
+  // insert). A deque frees its blocks as the head commits.
+  //
+  // The counter tracks *distinct* ackers so duplicate PREPAREOKs
+  // (crash-restart re-acks, catch-up staging) are idempotent: majority
+  // means a majority of replicas, never a count that a repeated sender
+  // could inflate. A PREPAREOK that beats its PREPARE (a third replica's
+  // ack can take a faster path) waits in early_acks_, sorted by
+  // timestamp: staging merges it, and commits prune what they pass.
+  std::vector<std::deque<PendingEntry>> runs_;
+  std::size_t pending_size_ = 0;
+  std::vector<EarlyAck> early_acks_;
   // Reads waiting for their timestamp to become stable, keyed by read
   // timestamp (ticks from next_send_ticks(), so strictly increasing;
   // multimap because the key is a bare tick, defensive against reuse).

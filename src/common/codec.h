@@ -6,6 +6,7 @@
 // scales with payload size the same way a protobuf encoding would.
 #pragma once
 
+#include <algorithm>
 #include <bit>
 #include <cstdint>
 #include <cstring>
@@ -30,6 +31,20 @@ class CodecError : public std::runtime_error {
  public:
   explicit CodecError(const std::string& what) : std::runtime_error(what) {}
 };
+
+// Bytes var() writes for `v`.
+[[nodiscard]] constexpr std::size_t varint_size(std::uint64_t v) {
+  std::size_t n = 1;
+  for (; v >= 0x80; v >>= 7) ++n;
+  return n;
+}
+
+// Grows `out` so `n` more bytes fit without another reallocation, keeping
+// geometric growth when many encodings append to one buffer.
+inline void reserve_more(std::string* out, std::size_t n) {
+  const std::size_t need = out->size() + n;
+  if (need > out->capacity()) out->reserve(std::max(need, 2 * out->capacity()));
+}
 
 // Appends primitive values to a byte buffer.
 class Encoder {

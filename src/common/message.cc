@@ -44,6 +44,11 @@ LogRecord decode_log_record_impl(Decoder& d, bool view_mode) {
   return r;
 }
 
+std::size_t command_size(const Command& c) {
+  return varint_size(c.client) + varint_size(c.seq) +
+         varint_size(c.payload.size()) + c.payload.size();
+}
+
 }  // namespace
 
 void encode_command(const Command& c, std::string* out) {
@@ -66,6 +71,18 @@ void encode_log_record(const LogRecord& r, std::string* out) {
 
 LogRecord decode_log_record(Decoder& d) {
   return decode_log_record_impl(d, /*view_mode=*/false);
+}
+
+std::size_t log_record_size(const LogRecord& r) {
+  // type byte + timestamp (u64 ticks, u32 origin) + the PREPARE's command.
+  return 1 + 12 + (r.type == LogType::kPrepare ? command_size(r.cmd) : 0);
+}
+
+void encode_framed_log_record(const LogRecord& r, std::string* out) {
+  const std::size_t body = log_record_size(r);
+  reserve_more(out, varint_size(body) + body);
+  Encoder(out).var(body);
+  encode_log_record(r, out);
 }
 
 namespace {
@@ -178,30 +195,47 @@ Message decode_stream_impl(std::string_view buf, std::size_t* pos,
 }  // namespace
 
 void Message::encode(std::string* out) const {
-  std::string body;
-  Encoder e(&body);
+  const Shape s = shape_of(type);
+  // Size the body, so the frame is written once, header first, into a
+  // buffer that never grows midway (a catch-up reply can be megabytes).
+  std::size_t body = 1 + 4 + varint_size(epoch);
+  if (s.ts) body += 12;
+  if (s.clock_ts) body += 8;
+  if (s.slot) body += varint_size(slot);
+  if (s.a) body += varint_size(a);
+  if (s.b) body += varint_size(b);
+  if (s.cmd) body += command_size(cmd);
+  if (s.cmds) {
+    body += varint_size(cmds.size());
+    for (const Command& c : cmds) body += command_size(c);
+  }
+  if (s.records) {
+    body += varint_size(records.size());
+    for (const LogRecord& r : records) body += log_record_size(r);
+  }
+  if (s.blob) body += varint_size(blob.size()) + blob.size();
+
+  reserve_more(out, varint_size(body) + body);
+  Encoder e(out);
+  e.var(body);
   e.u8(static_cast<std::uint8_t>(type));
   e.u32(from);
   e.var(epoch);
-  const Shape s = shape_of(type);
   if (s.ts) e.timestamp(ts);
   if (s.clock_ts) e.u64(clock_ts);
   if (s.slot) e.var(slot);
   if (s.a) e.var(a);
   if (s.b) e.var(b);
-  if (s.cmd) encode_command(cmd, &body);
+  if (s.cmd) encode_command(cmd, out);
   if (s.cmds) {
     e.var(cmds.size());
-    for (const Command& c : cmds) encode_command(c, &body);
+    for (const Command& c : cmds) encode_command(c, out);
   }
   if (s.records) {
     e.var(records.size());
-    for (const LogRecord& r : records) encode_log_record(r, &body);
+    for (const LogRecord& r : records) encode_log_record(r, out);
   }
   if (s.blob) e.bytes(blob);
-
-  Encoder frame(out);
-  frame.bytes(body);
 }
 
 std::string Message::encode() const {

@@ -95,9 +95,10 @@ struct Message {
   Bytes blob;                      // consensus value (encoded ReconfigDecision)
 
   // Serialization. `encode` appends to `out`, framed with a length prefix so
-  // streams of messages can be concatenated; `decode_stream` consumes one
-  // framed message and advances `pos`. The returned message owns all its
-  // payload bytes.
+  // streams of messages can be concatenated; the body is sized first, so
+  // header and body are written once, straight into `out`. `decode_stream`
+  // consumes one framed message and advances `pos`. The returned message
+  // owns all its payload bytes.
   void encode(std::string* out) const;
   [[nodiscard]] std::string encode() const;
   [[nodiscard]] static Message decode(std::string_view framed);
@@ -115,5 +116,9 @@ void encode_command(const Command& c, std::string* out);
 [[nodiscard]] Command decode_command(class Decoder& d);
 void encode_log_record(const LogRecord& r, std::string* out);
 [[nodiscard]] LogRecord decode_log_record(class Decoder& d);
+// Bytes encode_log_record() appends for `r`.
+[[nodiscard]] std::size_t log_record_size(const LogRecord& r);
+// Appends `r` framed with its varint length, as one WAL entry.
+void encode_framed_log_record(const LogRecord& r, std::string* out);
 
 }  // namespace crsm

@@ -61,12 +61,12 @@ inline constexpr std::uint64_t kMaxFrameBody = 1ull << 30;
 class WireFrame {
  public:
   // The message is moved into shared storage up front: SimTransport's
-  // delivery events (and TcpTransport's self-deliveries) retain it past the
-  // send call without a second deep copy. The encoding is cached inline;
-  // socket transports copy it into each outbound link's send queue.
+  // delivery events retain it past the send call without a second deep
+  // copy. The encoding is cached inline; socket transports copy it into
+  // each outbound link's send queue, and TcpTransport into its
+  // self-delivery queue.
   explicit WireFrame(Message m)
       : msg_(std::make_shared<const Message>(std::move(m))) {}
-  explicit WireFrame(std::shared_ptr<const Message> m) : msg_(std::move(m)) {}
 
   [[nodiscard]] const Message& msg() const { return *msg_; }
   [[nodiscard]] const std::shared_ptr<const Message>& shared_msg() const {
@@ -100,12 +100,11 @@ class FrameWriter {
  public:
   explicit FrameWriter(ReplicaId self) : self_(self) {}
 
-  [[nodiscard]] WireFrame frame(const Message& m) const {
-    // Copied straight into the frame's shared storage; payloads are shared,
-    // not duplicated (Bytes copies co-own).
-    auto copy = std::make_shared<Message>(m);
-    copy->from = self_;
-    return WireFrame(std::shared_ptr<const Message>(std::move(copy)));
+  [[nodiscard]] WireFrame frame(Message m) const {
+    // Moved into the frame's shared storage: a sender that hands its
+    // message over pays no copy at all.
+    m.from = self_;
+    return WireFrame(std::move(m));
   }
 
  private:

@@ -38,13 +38,16 @@ class ProtocolEnv {
 
   [[nodiscard]] virtual ReplicaId self() const = 0;
 
-  virtual void send(ReplicaId to, const Message& m) = 0;
+  // Takes the message by value: a sender that moves it in (a catch-up reply
+  // can carry thousands of records) has it moved on into the outgoing
+  // frame, never copied.
+  virtual void send(ReplicaId to, Message m) = 0;
 
   // Fan-out send: `m` goes to every replica in `tos` (FIFO per link, same
   // guarantees as send). Environments backed by a transport serialize the
   // message at most once regardless of fan-out; this default keeps scripted
   // test environments and the send() contract unchanged.
-  virtual void multicast(const std::vector<ReplicaId>& tos, const Message& m) {
+  virtual void multicast(const std::vector<ReplicaId>& tos, Message m) {
     for (ReplicaId to : tos) send(to, m);
   }
 

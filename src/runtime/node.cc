@@ -270,21 +270,21 @@ void NodeRuntime::flush_durability() {
   held_this_pass_ = 0;
 }
 
-void NodeRuntime::send(ReplicaId to, const Message& m) {
+void NodeRuntime::send(ReplicaId to, Message m) {
   fence_if_owed();
-  transport_.send(cfg_.id, to, FrameWriter(cfg_.id).frame(m));
+  transport_.send(cfg_.id, to, FrameWriter(cfg_.id).frame(std::move(m)));
 }
 
-void NodeRuntime::multicast(const std::vector<ReplicaId>& tos, const Message& m) {
+void NodeRuntime::multicast(const std::vector<ReplicaId>& tos, Message m) {
   fence_if_owed();
-  transport_.multicast(cfg_.id, tos, FrameWriter(cfg_.id).frame(m));
+  transport_.multicast(cfg_.id, tos, FrameWriter(cfg_.id).frame(std::move(m)));
 }
 
-void NodeRuntime::reply_to_client(std::uint64_t conn, const Message& reply) {
+void NodeRuntime::reply_to_client(std::uint64_t conn, Message reply) {
   // A reply shares its connection with replies held for the fsync: the
   // fence keeps it behind them (FIFO), even when it owes no durability.
   fence_if_owed();
-  transport_.send_to_client(conn, FrameWriter(cfg_.id).frame(reply));
+  transport_.send_to_client(conn, FrameWriter(cfg_.id).frame(std::move(reply)));
 }
 
 void NodeRuntime::schedule_after(Tick delay_us, std::function<void()> fn) {
@@ -344,7 +344,7 @@ void NodeRuntime::apply_and_reply(const Command& cmd, Timestamp ts,
     reply.cmd.client = cmd.client;
     reply.cmd.seq = cmd.seq;
     reply.blob = output;
-    reply_to_client(it->second, reply);
+    reply_to_client(it->second, std::move(reply));
   }
   if (traced) tracer_->finish(cmd.client, cmd.seq, net::EventLoop::mono_us());
 }
@@ -368,7 +368,7 @@ void NodeRuntime::finish_read(const Command& cmd, const std::string& output) {
   reply.cmd.client = cmd.client;
   reply.cmd.seq = cmd.seq;
   reply.blob = output;
-  reply_to_client(it->second, reply);
+  reply_to_client(it->second, std::move(reply));
 }
 
 // --- inbound ---------------------------------------------------------------
@@ -394,7 +394,7 @@ bool NodeRuntime::reject_wrong_group(std::uint64_t conn, const Command& cmd) {
   redirect.cmd.client = cmd.client;
   redirect.cmd.seq = cmd.seq;
   redirect.a = owner;
-  reply_to_client(conn, redirect);
+  reply_to_client(conn, std::move(redirect));
   return true;
 }
 

@@ -215,8 +215,8 @@ class NodeRuntime final : private ProtocolEnv {
   [[nodiscard]] std::string encoded_checkpoint() const override {
     return storage_.encoded_checkpoint();
   }
-  void send(ReplicaId to, const Message& m) override;
-  void multicast(const std::vector<ReplicaId>& tos, const Message& m) override;
+  void send(ReplicaId to, Message m) override;
+  void multicast(const std::vector<ReplicaId>& tos, Message m) override;
   [[nodiscard]] Tick clock_now() override { return clock_.now_us(); }
   void schedule_after(Tick delay_us, std::function<void()> fn) override;
   void deliver(const Command& cmd, Timestamp ts, bool local_origin) override;
@@ -239,7 +239,7 @@ class NodeRuntime final : private ProtocolEnv {
   void fence_if_owed();
   void flush_durability();
   // Replies to a networked client (dropped if it has gone away).
-  void reply_to_client(std::uint64_t conn, const Message& reply);
+  void reply_to_client(std::uint64_t conn, Message reply);
 
   // Protocol batching: buffers a client write for the pass's batch (or
   // submits it straight through when batching is off); the batch is cut at

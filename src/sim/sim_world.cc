@@ -89,14 +89,14 @@ struct SimWorld::ReplicaCtx final : public ProtocolEnv {
   // --- ProtocolEnv ---
   [[nodiscard]] ReplicaId self() const override { return id; }
 
-  void send(ReplicaId to, const Message& m) override {
-    world->network_->send(id, to, FrameWriter(id).frame(m));
+  void send(ReplicaId to, Message m) override {
+    world->network_->send(id, to, FrameWriter(id).frame(std::move(m)));
   }
 
-  // One frame per fan-out: the Message is copied and (when byte counting is
+  // One frame per fan-out: the Message is moved in and (when byte counting is
   // on) serialized once, then shared by every destination link.
-  void multicast(const std::vector<ReplicaId>& tos, const Message& m) override {
-    world->network_->multicast(id, tos, FrameWriter(id).frame(m));
+  void multicast(const std::vector<ReplicaId>& tos, Message m) override {
+    world->network_->multicast(id, tos, FrameWriter(id).frame(std::move(m)));
   }
 
   [[nodiscard]] Tick clock_now() override { return clk->now_us(); }

@@ -6,6 +6,7 @@
 #include <cerrno>
 #include <cstring>
 #include <stdexcept>
+#include <string_view>
 #include <system_error>
 
 #include "common/codec.h"
@@ -19,14 +20,21 @@ namespace {
   throw std::system_error(errno, std::generic_category(), what);
 }
 
-std::string encode_framed(const LogRecord& r) {
-  std::string body;
-  encode_log_record(r, &body);
-  std::string framed;
-  Encoder e(&framed);
-  e.bytes(body);
-  return framed;
+// Writes all of `bytes` to `fd`; false (errno set) on a write error.
+bool write_all(int fd, std::string_view bytes) {
+  while (!bytes.empty()) {
+    const ssize_t n = ::write(fd, bytes.data(), bytes.size());
+    if (n < 0) {
+      if (errno == EINTR) continue;
+      return false;
+    }
+    bytes.remove_prefix(static_cast<std::size_t>(n));
+  }
+  return true;
 }
+
+// A rewrite streams the surviving log through a buffer of this size.
+constexpr std::size_t kRewriteBufferBytes = 64 * 1024;
 
 }  // namespace
 
@@ -116,16 +124,9 @@ FileLog::~FileLog() {
 
 void FileLog::append(const LogRecord& r) {
   records_.append(r);
-  const std::string framed = encode_framed(r);
-  std::size_t off = 0;
-  while (off < framed.size()) {
-    ssize_t n = ::write(fd_, framed.data() + off, framed.size() - off);
-    if (n < 0) {
-      if (errno == EINTR) continue;
-      throw_errno("FileLog append " + path_);
-    }
-    off += static_cast<std::size_t>(n);
-  }
+  std::string framed;
+  encode_framed_log_record(r, &framed);
+  if (!write_all(fd_, framed)) throw_errno("FileLog append " + path_);
 }
 
 void FileLog::sync() {
@@ -149,20 +150,27 @@ void FileLog::rewrite_all() {
   // where a crash wipes the whole fsynced log. Write a temp file, make it
   // durable, rename it over the log, then adopt its fd — a crash leaves
   // either the old bytes or the new, never neither.
+  //
+  // The records stream through a fixed buffer: a checkpoint can fire while
+  // thousands of PREPAREs are still stalled, and the rewrite must not hold
+  // a second copy of all of them.
   const std::string tmp = path_ + ".rewrite";
   int tfd = ::open(tmp.c_str(), O_RDWR | O_CREAT | O_TRUNC | O_APPEND, 0644);
   if (tfd < 0) throw_errno("FileLog rewrite open " + tmp);
-  std::string all;
-  for (const LogRecord& r : records_) all += encode_framed(r);
-  std::size_t off = 0;
-  while (off < all.size()) {
-    ssize_t n = ::write(tfd, all.data() + off, all.size() - off);
-    if (n < 0) {
-      if (errno == EINTR) continue;
-      ::close(tfd);
-      throw_errno("FileLog rewrite " + tmp);
+  std::string buf;
+  buf.reserve(kRewriteBufferBytes);
+  bool ok = true;
+  for (const LogRecord& r : records_) {
+    encode_framed_log_record(r, &buf);
+    if (buf.size() >= kRewriteBufferBytes) {
+      ok = write_all(tfd, buf);
+      if (!ok) break;
+      buf.clear();
     }
-    off += static_cast<std::size_t>(n);
+  }
+  if (!ok || !write_all(tfd, buf)) {
+    ::close(tfd);
+    throw_errno("FileLog rewrite " + tmp);
   }
   if (::fdatasync(tfd) != 0) {
     ::close(tfd);

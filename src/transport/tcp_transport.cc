@@ -339,29 +339,51 @@ void TcpTransport::multicast(ReplicaId from, const std::vector<ReplicaId>& tos,
   for (ReplicaId to : tos) send(from, to, f);
 }
 
-void TcpTransport::deliver_local(std::shared_ptr<const Message> msg) {
-  if (fenced_) {
-    fenced_local_.push_back(std::move(msg));
-    return;
-  }
+void TcpTransport::deliver_local(std::string_view frame) {
+  // The bytes are the ones every peer link copies, so a self-delivery held
+  // behind the fence costs its frame, not the shared Message.
+  local_.append(frame);
+  if (!fenced_) release_local();
+}
+
+void TcpTransport::release_local() {
+  local_ready_ = local_.size();
+  if (local_ready_ == 0 || local_posted_) return;
+  local_posted_ = true;
   // Local delivery skips the wire but keeps the async contract: the
   // handler runs on a later loop pass, never synchronously inside send.
-  loop_.post([this, msg = std::move(msg)] {
+  loop_.post([this] { drain_local(); });
+}
+
+void TcpTransport::drain_local() {
+  local_posted_ = false;
+  // Take the released frames out first: the handler sends, and what it
+  // delivers to us must land in a fresh buffer, not under the views the
+  // decoded message borrows.
+  std::string batch;
+  if (local_ready_ == local_.size()) {
+    batch.swap(local_);
+  } else {
+    batch.assign(local_, 0, local_ready_);
+    local_.erase(0, local_ready_);
+  }
+  local_ready_ = 0;
+  std::size_t pos = 0;
+  while (pos < batch.size()) {
+    const Message m = Message::decode_stream_view(batch, &pos);
     messages_delivered_.fetch_add(1, std::memory_order_relaxed);
-    if (handler_) handler_(*msg);
-  });
+    if (handler_) handler_(m);
+  }
 }
 
 void TcpTransport::lift_fence() {
   fenced_ = false;
-  std::vector<std::shared_ptr<const Message>> held;
-  held.swap(fenced_local_);
-  for (auto& m : held) deliver_local(std::move(m));  // in production order
+  release_local();  // in production order, behind any released earlier
 }
 
 void TcpTransport::send_on_loop(ReplicaId to, const WireFrame& f) {
   if (to == self_) {
-    deliver_local(f.shared_msg());
+    deliver_local(f.bytes());
     return;
   }
   if (shut_down_) return;

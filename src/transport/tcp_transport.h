@@ -27,7 +27,8 @@
 //  * Flush fence (group commit): while the host has raised the fence,
 //    nothing queued reaches the wire or a local handler — not the budget
 //    guard, not a reconnect backlog adopted mid-pass, not a kBlock stall,
-//    not a self-delivery. The host lifts it right after its pass-end
+//    not a self-delivery. A self-delivery waits as its frame's bytes, fence
+//    or no fence, and is decoded when delivered. The host lifts it right after its pass-end
 //    fsync, and the wire flush that follows sends every held frame, in
 //    production order per destination. A frame produced while the WAL owes
 //    a durability point therefore never precedes that point.
@@ -200,8 +201,13 @@ class TcpTransport final {
   void flush_pass();
 
   void send_on_loop(ReplicaId to, const WireFrame& f);
-  // Posts `msg` to our own handler (held while the fence is up).
-  void deliver_local(std::shared_ptr<const Message> msg);
+  // Queues a frame's wire bytes for our own handler (held while the fence
+  // is up).
+  void deliver_local(std::string_view frame);
+  // Releases every queued self-delivery and posts one drain for them.
+  void release_local();
+  // Decodes and hands the released self-deliveries to the handler.
+  void drain_local();
   // Starts the peer's Connector: the link when to > self, a wake otherwise.
   void dial(ReplicaId to);
   // Redials `to` after the link's throttled redial delay.
@@ -251,8 +257,12 @@ class TcpTransport final {
   std::vector<net::FrameConn*> dirty_;
   net::WireMetrics wire_metrics_;
   bool fenced_ = false;
-  // Self-deliveries produced while the fence was up, in order.
-  std::vector<std::shared_ptr<const Message>> fenced_local_;
+  // Self-deliveries as the frames' wire bytes (the copy the peers get),
+  // back to back in production order. The first local_ready_ bytes are
+  // released to the next drain; the rest were queued behind the fence.
+  std::string local_;
+  std::size_t local_ready_ = 0;
+  bool local_posted_ = false;
 
   Handler handler_;
   ClientHandler client_handler_;

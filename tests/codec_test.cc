@@ -227,5 +227,152 @@ TEST(Majority, Sizes) {
   EXPECT_EQ(majority(7), 4u);
 }
 
+// --- single-buffer encoding ------------------------------------------------
+
+// The fields each type puts on the wire (docs/WIRE_FORMAT.md), restated so
+// the reference encoder below stands on its own.
+struct RefShape {
+  bool ts, clock_ts, slot, a, b, cmd, cmds, records, blob;
+};
+
+RefShape ref_shape(MsgType t) {
+  switch (t) {
+    case MsgType::kPrepare: return {1, 0, 0, 0, 0, 1, 0, 0, 0};
+    case MsgType::kPrepareOk: return {1, 1, 0, 0, 0, 0, 0, 0, 0};
+    case MsgType::kClockTime: return {0, 1, 0, 0, 0, 0, 0, 0, 0};
+    case MsgType::kCmdBatch: return {0, 0, 0, 0, 0, 0, 1, 0, 0};
+    case MsgType::kForward: return {0, 0, 0, 1, 0, 1, 0, 0, 0};
+    case MsgType::kPhase2a: return {0, 0, 1, 1, 0, 1, 0, 0, 0};
+    case MsgType::kPhase2b: return {0, 0, 1, 0, 0, 0, 0, 0, 0};
+    case MsgType::kCommitNotify: return {0, 0, 1, 0, 0, 0, 0, 0, 0};
+    case MsgType::kMenPropose: return {0, 0, 1, 0, 0, 1, 0, 0, 0};
+    case MsgType::kMenAck: return {0, 0, 1, 1, 0, 0, 0, 0, 0};
+    case MsgType::kSuspend: return {1, 0, 0, 0, 0, 0, 0, 0, 0};
+    case MsgType::kSuspendOk: return {0, 0, 0, 0, 0, 0, 0, 1, 0};
+    case MsgType::kRetrieveCmds: return {1, 1, 0, 1, 0, 0, 0, 0, 0};
+    case MsgType::kRetrieveReply: return {1, 0, 0, 1, 0, 0, 0, 1, 0};
+    case MsgType::kCatchupReq: return {1, 0, 0, 0, 0, 0, 0, 0, 0};
+    case MsgType::kCatchupReply: return {1, 0, 0, 1, 0, 0, 0, 1, 1};
+    case MsgType::kConsPrepare: return {0, 0, 0, 1, 0, 0, 0, 0, 0};
+    case MsgType::kConsPromise: return {0, 0, 0, 1, 1, 0, 0, 0, 1};
+    case MsgType::kConsAccept: return {0, 0, 0, 1, 0, 0, 0, 0, 1};
+    case MsgType::kConsAccepted: return {0, 0, 0, 1, 0, 0, 0, 0, 0};
+    case MsgType::kConsDecide: return {0, 0, 0, 0, 0, 0, 0, 0, 1};
+    case MsgType::kClientRequest: return {0, 0, 0, 0, 0, 1, 0, 0, 0};
+    case MsgType::kClientReply: return {0, 0, 0, 0, 0, 1, 0, 0, 1};
+    case MsgType::kClientRead: return {0, 0, 0, 0, 0, 1, 0, 0, 0};
+    case MsgType::kClientReadReply: return {0, 0, 0, 0, 0, 1, 0, 0, 1};
+    case MsgType::kClientRedirect: return {0, 0, 0, 1, 0, 1, 0, 0, 0};
+  }
+  ADD_FAILURE() << "no reference shape for " << msg_type_name(t);
+  return {};
+}
+
+// The two-buffer encoding: the body built in a string of its own, then
+// copied behind its length.
+std::string two_buffer_encode(const Message& m) {
+  const RefShape s = ref_shape(m.type);
+  std::string body;
+  Encoder e(&body);
+  e.u8(static_cast<std::uint8_t>(m.type));
+  e.u32(m.from);
+  e.var(m.epoch);
+  if (s.ts) e.timestamp(m.ts);
+  if (s.clock_ts) e.u64(m.clock_ts);
+  if (s.slot) e.var(m.slot);
+  if (s.a) e.var(m.a);
+  if (s.b) e.var(m.b);
+  if (s.cmd) encode_command(m.cmd, &body);
+  if (s.cmds) {
+    e.var(m.cmds.size());
+    for (const Command& c : m.cmds) encode_command(c, &body);
+  }
+  if (s.records) {
+    e.var(m.records.size());
+    for (const LogRecord& r : m.records) encode_log_record(r, &body);
+  }
+  if (s.blob) e.bytes(m.blob);
+  std::string framed;
+  Encoder(&framed).bytes(body);
+  return framed;
+}
+
+Message full_message(MsgType t) {
+  Message m;
+  m.type = t;
+  m.from = 4;
+  m.epoch = 300;  // a two-byte varint
+  m.ts = Timestamp{1'000'000'007, 2};
+  m.clock_ts = 1'000'000'123;
+  m.slot = 70'000;
+  m.a = 129;
+  m.b = 5;
+  m.cmd = make_cmd();
+  m.cmds = {make_cmd(), make_cmd()};
+  m.records = {LogRecord::prepare(Timestamp{3, 0}, make_cmd()),
+               LogRecord::commit(Timestamp{3, 0})};
+  m.blob = "blobby";
+  return m;
+}
+
+// The payload that sizes a message of type `t`, or nullptr for a
+// fixed-size type.
+Bytes* sizing_payload(Message& m) {
+  const RefShape s = ref_shape(m.type);
+  if (s.blob) return &m.blob;
+  if (s.cmd) return &m.cmd.payload;
+  if (s.cmds) return &m.cmds[0].payload;
+  if (s.records) return &m.records[0].cmd.payload;
+  return nullptr;
+}
+
+TEST(Message, SingleBufferEncodingMatchesTwoBufferBytesForEveryType) {
+  // Bodies of 127/128 and 16383/16384 bytes are where the length header
+  // grows from one to two and from two to three bytes.
+  const std::size_t targets[] = {127, 128, 16383, 16384};
+  for (MsgType t : kAllMsgTypes) {
+    Message base = full_message(t);
+    EXPECT_EQ(base.encode(), two_buffer_encode(base)) << msg_type_name(t);
+    if (sizing_payload(base) == nullptr) continue;
+    for (std::size_t target : targets) {
+      Message m = full_message(t);
+      bool sized = false;
+      for (std::size_t len = 0; len <= target && !sized; ++len) {
+        *sizing_payload(m) = std::string(len, 'z');
+        const std::string ref = two_buffer_encode(m);
+        sized = ref.size() - varint_size(target) == target &&
+                Decoder(ref).var() == target;
+      }
+      ASSERT_TRUE(sized) << msg_type_name(t) << " body " << target;
+      const std::string ref = two_buffer_encode(m);
+      EXPECT_EQ(m.encode(), ref) << msg_type_name(t) << " body " << target;
+      // Appending behind bytes already in the buffer writes the same frame.
+      std::string buf = "prefix";
+      m.encode(&buf);
+      EXPECT_EQ(buf, "prefix" + ref) << msg_type_name(t) << " body " << target;
+    }
+  }
+}
+
+TEST(Message, FramedLogRecordMatchesTwoBufferBytes) {
+  // A PREPARE record's body is 16 bytes plus the payload and its length:
+  // these payloads make bodies of 127, 128, 16383 and 16384 bytes.
+  for (std::size_t len : {0u, 110u, 111u, 16365u, 16366u}) {
+    Command c = make_cmd();
+    c.payload = std::string(len, 'w');
+    for (const LogRecord& r : {LogRecord::prepare(Timestamp{9, 1}, c),
+                               LogRecord::commit(Timestamp{9, 1})}) {
+      std::string body;
+      encode_log_record(r, &body);
+      std::string ref;
+      Encoder(&ref).bytes(body);
+      EXPECT_EQ(log_record_size(r), body.size());
+      std::string framed;
+      encode_framed_log_record(r, &framed);
+      EXPECT_EQ(framed, ref) << "payload " << len;
+    }
+  }
+}
+
 }  // namespace
 }  // namespace crsm

@@ -37,10 +37,9 @@ class MockEnv final : public ProtocolEnv {
 
   // --- ProtocolEnv ---
   [[nodiscard]] ReplicaId self() const override { return self_; }
-  void send(ReplicaId to, const Message& m) override {
-    Message copy = m;
-    copy.from = self_;
-    sent.push_back({to, std::move(copy)});
+  void send(ReplicaId to, Message m) override {
+    m.from = self_;
+    sent.push_back({to, std::move(m)});
   }
   [[nodiscard]] Tick clock_now() override { return ++clock_; }
   void schedule_after(Tick delay_us, std::function<void()> fn) override {

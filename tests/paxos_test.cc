@@ -137,7 +137,7 @@ TEST(Paxos, RejectsBadLeader) {
   struct NullEnv final : ProtocolEnv {
     MemLog l;
     [[nodiscard]] ReplicaId self() const override { return 0; }
-    void send(ReplicaId, const Message&) override {}
+    void send(ReplicaId, Message) override {}
     [[nodiscard]] Tick clock_now() override { return 0; }
     void schedule_after(Tick, std::function<void()>) override {}
     [[nodiscard]] CommandLog& log() override { return l; }

@@ -158,6 +158,38 @@ TEST_F(FileLogTest, RemoveUncommittedRewrites) {
   ASSERT_EQ(reopened.size(), 2u);
 }
 
+TEST_F(FileLogTest, LargeRewriteStreamsAndReplaysIdentically) {
+  // More than three of the rewrite's 64 KiB buffers of surviving records
+  // (committed prefix plus an open tail, as when a checkpoint fires while
+  // commands are stalled), rewritten three times.
+  const std::string tmp = path_.string() + ".rewrite";
+  std::vector<LogRecord> expected;
+  {
+    FileLog log(path_.string());
+    Command big = cmd(0);
+    for (std::uint64_t i = 1; i <= 3000; ++i) {
+      big.seq = i;
+      big.payload = std::string(40 + i % 97, static_cast<char>('a' + i % 26));
+      log.append(LogRecord::prepare(Timestamp{i, 1}, big));
+      if (i <= 2000) log.append(LogRecord::commit(Timestamp{i, 1}));
+    }
+    log.append(LogRecord::prepare(Timestamp{5000, 2}, cmd(5000)));  // dropped
+    log.sync();
+    log.remove_uncommitted_above(Timestamp{2000, 1}, [](const Timestamp& ts) {
+      return ts.origin == 1;
+    });
+    log.truncate_prefix(Timestamp{100, 1});
+    log.truncate_prefix(Timestamp{200, 1});
+    expected = log.records().to_vector();
+    EXPECT_FALSE(std::filesystem::exists(tmp));
+  }
+  ASSERT_GT(std::filesystem::file_size(path_), 192u * 1024);
+  ASSERT_EQ(expected.size(), 1800u * 2 + 1000u);
+  FileLog reopened(path_.string());
+  EXPECT_EQ(reopened.records().to_vector(), expected);
+  EXPECT_FALSE(std::filesystem::exists(tmp));
+}
+
 TEST(Replay, CommittedInTimestampOrder) {
   LogMirror recs;
   // PREPAREs arrive out of timestamp order; COMMIT marks are in order.
