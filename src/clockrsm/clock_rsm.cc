@@ -4,6 +4,7 @@
 #include <cassert>
 #include <limits>
 #include <set>
+#include <span>
 #include <stdexcept>
 #include <unordered_set>
 #include <utility>
@@ -24,17 +25,35 @@ bool contains(const std::vector<ReplicaId>& v, ReplicaId r) {
   return std::find(v.begin(), v.end(), r) != v.end();
 }
 
-// Timestamps in (lo, hi] with a COMMIT mark in `records` (catch-up
+// Timestamps in (lo, hi] with a COMMIT mark in the log (catch-up
 // serving/recovery needs to tell genuinely committed prepares from stale
 // ones). Bounding the range keeps a reply's set to the span it asks about.
-std::unordered_set<Timestamp, TimestampHash> commit_marks(
-    const LogMirror& records, Timestamp lo = kZeroTimestamp,
-    Timestamp hi = {std::numeric_limits<Tick>::max(), kNoReplica}) {
-  std::unordered_set<Timestamp, TimestampHash> marks;
-  for (const LogRecord& r : records) {
-    if (r.type == LogType::kCommit && r.ts > lo && r.ts <= hi) marks.insert(r.ts);
+// COMMIT marks are logged in timestamp order (replay_log checks it), so a
+// sorted vector holds them at 16 bytes each, not a hash node apiece.
+class CommitMarks {
+ public:
+  CommitMarks(const LogMirror& records, Timestamp lo, Timestamp hi) {
+    for (auto it = records.begin(); it != records.end(); ++it) {
+      if (it.type() != LogType::kCommit) continue;
+      const Timestamp ts = it.ts();
+      if (ts > lo && ts <= hi) marks_.push_back(ts);
+    }
+    if (!std::is_sorted(marks_.begin(), marks_.end())) {
+      std::sort(marks_.begin(), marks_.end());
+    }
   }
-  return marks;
+  [[nodiscard]] bool contains(const Timestamp& ts) const {
+    return std::binary_search(marks_.begin(), marks_.end(), ts);
+  }
+
+ private:
+  std::vector<Timestamp> marks_;
+};
+
+CommitMarks commit_marks(const LogMirror& records, Timestamp lo = kZeroTimestamp,
+                         Timestamp hi = {std::numeric_limits<Tick>::max(),
+                                         kNoReplica}) {
+  return CommitMarks(records, lo, hi);
 }
 
 // Env-gated stderr trace of reconfiguration decisions (CRSM_DEBUG_RECONFIG):
@@ -120,6 +139,8 @@ void ClockRsmReplica::replay_from_log() {
   // replica rejoins via reconfiguration (which re-derives them from a
   // majority), so they are intentionally not re-entered into PendingCmds.
   const Timestamp floor = env_.recovery_floor();
+  // The replayed records view the log, and delivering them can truncate it.
+  const LogMirror::Hold hold(env_.log().records());
   ReplayResult rr = replay_log(env_.log().records());
   for (const LogRecord& r : rr.committed) {
     if (r.ts > floor) env_.deliver(r.cmd, r.ts, /*local_origin=*/false);
@@ -192,7 +213,7 @@ const ClockRsmReplica::AckSet& ClockRsmReplica::add_acker(Timestamp ts,
   return *ackers;
 }
 
-ClockRsmReplica::PendingEntry* ClockRsmReplica::find_pending(Timestamp ts) {
+const ClockRsmReplica::PendingEntry* ClockRsmReplica::find_pending(Timestamp ts) const {
   const std::size_t s = slot(ts.origin);
   if (s >= runs_.size()) return nullptr;
   auto& run = runs_[s];
@@ -203,18 +224,18 @@ ClockRsmReplica::PendingEntry* ClockRsmReplica::find_pending(Timestamp ts) {
   return it->ticks == ts.ticks ? &*it : nullptr;
 }
 
-bool ClockRsmReplica::stage(Timestamp ts, const Command& cmd) {
+bool ClockRsmReplica::stage(Timestamp ts, LogPosition pos) {
   const std::size_t s = slot(ts.origin);
   if (s >= runs_.size()) return false;
   auto& run = runs_[s];
   PendingEntry* e = nullptr;
   if (run.empty() || run.back().ticks < ts.ticks) {
-    e = &run.emplace_back(PendingEntry{ts.ticks, {}, cmd});
+    e = &run.emplace_back(PendingEntry{ts.ticks, {}, pos});
   } else {
     // Catch-up staging: a sorted insert below the tail.
     const auto it = run_lower_bound(run, ts.ticks);
     if (it->ticks == ts.ticks) return false;  // duplicate PREPARE
-    e = &*run.insert(it, PendingEntry{ts.ticks, {}, cmd});
+    e = &*run.insert(it, PendingEntry{ts.ticks, {}, pos});
   }
   ++pending_size_;
   if (!early_acks_.empty()) {
@@ -459,14 +480,12 @@ void ClockRsmReplica::handle_prepare(const Message& m) {
   if (!contains(config_, m.from)) return;
   if (m.ts <= last_commit_ts_) return;  // defensive: already superseded
 
-  // Lines 4-7. One retained copy of the command (a view payload is
-  // materialized here, once); the pending entry and the log record share
-  // its payload.
-  const Command cmd = m.cmd;
-  stage(m.ts, cmd);  // a duplicate PREPARE leaves the entry as it was
+  // Lines 4-7. The log keeps the one copy of the command, straight from
+  // the receive buffer; the pending entry names it by position.
+  const LogPosition pos = env_.log().append(LogRecord::prepare_view(m.ts, m.cmd));
+  stage(m.ts, pos);  // a duplicate PREPARE leaves the entry as it was
   Tick& tv = latest_tv_[slot(m.from)];
   tv = std::max(tv, m.ts.ticks);
-  env_.log().append(LogRecord::prepare(m.ts, cmd));
   env_.log().sync();
   if (tracer_ != nullptr && m.ts.origin == env_.self() && tracer_->active()) {
     // Own PREPARE looped back: the origin's WAL record is (group-commit
@@ -547,6 +566,11 @@ void ClockRsmReplica::maybe_commit() {
   // replication, (2) stable order and (3) prefix replication hold. Checking
   // only the head of PendingCmds and executing in timestamp order makes
   // condition (3) inductive.
+  //
+  // Each command is delivered as a view of its log record; the hold keeps
+  // the record's chunk alive when the delivery takes a checkpoint that
+  // truncates it.
+  const LogMirror::Hold hold(env_.log().records());
   while (pending_size_ > 0) {
     const std::size_t s = least_run();
     auto& run = runs_[s];
@@ -575,7 +599,7 @@ void ClockRsmReplica::maybe_commit() {
                    env_.self(), ts.to_string().c_str(), who.c_str(),
                    static_cast<unsigned long long>(env_.clock_now()));
     }
-    Command cmd = std::move(head.cmd);
+    const LogRecord rec = env_.log().records().at(head.pos);
     run.pop_front();
     --pending_size_;
 
@@ -587,7 +611,7 @@ void ClockRsmReplica::maybe_commit() {
     env_.log().sync();
     last_commit_ts_ = ts;
     ++stats_.committed;
-    env_.deliver(cmd, ts, ts.origin == env_.self());
+    env_.deliver(rec.cmd, ts, ts.origin == env_.self());
   }
   prune_early_acks();
   // Stability just advanced (or the blocking pending head committed):
@@ -812,14 +836,16 @@ void ClockRsmReplica::begin_catchup() {
   // reach majority again and commit — essential when *several* replicas
   // restart together and all soft state (replication counters) was lost.
   // Re-acking is idempotent: the counter tracks distinct ackers.
-  const auto marks = commit_marks(env_.log().records(), last_commit_ts_);
-  for (const LogRecord& rec : env_.log().records()) {
-    if (rec.type != LogType::kPrepare || rec.ts <= last_commit_ts_ ||
-        marks.contains(rec.ts) || !stage(rec.ts, rec.cmd)) {
+  const LogMirror& log = env_.log().records();
+  const auto marks = commit_marks(log, last_commit_ts_);
+  for (auto it = log.begin(); it != log.end(); ++it) {
+    const Timestamp ts = it.ts();
+    if (it.type() != LogType::kPrepare || ts <= last_commit_ts_ ||
+        marks.contains(ts) || !stage(ts, it.position())) {
       continue;
     }
-    catchup_restaged_.insert(rec.ts);
-    ack_prepare(rec.ts, epoch_);
+    catchup_restaged_.insert(ts);
+    ack_prepare(ts, epoch_);
   }
   send_catchup_request();
   arm_catchup_timer();
@@ -870,40 +896,53 @@ void ClockRsmReplica::handle_catchup_req(const Message& m) {
   prev->second = CatchupAnswer{m.epoch, m.ts, now};
   //
   // The reply can carry every command stalled behind a dead replica, so it
-  // is built at its final size: commit marks only over the span that needs
-  // them, (m.ts, last_commit_ts_], records counted, then deduplicated in
-  // place (they travel in timestamp order), and the message moved into its
-  // frame.
-  Message r;
-  r.type = MsgType::kCatchupReply;
-  r.epoch = epoch_;
-  r.ts = last_commit_ts_;
+  // is encoded straight from the log: commit marks only over the span that
+  // needs them, (m.ts, last_commit_ts_], then the wanted records' positions
+  // in timestamp order (a duplicate PREPARE travels once, as first logged),
+  // and each record's WAL bytes copied into the one frame. No record is
+  // decoded, and the frame is moved to the transport.
   const LogMirror& log = env_.log().records();
   const auto marks = commit_marks(log, m.ts, last_commit_ts_);
-  const auto wanted = [&](const LogRecord& rec) {
-    return rec.type == LogType::kPrepare && rec.ts > m.ts &&
-           (rec.ts > last_commit_ts_ || marks.contains(rec.ts));
+  const auto wanted = [&](const LogMirror::const_iterator& it) {
+    const Timestamp ts = it.ts();
+    return it.type() == LogType::kPrepare && ts > m.ts &&
+           (ts > last_commit_ts_ || marks.contains(ts));
   };
   std::size_t n = 0;
-  for (const LogRecord& rec : log) n += wanted(rec) ? 1 : 0;
-  r.records.reserve(n);
-  for (const LogRecord& rec : log) {
-    if (wanted(rec)) r.records.push_back(rec);
+  for (auto it = log.begin(); it != log.end(); ++it) n += wanted(it) ? 1 : 0;
+  std::vector<LogPosition> positions;
+  positions.reserve(n);
+  for (auto it = log.begin(); it != log.end(); ++it) {
+    if (wanted(it)) positions.push_back(it.position());
   }
-  const auto by_ts = [](const LogRecord& a, const LogRecord& b) { return a.ts < b.ts; };
-  std::sort(r.records.begin(), r.records.end(), by_ts);
-  r.records.erase(std::unique(r.records.begin(), r.records.end(),
-                              [](const LogRecord& a, const LogRecord& b) {
-                                return a.ts == b.ts;
+  const auto by_ts = [&](LogPosition a, LogPosition b) {
+    return log.ts_at(a) < log.ts_at(b);
+  };
+  std::stable_sort(positions.begin(), positions.end(), by_ts);
+  positions.erase(std::unique(positions.begin(), positions.end(),
+                              [&](LogPosition a, LogPosition b) {
+                                return log.ts_at(a) == log.ts_at(b);
                               }),
-                  r.records.end());
+                  positions.end());
+  std::size_t record_bytes = 0;
+  for (const LogPosition pos : positions) record_bytes += log.record_bytes(pos).size();
+
+  Message r;
+  r.type = MsgType::kCatchupReply;
+  r.from = env_.self();
+  r.epoch = epoch_;
+  r.ts = last_commit_ts_;
   if (env_.recovery_floor() > m.ts) {
     // Our log was truncated past the requested range; the checkpoint stands
     // in for the missing committed prefix.
     r.blob = env_.encoded_checkpoint();
     r.a = r.blob.empty() ? 0 : 1;
   }
-  env_.send(m.from, std::move(r));
+  std::string frame;
+  r.encode_with_records(&frame, positions.size(), record_bytes, [&](std::string* out) {
+    for (const LogPosition pos : positions) out->append(log.record_bytes(pos));
+  });
+  env_.send_encoded(m.from, std::move(frame));
 }
 
 void ClockRsmReplica::handle_catchup_reply(const Message& m) {
@@ -946,25 +985,42 @@ void ClockRsmReplica::handle_catchup_reply(const Message& m) {
     }
   }
 
-  std::unordered_set<Timestamp, TimestampHash> in_log;
-  for (const LogRecord& rec : env_.log().records()) {
-    if (rec.type == LogType::kPrepare) in_log.insert(rec.ts);
+  // A reply travels sorted by timestamp and unique (handle_catchup_req) and
+  // is walked in place. Any other order is sorted into a copy first, the
+  // first record of a timestamp winning.
+  std::span<const LogRecord> records = m.records;
+  std::vector<LogRecord> reordered;
+  const auto not_before = [](const LogRecord& a, const LogRecord& b) {
+    return !(a.ts < b.ts);
+  };
+  if (std::adjacent_find(records.begin(), records.end(), not_before) != records.end()) {
+    reordered = m.records;
+    const auto by_ts = [](const LogRecord& a, const LogRecord& b) { return a.ts < b.ts; };
+    std::stable_sort(reordered.begin(), reordered.end(), by_ts);
+    reordered.erase(std::unique(reordered.begin(), reordered.end(),
+                                [](const LogRecord& a, const LogRecord& b) {
+                                  return a.ts == b.ts;
+                                }),
+                    reordered.end());
+    records = reordered;
   }
   // Split the fetched prepares at the responder's commit bound: everything
   // at or below it is committed in timestamp order (the peer's log holds no
   // uncommitted entry under its last commit), the rest is still open.
-  std::map<Timestamp, Command> committed;
-  std::map<Timestamp, Command> open;
-  for (const LogRecord& rec : m.records) {
-    if (rec.type != LogType::kPrepare) continue;
-    (rec.ts <= m.ts ? committed : open).emplace(rec.ts, rec.cmd);
-  }
+  //
+  // A PREPARE above last_commit_ts_ is already logged exactly when it is
+  // pending: while catching up, the runs hold every logged PREPARE above
+  // last_commit_ts_.
+  const auto open_begin =
+      std::partition_point(records.begin(), records.end(),
+                           [&](const LogRecord& rec) { return rec.ts <= m.ts; });
   bool appended = false;
-  for (const auto& [ts, cmd] : committed) {
-    if (ts <= last_commit_ts_) continue;
-    if (!in_log.contains(ts)) {
-      env_.log().append(LogRecord::prepare(ts, cmd));
-      in_log.insert(ts);
+  for (auto it = records.begin(); it != open_begin; ++it) {
+    const LogRecord& rec = *it;
+    const Timestamp ts = rec.ts;
+    if (rec.type != LogType::kPrepare || ts <= last_commit_ts_) continue;
+    if (find_pending(ts) == nullptr) {
+      env_.log().append(LogRecord::prepare_view(ts, rec.cmd));
     }
     appended = true;
     if (debug_reconfig()) {
@@ -977,7 +1033,7 @@ void ClockRsmReplica::handle_catchup_reply(const Message& m) {
     ++stats_.committed;
     ++stats_.catchup_commits;
     erase_pending(ts);
-    env_.deliver(cmd, ts, ts.origin == env_.self());
+    env_.deliver(rec.cmd, ts, ts.origin == env_.self());
   }
   prune_early_acks();
   // Open entries are staged like a normal PREPARE and acked: when several
@@ -994,16 +1050,14 @@ void ClockRsmReplica::handle_catchup_reply(const Message& m) {
   // live peers already hold a majority would wait here for re-acks that are
   // never coming, head-blocking maybe_commit at this replica forever while
   // the rest of the cluster commits it and moves on.
-  for (const auto& [ts, cmd] : open) {
-    if (ts <= last_commit_ts_) continue;
+  for (auto it = open_begin; it != records.end(); ++it) {
+    const LogRecord& rec = *it;
+    const Timestamp ts = rec.ts;
+    if (rec.type != LogType::kPrepare || ts <= last_commit_ts_) continue;
     add_acker(ts, m.from);
     if (find_pending(ts) != nullptr) continue;
-    if (!in_log.contains(ts)) {
-      env_.log().append(LogRecord::prepare(ts, cmd));
-      in_log.insert(ts);
-      appended = true;
-    }
-    stage(ts, cmd);  // adopts the responder's ack from early_acks_
+    // Adopts the responder's ack from early_acks_.
+    stage(ts, env_.log().append(LogRecord::prepare_view(ts, rec.cmd)));
     env_.log().sync();
     appended = false;  // the sync request covers everything appended so far
     ack_prepare(ts, epoch_);

@@ -16,6 +16,7 @@
 #include <set>
 #include <string>
 #include <unordered_map>
+#include <utility>
 #include <vector>
 
 #include "clockrsm/reconfig.h"
@@ -106,6 +107,8 @@ class ClockRsmReplica final : public ReplicaProtocol {
   [[nodiscard]] const std::vector<ReplicaId>& spec() const { return spec_; }
   [[nodiscard]] Timestamp last_commit_ts() const { return last_commit_ts_; }
   [[nodiscard]] std::size_t pending_count() const { return pending_size_; }
+  // True when `ts` waits in PendingCmds.
+  [[nodiscard]] bool is_pending(Timestamp ts) const { return find_pending(ts) != nullptr; }
   // PREPAREOKs held for a PREPARE that has not arrived (yet).
   [[nodiscard]] std::size_t early_ack_count() const { return early_acks_.size(); }
   [[nodiscard]] std::size_t pending_read_count() const {
@@ -132,12 +135,15 @@ class ClockRsmReplica final : public ReplicaProtocol {
   // Distinct ackers of one timestamp: bit i stands for spec_[i].
   using AckSet = std::bitset<kMaxReplicas>;
   // A pending command, held inline in its origin's run (the origin is the
-  // run's slot, so only the ticks are stored).
+  // run's slot, so only the ticks are stored). The command itself stays in
+  // the log, named by its position (Algorithm 1: PendingCmds holds
+  // timestamps, the Log holds commands).
   struct PendingEntry {
     Tick ticks = 0;
     AckSet acks;
-    Command cmd;
+    LogPosition pos = 0;
   };
+  static_assert(sizeof(PendingEntry) == 24);
   // Acks for a timestamp whose PREPARE has not arrived (yet).
   struct EarlyAck {
     Timestamp ts;
@@ -196,11 +202,14 @@ class ClockRsmReplica final : public ReplicaProtocol {
 
   // --- pending runs ---
   // The entry for `ts`, or nullptr.
-  [[nodiscard]] PendingEntry* find_pending(Timestamp ts);
-  // Stages `cmd` at `ts` in its origin's run, adopting any early acks;
-  // false (and no effect) when `ts` is already pending or its origin is
-  // outside the specification.
-  bool stage(Timestamp ts, const Command& cmd);
+  [[nodiscard]] const PendingEntry* find_pending(Timestamp ts) const;
+  [[nodiscard]] PendingEntry* find_pending(Timestamp ts) {
+    return const_cast<PendingEntry*>(std::as_const(*this).find_pending(ts));
+  }
+  // Stages the PREPARE logged at `pos` for `ts` in its origin's run,
+  // adopting any early acks; false (and no effect) when `ts` is already
+  // pending or its origin is outside the specification.
+  bool stage(Timestamp ts, LogPosition pos);
   // Drops the entry for `ts`; false when there is none.
   bool erase_pending(Timestamp ts);
   // The slot whose run holds the smallest pending timestamp (runs_.size()
@@ -229,6 +238,11 @@ class ClockRsmReplica final : public ReplicaProtocol {
   // commits from the front; the commit scan takes the least head over the
   // runs. Only catch-up staging inserts below a run's tail (a sorted
   // insert). A deque frees its blocks as the head commits.
+  //
+  // Every PREPARE is logged before it is staged, and the log holds its
+  // only copy. While catching up, the runs hold every logged PREPARE above
+  // last_commit_ts_ (begin_catchup re-stages the replayed ones), which is
+  // how a catch-up reply tells what is already logged.
   //
   // The counter tracks *distinct* ackers so duplicate PREPAREOKs
   // (crash-restart re-acks, catch-up staging) are idempotent: majority

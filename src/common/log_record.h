@@ -28,6 +28,13 @@ struct LogRecord {
   [[nodiscard]] static LogRecord prepare(Timestamp ts, Command cmd) {
     return LogRecord{LogType::kPrepare, ts, std::move(cmd)};
   }
+  // A PREPARE whose payload views `cmd`'s bytes, valid while `cmd` is: for
+  // appending a command to a log, which copies the bytes, without a
+  // second owned copy on the way.
+  [[nodiscard]] static LogRecord prepare_view(Timestamp ts, const Command& cmd) {
+    return LogRecord{LogType::kPrepare, ts,
+                     Command{cmd.client, cmd.seq, Bytes::view(cmd.payload.view())}};
+  }
   [[nodiscard]] static LogRecord commit(Timestamp ts) {
     return LogRecord{LogType::kCommit, ts, Command{}};
   }

@@ -73,6 +73,10 @@ LogRecord decode_log_record(Decoder& d) {
   return decode_log_record_impl(d, /*view_mode=*/false);
 }
 
+LogRecord decode_log_record_view(Decoder& d) {
+  return decode_log_record_impl(d, /*view_mode=*/true);
+}
+
 std::size_t log_record_size(const LogRecord& r) {
   // type byte + timestamp (u64 ticks, u32 origin) + the PREPARE's command.
   return 1 + 12 + (r.type == LogType::kPrepare ? command_size(r.cmd) : 0);
@@ -195,6 +199,16 @@ Message decode_stream_impl(std::string_view buf, std::size_t* pos,
 }  // namespace
 
 void Message::encode(std::string* out) const {
+  std::size_t record_bytes = 0;
+  for (const LogRecord& r : records) record_bytes += log_record_size(r);
+  encode_with_records(out, records.size(), record_bytes, [this](std::string* o) {
+    for (const LogRecord& r : records) encode_log_record(r, o);
+  });
+}
+
+void Message::encode_with_records(
+    std::string* out, std::size_t record_count, std::size_t record_bytes,
+    const std::function<void(std::string*)>& write_records) const {
   const Shape s = shape_of(type);
   // Size the body, so the frame is written once, header first, into a
   // buffer that never grows midway (a catch-up reply can be megabytes).
@@ -209,10 +223,7 @@ void Message::encode(std::string* out) const {
     body += varint_size(cmds.size());
     for (const Command& c : cmds) body += command_size(c);
   }
-  if (s.records) {
-    body += varint_size(records.size());
-    for (const LogRecord& r : records) body += log_record_size(r);
-  }
+  if (s.records) body += varint_size(record_count) + record_bytes;
   if (s.blob) body += varint_size(blob.size()) + blob.size();
 
   reserve_more(out, varint_size(body) + body);
@@ -232,8 +243,8 @@ void Message::encode(std::string* out) const {
     for (const Command& c : cmds) encode_command(c, out);
   }
   if (s.records) {
-    e.var(records.size());
-    for (const LogRecord& r : records) encode_log_record(r, out);
+    e.var(record_count);
+    write_records(out);
   }
   if (s.blob) e.bytes(blob);
 }

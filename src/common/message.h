@@ -7,6 +7,7 @@
 #pragma once
 
 #include <cstdint>
+#include <functional>
 #include <string>
 #include <vector>
 
@@ -101,6 +102,14 @@ struct Message {
   // owns all its payload bytes.
   void encode(std::string* out) const;
   [[nodiscard]] std::string encode() const;
+  // encode(), with the records section written by `write_records` in place
+  // of `records`: `record_count` records whose encode_log_record bytes,
+  // `record_bytes` of them, it appends to the buffer it is given. A sender
+  // can then copy records straight from a log's WAL bytes, which hold the
+  // same encoding, without decoding them into `records` first.
+  void encode_with_records(std::string* out, std::size_t record_count,
+                           std::size_t record_bytes,
+                           const std::function<void(std::string*)>& write_records) const;
   [[nodiscard]] static Message decode(std::string_view framed);
   [[nodiscard]] static Message decode_stream(std::string_view buf, std::size_t* pos);
 
@@ -116,6 +125,8 @@ void encode_command(const Command& c, std::string* out);
 [[nodiscard]] Command decode_command(class Decoder& d);
 void encode_log_record(const LogRecord& r, std::string* out);
 [[nodiscard]] LogRecord decode_log_record(class Decoder& d);
+// Zero-copy variant: the payload views the decoder's input.
+[[nodiscard]] LogRecord decode_log_record_view(class Decoder& d);
 // Bytes encode_log_record() appends for `r`.
 [[nodiscard]] std::size_t log_record_size(const LogRecord& r);
 // Appends `r` framed with its varint length, as one WAL entry.

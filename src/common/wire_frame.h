@@ -67,6 +67,10 @@ class WireFrame {
   // self-delivery queue.
   explicit WireFrame(Message m)
       : msg_(std::make_shared<const Message>(std::move(m))) {}
+  // A frame built from its encoding, for byte-stream transports only: it
+  // has no decoded struct (msg() must not be called). The first bytes()
+  // call counts as its encode, as for a frame built from a Message.
+  explicit WireFrame(std::string encoded) : bytes_(std::move(encoded)) {}
 
   [[nodiscard]] const Message& msg() const { return *msg_; }
   [[nodiscard]] const std::shared_ptr<const Message>& shared_msg() const {
@@ -81,10 +85,18 @@ class WireFrame {
   // and cached; the view is valid for this frame's lifetime.
   [[nodiscard]] std::string_view bytes() const {
     if (!encoded_) {
-      msg_->encode(&bytes_);
+      if (msg_) msg_->encode(&bytes_);
       encoded_ = true;
     }
     return bytes_;
+  }
+
+  // Moves the encoding out, for a transport that is the frame's last user
+  // (a unicast send): a large frame then reaches its link queue without a
+  // copy. The frame's bytes are gone afterwards.
+  [[nodiscard]] std::string take_bytes() {
+    (void)bytes();
+    return std::move(bytes_);
   }
 
  private:

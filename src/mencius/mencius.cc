@@ -42,6 +42,8 @@ void MenciusReplica::start() {
   // skip); the replica continues as a learner (see the class comment for
   // why neither proposing nor skip-executing is sound after a restart).
   learner_mode_ = true;
+  // The replayed records view the log, and delivering them can truncate it.
+  const LogMirror::Hold hold(records);
   ReplayResult rr = replay_log(records);
   for (const LogRecord& r : rr.committed) {
     ++stats_.executed;
@@ -106,7 +108,7 @@ void MenciusReplica::handle_propose(const Message& m) {
     // Our own loopback already hit stable storage in submit() (write-ahead);
     // re-appending would double the WAL and pay a second fsync per proposal.
     if (m.from != env_.self()) {
-      env_.log().append(LogRecord::prepare(Timestamp{m.slot, m.from}, m.cmd));
+      env_.log().append(LogRecord::prepare_view(Timestamp{m.slot, m.from}, st.cmd));
       env_.log().sync();
     }
   }

@@ -30,6 +30,8 @@ void PaxosReplica::start() {
   // them. next_slot_ advances past every slot this replica has ever logged —
   // with the write-ahead append in leader_propose that covers every slot a
   // restarted leader could have proposed, so slots are never reused.
+  // The replayed records view the log, and delivering them can truncate it.
+  const LogMirror::Hold hold(records);
   ReplayResult rr = replay_log(records);
   for (const LogRecord& r : rr.committed) {
     ++stats_.executed;
@@ -108,7 +110,7 @@ void PaxosReplica::handle_phase2a(const Message& m) {
   // fsync per locally-assigned slot.
   if (m.from != env_.self()) {
     env_.log().append(
-        LogRecord::prepare(Timestamp{m.slot, st.origin}, st.cmd));
+        LogRecord::prepare_view(Timestamp{m.slot, st.origin}, st.cmd));
     env_.log().sync();
   }
 

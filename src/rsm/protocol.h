@@ -40,8 +40,18 @@ class ProtocolEnv {
 
   // Takes the message by value: a sender that moves it in (a catch-up reply
   // can carry thousands of records) has it moved on into the outgoing
-  // frame, never copied.
+  // frame, never copied. Its payloads are owned: SimWorld's network keeps
+  // messages in flight across the sender's checkpoints, so a record read
+  // from the log (a view of its arena, see LogMirror) goes in as a copy.
   virtual void send(ReplicaId to, Message m) = 0;
+
+  // Sends a message the protocol encoded itself (Message::encode's framed
+  // bytes, `from` already this replica), under send()'s guarantees. An
+  // environment that puts bytes on a wire queues them as they are; this
+  // default decodes them and calls send().
+  virtual void send_encoded(ReplicaId to, std::string frame) {
+    send(to, Message::decode(frame));
+  }
 
   // Fan-out send: `m` goes to every replica in `tos` (FIFO per link, same
   // guarantees as send). Environments backed by a transport serialize the

@@ -275,6 +275,11 @@ void NodeRuntime::send(ReplicaId to, Message m) {
   transport_.send(cfg_.id, to, FrameWriter(cfg_.id).frame(std::move(m)));
 }
 
+void NodeRuntime::send_encoded(ReplicaId to, std::string frame) {
+  fence_if_owed();
+  transport_.send(cfg_.id, to, WireFrame(std::move(frame)));
+}
+
 void NodeRuntime::multicast(const std::vector<ReplicaId>& tos, Message m) {
   fence_if_owed();
   transport_.multicast(cfg_.id, tos, FrameWriter(cfg_.id).frame(std::move(m)));

@@ -216,6 +216,7 @@ class NodeRuntime final : private ProtocolEnv {
     return storage_.encoded_checkpoint();
   }
   void send(ReplicaId to, Message m) override;
+  void send_encoded(ReplicaId to, std::string frame) override;
   void multicast(const std::vector<ReplicaId>& tos, Message m) override;
   [[nodiscard]] Tick clock_now() override { return clock_.now_us(); }
   void schedule_after(Tick delay_us, std::function<void()> fn) override;

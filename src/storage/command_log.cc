@@ -89,7 +89,8 @@ FileLog::FileLog(std::string path) : path_(std::move(path)) {
     carry.append(buf, static_cast<std::size_t>(n));
     std::size_t pos = 0;
     while (pos < carry.size()) {
-      Decoder frame(std::string_view(carry).substr(pos));
+      const std::string_view rest = std::string_view(carry).substr(pos);
+      Decoder frame(rest);
       std::string_view body;
       try {
         body = frame.bytes_view();
@@ -98,15 +99,17 @@ FileLog::FileLog(std::string path) : path_(std::move(path)) {
         break;
       }
       try {
-        // `body` views `carry`; decode_log_record owns every byte it
-        // returns, so nothing dangles once `carry` moves on.
+        // Validate the record; its payload only views `carry`, and the
+        // mirror keeps the frame's bytes, not the decoded record.
         Decoder d(body);
-        records_.append(decode_log_record(d));
+        (void)decode_log_record_view(d);
       } catch (const CodecError&) {
         torn = true;
         break;
       }
-      pos = carry.size() - frame.remaining();
+      const std::size_t framed = rest.size() - frame.remaining();
+      records_.append_framed(rest.substr(0, framed));
+      pos += framed;
     }
     good += pos;
     carry.erase(0, pos);
@@ -122,11 +125,10 @@ FileLog::~FileLog() {
   if (fd_ >= 0) ::close(fd_);
 }
 
-void FileLog::append(const LogRecord& r) {
-  records_.append(r);
-  std::string framed;
-  encode_framed_log_record(r, &framed);
-  if (!write_all(fd_, framed)) throw_errno("FileLog append " + path_);
+LogPosition FileLog::append(const LogRecord& r) {
+  const LogPosition pos = records_.append(r);
+  if (!write_all(fd_, records_.wal_bytes(pos))) throw_errno("FileLog append " + path_);
+  return pos;
 }
 
 void FileLog::sync() {
@@ -151,17 +153,17 @@ void FileLog::rewrite_all() {
   // durable, rename it over the log, then adopt its fd — a crash leaves
   // either the old bytes or the new, never neither.
   //
-  // The records stream through a fixed buffer: a checkpoint can fire while
-  // thousands of PREPAREs are still stalled, and the rewrite must not hold
-  // a second copy of all of them.
+  // The live records' bytes stream from the mirror through a fixed buffer:
+  // a checkpoint can fire while thousands of PREPAREs are still stalled,
+  // and the rewrite must not hold a second copy of all of them.
   const std::string tmp = path_ + ".rewrite";
   int tfd = ::open(tmp.c_str(), O_RDWR | O_CREAT | O_TRUNC | O_APPEND, 0644);
   if (tfd < 0) throw_errno("FileLog rewrite open " + tmp);
   std::string buf;
   buf.reserve(kRewriteBufferBytes);
   bool ok = true;
-  for (const LogRecord& r : records_) {
-    encode_framed_log_record(r, &buf);
+  for (auto it = records_.begin(); it != records_.end(); ++it) {
+    buf.append(it.wal_bytes());
     if (buf.size() >= kRewriteBufferBytes) {
       ok = write_all(tfd, buf);
       if (!ok) break;

@@ -23,7 +23,9 @@ class CommandLog {
  public:
   virtual ~CommandLog() = default;
 
-  virtual void append(const LogRecord& r) = 0;
+  // Appends `r` and returns its position in records(), stable while the
+  // record lives (see LogMirror).
+  virtual LogPosition append(const LogRecord& r) = 0;
   // Flushes to stable storage; a durability point for PREPAREOK.
   virtual void sync() {}
 
@@ -48,7 +50,7 @@ class CommandLog {
 // the local-cluster experiment for the same reason).
 class MemLog final : public CommandLog {
  public:
-  void append(const LogRecord& r) override { records_.append(r); }
+  LogPosition append(const LogRecord& r) override { return records_.append(r); }
   [[nodiscard]] const LogMirror& records() const override { return records_; }
   void remove_uncommitted_above(Timestamp bound,
                                 const std::function<bool(const Timestamp&)>& keep) override {
@@ -71,7 +73,7 @@ class MemLog final : public CommandLog {
 // to prove the harness catches exactly that class of violation.
 class CrashLossyLog final : public CommandLog {
  public:
-  void append(const LogRecord& r) override { records_.append(r); }
+  LogPosition append(const LogRecord& r) override { return records_.append(r); }
   void sync() override {
     if (!sync_is_noop_) durable_ = records_.size();
   }
@@ -94,7 +96,10 @@ class CrashLossyLog final : public CommandLog {
 
 // File-backed log with a write-through in-memory mirror. Records are framed
 // with a length prefix; a truncated tail (torn write at crash) is tolerated
-// and discarded at open, which decodes the file in 64 KiB reads.
+// and discarded at open, which validates the file in 64 KiB reads. The
+// mirror holds the file's bytes: an append writes the record's bytes from
+// the mirror, a rewrite streams the live records' bytes, and open copies
+// the file's frames into the mirror without building a Command per record.
 class FileLog final : public CommandLog {
  public:
   // Opens (creating if absent) and replays the file into memory.
@@ -104,7 +109,7 @@ class FileLog final : public CommandLog {
   FileLog(const FileLog&) = delete;
   FileLog& operator=(const FileLog&) = delete;
 
-  void append(const LogRecord& r) override;
+  LogPosition append(const LogRecord& r) override;
   void sync() override;
   [[nodiscard]] const LogMirror& records() const override { return records_; }
   void remove_uncommitted_above(Timestamp bound,

@@ -8,10 +8,10 @@ namespace crsm {
 ReplayResult replay_log(const LogMirror& records) {
   ReplayResult out;
   std::unordered_map<Timestamp, LogRecord, TimestampHash> staged;
-  for (const LogRecord& r : records) {
+  for (LogRecord r : records) {
     switch (r.type) {
       case LogType::kPrepare:
-        staged.emplace(r.ts, r);
+        staged.emplace(r.ts, std::move(r));  // a view: no payload copy
         break;
       case LogType::kCommit: {
         auto it = staged.find(r.ts);

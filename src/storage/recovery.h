@@ -12,7 +12,10 @@
 
 namespace crsm {
 
-// Result of scanning a command log after a crash.
+// Result of scanning a command log after a crash. The records' payloads
+// view the scanned LogMirror's arena: a caller whose use of them can
+// truncate the log (delivering them can take a checkpoint) holds a
+// LogMirror::Hold across that use, and anything kept copies.
 struct ReplayResult {
   // Commands with a COMMIT mark, in timestamp order — safe to execute.
   std::vector<LogRecord> committed;

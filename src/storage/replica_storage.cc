@@ -17,10 +17,11 @@ GroupCommitLog::GroupCommitLog(std::unique_ptr<CommandLog> inner,
       defer_sync_(defer_sync),
       test_fsync_delay_us_(test_fsync_delay_us) {}
 
-void GroupCommitLog::append(const LogRecord& r) {
-  inner_->append(r);
+LogPosition GroupCommitLog::append(const LogRecord& r) {
+  const LogPosition pos = inner_->append(r);
   ++batch_appends_;
   appends_.fetch_add(1, std::memory_order_relaxed);
+  return pos;
 }
 
 void GroupCommitLog::sync() {

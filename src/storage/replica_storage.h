@@ -80,7 +80,7 @@ class GroupCommitLog final : public CommandLog {
   GroupCommitLog(std::unique_ptr<CommandLog> inner, bool defer_sync,
                  std::uint64_t test_fsync_delay_us = 0);
 
-  void append(const LogRecord& r) override;
+  LogPosition append(const LogRecord& r) override;
   void sync() override;
   [[nodiscard]] const LogMirror& records() const override {
     return inner_->records();

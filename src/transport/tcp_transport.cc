@@ -317,7 +317,8 @@ void TcpTransport::bury(std::unique_ptr<net::FrameConn> conn) {
   }
 }
 
-void TcpTransport::send(ReplicaId from, ReplicaId to, const WireFrame& f) {
+std::string_view TcpTransport::count_send(ReplicaId from, ReplicaId to,
+                                          const WireFrame& f) {
   if (from != self_ || to >= peers_.size()) {
     throw std::out_of_range("TcpTransport::send: bad replica id");
   }
@@ -325,10 +326,27 @@ void TcpTransport::send(ReplicaId from, ReplicaId to, const WireFrame& f) {
   const std::string_view bytes = f.bytes();
   messages_sent_.fetch_add(1, std::memory_order_relaxed);
   bytes_sent_.fetch_add(bytes.size(), std::memory_order_relaxed);
+  return bytes;
+}
+
+void TcpTransport::send(ReplicaId from, ReplicaId to, const WireFrame& f) {
+  const std::string_view bytes = count_send(from, to, f);
   if (loop_.on_loop_thread()) {
-    send_on_loop(to, f);
+    send_on_loop(to, bytes, nullptr);
   } else {
-    loop_.post([this, to, f] { send_on_loop(to, f); });
+    loop_.post([this, to, f] { send_on_loop(to, f.bytes(), nullptr); });
+  }
+}
+
+void TcpTransport::send(ReplicaId from, ReplicaId to, WireFrame&& f) {
+  (void)count_send(from, to, f);
+  std::string bytes = f.take_bytes();
+  if (loop_.on_loop_thread()) {
+    send_on_loop(to, bytes, &bytes);
+  } else {
+    loop_.post([this, to, bytes = std::move(bytes)]() mutable {
+      send_on_loop(to, bytes, &bytes);
+    });
   }
 }
 
@@ -381,13 +399,13 @@ void TcpTransport::lift_fence() {
   release_local();  // in production order, behind any released earlier
 }
 
-void TcpTransport::send_on_loop(ReplicaId to, const WireFrame& f) {
+void TcpTransport::send_on_loop(ReplicaId to, std::string_view bytes,
+                                std::string* owned) {
   if (to == self_) {
-    deliver_local(f.bytes());
+    deliver_local(bytes);
     return;
   }
   if (shut_down_) return;
-  const std::string_view bytes = f.bytes();
   PeerLink& link = peers_[to];
   const std::size_t limit = opt_.max_pending_bytes;
   // An empty queue always admits, whatever the frame's size — otherwise a
@@ -402,7 +420,11 @@ void TcpTransport::send_on_loop(ReplicaId to, const WireFrame& f) {
       messages_dropped_.fetch_add(1, std::memory_order_relaxed);
       return;
     }
-    link.backlog.push(bytes);
+    if (owned != nullptr) {
+      link.backlog.push(std::move(*owned));
+    } else {
+      link.backlog.push(bytes);
+    }
     return;
   }
   if (limit > 0 && opt_.policy == BackpressurePolicy::kDrop &&
@@ -411,7 +433,11 @@ void TcpTransport::send_on_loop(ReplicaId to, const WireFrame& f) {
     messages_dropped_.fetch_add(1, std::memory_order_relaxed);
     return;
   }
-  link.conn->send(bytes);
+  if (owned != nullptr) {
+    link.conn->send(std::move(*owned));
+  } else {
+    link.conn->send(bytes);
+  }
   mark_dirty(link.conn.get());
   if (limit > 0 && opt_.policy == BackpressurePolicy::kBlock && !fenced_ &&
       link.conn && link.conn->pending_bytes() > limit) {

@@ -354,6 +354,34 @@ TEST(Message, SingleBufferEncodingMatchesTwoBufferBytesForEveryType) {
   }
 }
 
+TEST(Message, RecordsWrittenFromTheirBytesEncodeLikeRecords) {
+  // A catch-up reply with a checkpoint, its records given as their
+  // encode_log_record bytes (what a log's WAL bytes hold), encodes to the
+  // bytes encode() writes for the decoded records.
+  Message m;
+  m.type = MsgType::kCatchupReply;
+  m.from = 2;
+  m.epoch = 3;
+  m.ts = Timestamp{500, 1};
+  m.a = 1;
+  m.blob = std::string(300, 'c');
+  for (std::uint64_t i = 0; i < 40; ++i) {
+    Command c = make_cmd();
+    c.seq = i;
+    c.payload = std::string(i * 7, static_cast<char>('a' + i % 26));
+    m.records.push_back(LogRecord::prepare(Timestamp{100 + i, 0}, c));
+  }
+  std::string bytes;
+  for (const LogRecord& r : m.records) encode_log_record(r, &bytes);
+  Message bare = m;
+  bare.records.clear();
+  std::string out = "prefix";
+  bare.encode_with_records(&out, m.records.size(), bytes.size(),
+                           [&](std::string* o) { o->append(bytes); });
+  EXPECT_EQ(out, "prefix" + m.encode());
+  EXPECT_EQ(Message::decode(std::string_view(out).substr(6)).records, m.records);
+}
+
 TEST(Message, FramedLogRecordMatchesTwoBufferBytes) {
   // A PREPARE record's body is 16 bytes plus the payload and its length:
   // these payloads make bodies of 127, 128, 16383 and 16384 bytes.

@@ -31,7 +31,7 @@ Command cmd(std::uint64_t seq) {
 // CommandLog stub counting inner sync() calls.
 class CountingLog final : public CommandLog {
  public:
-  void append(const LogRecord& r) override { records_.append(r); }
+  LogPosition append(const LogRecord& r) override { return records_.append(r); }
   void sync() override { ++syncs; }
   [[nodiscard]] const LogMirror& records() const override { return records_; }
   void remove_uncommitted_above(

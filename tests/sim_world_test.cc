@@ -183,6 +183,60 @@ TEST(SimWorld, LogStaysBoundedPastCheckpointCadenceAndCatchupShipsCheckpoint) {
   }
 }
 
+// A replica restarting under load catches up while its peers keep
+// proposing. Through every simulated millisecond of the catch-up, its
+// pending runs hold every PREPARE it has logged above its commit bound,
+// which is what lets a catch-up reply tell what is already logged.
+TEST(SimWorld, CatchupPendingRunsHoldEveryLoggedPrepareAboveTheCommitBound) {
+  ClockRsmOptions copt;
+  copt.catchup_on_recovery = true;
+  SimWorld w(world_opts(LatencyMatrix::uniform(3, 10.0), 3), clock_rsm_factory(3, copt),
+             kv_factory());
+  w.start();
+  std::uint64_t n = 0;
+  const auto load = [&](double ms) {
+    const Tick until = w.sim().now() + ms_to_us(ms);
+    while (w.sim().now() < until) {
+      for (ReplicaId r = 0; r < 2; ++r) {
+        ++n;
+        w.submit(r, kv_put(1, n, "k" + std::to_string(n), "v"));
+      }
+      w.sim().run_until(w.sim().now() + ms_to_us(1.0));
+    }
+  };
+  load(200.0);
+  w.crash(2);
+  load(150.0);  // the survivors stall, each holding every new command
+  w.restart(2);
+  auto& p = static_cast<ClockRsmReplica&>(w.protocol(2));
+  ASSERT_TRUE(p.catching_up());
+  int steps = 0;
+  while (p.catching_up() && steps < 5'000) {
+    ++steps;
+    ++n;
+    w.submit(0, kv_put(1, n, "k" + std::to_string(n), "v"));
+    w.sim().run_until(w.sim().now() + ms_to_us(1.0));
+    if (!p.catching_up()) break;
+    const LogMirror& log = w.log(2).records();
+    std::size_t above = 0;
+    for (auto it = log.begin(); it != log.end(); ++it) {
+      if (it.type() != LogType::kPrepare || it.ts() <= p.last_commit_ts()) continue;
+      ++above;
+      ASSERT_TRUE(p.is_pending(it.ts()))
+          << it.ts().to_string() << " after " << steps << " ms of catch-up";
+    }
+    EXPECT_LE(above, p.pending_count());
+  }
+  EXPECT_FALSE(p.catching_up());
+  EXPECT_GT(steps, 1);
+  w.sim().run_until(w.sim().now() + ms_to_us(1'000.0));
+  for (ReplicaId r = 0; r < 3; ++r) {
+    EXPECT_EQ(w.execution(r).size(), w.execution(0).size()) << "replica " << r;
+    EXPECT_EQ(w.state_machine(r).state_digest(), w.state_machine(0).state_digest())
+        << "replica " << r;
+  }
+}
+
 // Turning the execution trace off changes nothing else: on the same seed
 // the commit and read hooks see exactly the same sequences.
 TEST(SimWorld, ExecutionTraceOptOutKeepsHookSequences) {
