@@ -32,15 +32,14 @@ bool contains(const std::vector<ReplicaId>& v, ReplicaId r) {
 // sorted vector holds them at 16 bytes each, not a hash node apiece.
 class CommitMarks {
  public:
-  CommitMarks(const LogMirror& records, Timestamp lo, Timestamp hi) {
+  explicit CommitMarks(const LogMirror& records, Timestamp lo = kZeroTimestamp,
+                       Timestamp hi = {std::numeric_limits<Tick>::max(), kNoReplica}) {
     for (auto it = records.begin(); it != records.end(); ++it) {
       if (it.type() != LogType::kCommit) continue;
       const Timestamp ts = it.ts();
       if (ts > lo && ts <= hi) marks_.push_back(ts);
     }
-    if (!std::is_sorted(marks_.begin(), marks_.end())) {
-      std::sort(marks_.begin(), marks_.end());
-    }
+    assert(std::is_sorted(marks_.begin(), marks_.end()));
   }
   [[nodiscard]] bool contains(const Timestamp& ts) const {
     return std::binary_search(marks_.begin(), marks_.end(), ts);
@@ -49,12 +48,6 @@ class CommitMarks {
  private:
   std::vector<Timestamp> marks_;
 };
-
-CommitMarks commit_marks(const LogMirror& records, Timestamp lo = kZeroTimestamp,
-                         Timestamp hi = {std::numeric_limits<Tick>::max(),
-                                         kNoReplica}) {
-  return CommitMarks(records, lo, hi);
-}
 
 // Env-gated stderr trace of reconfiguration decisions (CRSM_DEBUG_RECONFIG):
 // DST swarm failures in this machinery are subtle interleavings, and seeing
@@ -756,7 +749,7 @@ void ClockRsmReplica::handle_retrieve_cmds(const Message& m) {
   r.type = MsgType::kRetrieveReply;
   r.epoch = m.epoch;
   r.ts = last_commit_ts_;
-  const auto marks = commit_marks(env_.log().records(), from, to);
+  const CommitMarks marks(env_.log().records(), from, to);
   std::unordered_set<Timestamp, TimestampHash> seen;
   for (const LogRecord& rec : env_.log().records()) {
     if (rec.type != LogType::kPrepare || rec.ts <= from || rec.ts > to) continue;
@@ -837,7 +830,7 @@ void ClockRsmReplica::begin_catchup() {
   // restart together and all soft state (replication counters) was lost.
   // Re-acking is idempotent: the counter tracks distinct ackers.
   const LogMirror& log = env_.log().records();
-  const auto marks = commit_marks(log, last_commit_ts_);
+  const CommitMarks marks(log, last_commit_ts_);
   for (auto it = log.begin(); it != log.end(); ++it) {
     const Timestamp ts = it.ts();
     if (it.type() != LogType::kPrepare || ts <= last_commit_ts_ ||
@@ -900,9 +893,9 @@ void ClockRsmReplica::handle_catchup_req(const Message& m) {
   // needs them, (m.ts, last_commit_ts_], then the wanted records' positions
   // in timestamp order (a duplicate PREPARE travels once, as first logged),
   // and each record's WAL bytes copied into the one frame. No record is
-  // decoded, and the frame is moved to the transport.
+  // decoded, and the frame goes to the transport as bytes.
   const LogMirror& log = env_.log().records();
-  const auto marks = commit_marks(log, m.ts, last_commit_ts_);
+  const CommitMarks marks(log, m.ts, last_commit_ts_);
   const auto wanted = [&](const LogMirror::const_iterator& it) {
     const Timestamp ts = it.ts();
     return it.type() == LogType::kPrepare && ts > m.ts &&
@@ -939,9 +932,9 @@ void ClockRsmReplica::handle_catchup_req(const Message& m) {
     r.a = r.blob.empty() ? 0 : 1;
   }
   std::string frame;
-  r.encode_with_records(&frame, positions.size(), record_bytes, [&](std::string* out) {
-    for (const LogPosition pos : positions) out->append(log.record_bytes(pos));
-  });
+  r.encode_head(&frame, positions.size(), record_bytes);
+  for (const LogPosition pos : positions) frame += log.record_bytes(pos);
+  r.encode_tail(&frame);
   env_.send_encoded(m.from, std::move(frame));
 }
 
@@ -1106,7 +1099,7 @@ void ClockRsmReplica::maybe_finish_catchup() {
   // catch-up/retrieve served from this log would hand it out again. Only
   // rewrite the log when such a record actually exists — a FileLog rewrite
   // is a full rewrite.
-  const auto marks = commit_marks(env_.log().records());
+  const CommitMarks marks(env_.log().records());
   bool stale = false;
   for (const LogRecord& rec : env_.log().records()) {
     if (rec.type == LogType::kPrepare && !marks.contains(rec.ts) &&

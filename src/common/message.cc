@@ -199,16 +199,20 @@ Message decode_stream_impl(std::string_view buf, std::size_t* pos,
 }  // namespace
 
 void Message::encode(std::string* out) const {
+  const bool with_records = shape_of(type).records;
   std::size_t record_bytes = 0;
-  for (const LogRecord& r : records) record_bytes += log_record_size(r);
-  encode_with_records(out, records.size(), record_bytes, [this](std::string* o) {
-    for (const LogRecord& r : records) encode_log_record(r, o);
-  });
+  if (with_records) {
+    for (const LogRecord& r : records) record_bytes += log_record_size(r);
+  }
+  encode_head(out, records.size(), record_bytes);
+  if (with_records) {
+    for (const LogRecord& r : records) encode_log_record(r, out);
+  }
+  encode_tail(out);
 }
 
-void Message::encode_with_records(
-    std::string* out, std::size_t record_count, std::size_t record_bytes,
-    const std::function<void(std::string*)>& write_records) const {
+void Message::encode_head(std::string* out, std::size_t record_count,
+                          std::size_t record_bytes) const {
   const Shape s = shape_of(type);
   // Size the body, so the frame is written once, header first, into a
   // buffer that never grows midway (a catch-up reply can be megabytes).
@@ -242,11 +246,11 @@ void Message::encode_with_records(
     e.var(cmds.size());
     for (const Command& c : cmds) encode_command(c, out);
   }
-  if (s.records) {
-    e.var(record_count);
-    write_records(out);
-  }
-  if (s.blob) e.bytes(blob);
+  if (s.records) e.var(record_count);
+}
+
+void Message::encode_tail(std::string* out) const {
+  if (shape_of(type).blob) Encoder(out).bytes(blob);
 }
 
 std::string Message::encode() const {

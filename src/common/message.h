@@ -7,7 +7,6 @@
 #pragma once
 
 #include <cstdint>
-#include <functional>
 #include <string>
 #include <vector>
 
@@ -102,14 +101,15 @@ struct Message {
   // owns all its payload bytes.
   void encode(std::string* out) const;
   [[nodiscard]] std::string encode() const;
-  // encode(), with the records section written by `write_records` in place
-  // of `records`: `record_count` records whose encode_log_record bytes,
-  // `record_bytes` of them, it appends to the buffer it is given. A sender
-  // can then copy records straight from a log's WAL bytes, which hold the
-  // same encoding, without decoding them into `records` first.
-  void encode_with_records(std::string* out, std::size_t record_count,
-                           std::size_t record_bytes,
-                           const std::function<void(std::string*)>& write_records) const;
+  // encode() in two parts around the records section, for a sender that
+  // writes the records itself: encode_head writes the frame up to the
+  // records, sized for `record_count` records of `record_bytes`
+  // encode_log_record bytes in all; the sender appends exactly those
+  // bytes; encode_tail writes the rest. A catch-up reply copies its
+  // records straight from a log's WAL bytes, which hold the same encoding.
+  void encode_head(std::string* out, std::size_t record_count,
+                   std::size_t record_bytes) const;
+  void encode_tail(std::string* out) const;
   [[nodiscard]] static Message decode(std::string_view framed);
   [[nodiscard]] static Message decode_stream(std::string_view buf, std::size_t* pos);
 

@@ -91,14 +91,6 @@ class WireFrame {
     return bytes_;
   }
 
-  // Moves the encoding out, for a transport that is the frame's last user
-  // (a unicast send): a large frame then reaches its link queue without a
-  // copy. The frame's bytes are gone afterwards.
-  [[nodiscard]] std::string take_bytes() {
-    (void)bytes();
-    return std::move(bytes_);
-  }
-
  private:
   std::shared_ptr<const Message> msg_;
   mutable std::string bytes_;  // filled at most once

@@ -35,31 +35,21 @@ void ByteQueue::push(std::string_view frame) {
   lens_.push_back(static_cast<std::uint32_t>(frame.size()));
   size_ += frame.size();
   while (!frame.empty()) {
-    if (chunks_.empty() || full(chunks_.back())) {
+    if (chunks_.empty() || chunks_.back().hi == chunks_.back().cap) {
       // Start small and double: a connection carrying a few replies per
       // pass allocates about 1 KiB, while a backlog packs full chunks.
-      const std::size_t prev =
-          chunks_.empty() ? 0 : std::min(chunks_.back().data.capacity(), kChunkBytes);
-      Chunk c;
-      c.data.reserve(std::min(kChunkBytes,
-                              std::max({frame.size(), 2 * prev, kMinChunkBytes})));
-      chunks_.push_back(std::move(c));
+      const std::size_t prev = chunks_.empty() ? 0 : chunks_.back().cap;
+      const std::size_t cap = std::min(
+          kChunkBytes, std::max({frame.size(), 2 * prev, kMinChunkBytes}));
+      chunks_.push_back(Chunk{std::make_unique_for_overwrite<char[]>(cap),
+                              static_cast<std::uint32_t>(cap), 0, 0});
     }
-    std::string& data = chunks_.back().data;
-    const std::size_t n = std::min(frame.size(), data.capacity() - data.size());
-    data.append(frame.data(), n);
+    Chunk& c = chunks_.back();
+    const std::size_t n = std::min<std::size_t>(frame.size(), c.cap - c.hi);
+    std::memcpy(c.data.get() + c.hi, frame.data(), n);
+    c.hi += static_cast<std::uint32_t>(n);
     frame.remove_prefix(n);
   }
-}
-
-void ByteQueue::push(std::string&& frame) {
-  if (frame.size() < kChunkBytes) {
-    push(std::string_view(frame));
-    return;
-  }
-  lens_.push_back(static_cast<std::uint32_t>(frame.size()));
-  size_ += frame.size();
-  chunks_.push_back(Chunk{std::move(frame), 0});
 }
 
 void ByteQueue::append(ByteQueue&& tail) {
@@ -86,13 +76,13 @@ std::size_t ByteQueue::gather(iovec* iov, std::size_t max_iov,
   for (std::size_t i = chunks_head_;
        i < chunks_.size() && n < max_iov && max_bytes > 0; ++i) {
     const Chunk& c = chunks_[i];
-    const std::size_t len = c.data.size() - c.lo;
+    const std::size_t len = c.hi - c.lo;
     if (skip >= len) {
       skip -= len;
       continue;
     }
     const std::size_t take = std::min(len - skip, max_bytes);
-    iov[n].iov_base = const_cast<char*>(c.data.data()) + c.lo + skip;
+    iov[n].iov_base = c.data.get() + c.lo + skip;
     iov[n].iov_len = take;
     ++n;
     max_bytes -= take;
@@ -133,13 +123,13 @@ void ByteQueue::clear() { *this = ByteQueue(); }
 void ByteQueue::drop(std::size_t n) {
   while (n > 0) {
     Chunk& c = chunks_[chunks_head_];
-    const std::size_t k = std::min<std::size_t>(n, c.data.size() - c.lo);
+    const std::size_t k = std::min<std::size_t>(n, c.hi - c.lo);
     c.lo += static_cast<std::uint32_t>(k);
     n -= k;
     // A released chunk goes unless it is the tail with room left (a
     // spliced-in queue's chunks follow a tail that may not be full).
-    if (c.lo == c.data.size() && (full(c) || chunks_head_ + 1 < chunks_.size())) {
-      std::string().swap(c.data);
+    if (c.lo == c.hi && (c.hi == c.cap || chunks_head_ + 1 < chunks_.size())) {
+      c.data.reset();
       ++chunks_head_;
     }
   }

@@ -6,8 +6,7 @@
 // doubling up to the cap) and freed as soon as every frame in them is
 // written, so an idle queue holds no memory and a stalled link's backlog
 // costs its frame bytes plus 4 B of length per frame — not an allocation
-// per frame. A frame of a chunk or more handed over as an owned string
-// becomes a chunk of its own instead of being copied.
+// per frame.
 //
 // The queue keeps frame boundaries. A torn write (consume() of fewer bytes
 // than gather() offered) resumes at the exact unsent byte, even mid-frame
@@ -21,7 +20,7 @@
 
 #include <cstddef>
 #include <cstdint>
-#include <string>
+#include <memory>
 #include <string_view>
 #include <utility>
 #include <vector>
@@ -41,10 +40,6 @@ class ByteQueue {
 
   // Copies one frame in behind the last. Empty frames are ignored.
   void push(std::string_view frame);
-  // Takes one frame in behind the last: a frame of kChunkBytes or more
-  // keeps its buffer as a chunk of its own (a multi-megabyte catch-up
-  // reply is queued without a second copy); a smaller one is copied.
-  void push(std::string&& frame);
   // Moves every frame of `tail` in behind ours without copying a byte
   // (chunks change owner). `tail` must have no byte written (a rewound or
   // never-sent queue) and is left empty.
@@ -73,16 +68,12 @@ class ByteQueue {
 
  private:
   struct Chunk {
-    // Reserved up front and filled to at most its capacity, so bytes
-    // never move: [lo, data.size()) is retained, and a chunk is full when
-    // its size reaches its capacity.
-    std::string data;
+    std::unique_ptr<char[]> data;
+    std::uint32_t cap = 0;
     std::uint32_t lo = 0;  // first retained byte
+    std::uint32_t hi = 0;  // one past the last byte pushed
   };
 
-  [[nodiscard]] static bool full(const Chunk& c) {
-    return c.data.size() == c.data.capacity();
-  }
   // Releases `n` bytes from the front of the retained stream.
   void drop(std::size_t n);
   // Frees fully released chunks and, once no frame is left, everything.

@@ -58,11 +58,6 @@ void FrameConn::send(std::string_view frame) {
   out_.push(frame);
 }
 
-void FrameConn::send(std::string&& frame) {
-  if (closed_) return;
-  out_.push(std::move(frame));
-}
-
 void FrameConn::send(ByteQueue&& frames) {
   if (closed_) return;
   out_.append(std::move(frames));

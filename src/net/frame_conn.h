@@ -111,8 +111,6 @@ class FrameConn {
   // Copies one encoded frame into the send queue; nothing reaches the wire
   // until flush().
   void send(std::string_view frame);
-  // Queues an owned frame: a large one is kept, not copied (ByteQueue).
-  void send(std::string&& frame);
   // Splices whole frames (a reconnect backlog) onto the send queue without
   // copying them.
   void send(ByteQueue&& frames);

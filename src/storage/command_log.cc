@@ -100,9 +100,17 @@ FileLog::FileLog(std::string path) : path_(std::move(path)) {
       }
       try {
         // Validate the record; its payload only views `carry`, and the
-        // mirror keeps the frame's bytes, not the decoded record.
+        // mirror keeps the frame's bytes, not the decoded record. Those
+        // bytes are served as they are (a catch-up reply copies them), so
+        // the frame must be exactly what the encoder writes: a leftover
+        // byte would read as the start of the next record, and an
+        // over-long varint would not match the encoder's sizes.
         Decoder d(body);
-        (void)decode_log_record_view(d);
+        const LogRecord rec = decode_log_record_view(d);
+        if (log_record_size(rec) != body.size() ||
+            frame.remaining() + varint_size(body.size()) + body.size() != rest.size()) {
+          throw CodecError("log frame is not in its encoder's form");
+        }
       } catch (const CodecError&) {
         torn = true;
         break;

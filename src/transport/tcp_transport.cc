@@ -317,8 +317,7 @@ void TcpTransport::bury(std::unique_ptr<net::FrameConn> conn) {
   }
 }
 
-std::string_view TcpTransport::count_send(ReplicaId from, ReplicaId to,
-                                          const WireFrame& f) {
+void TcpTransport::send(ReplicaId from, ReplicaId to, const WireFrame& f) {
   if (from != self_ || to >= peers_.size()) {
     throw std::out_of_range("TcpTransport::send: bad replica id");
   }
@@ -326,27 +325,10 @@ std::string_view TcpTransport::count_send(ReplicaId from, ReplicaId to,
   const std::string_view bytes = f.bytes();
   messages_sent_.fetch_add(1, std::memory_order_relaxed);
   bytes_sent_.fetch_add(bytes.size(), std::memory_order_relaxed);
-  return bytes;
-}
-
-void TcpTransport::send(ReplicaId from, ReplicaId to, const WireFrame& f) {
-  const std::string_view bytes = count_send(from, to, f);
   if (loop_.on_loop_thread()) {
-    send_on_loop(to, bytes, nullptr);
+    send_on_loop(to, f);
   } else {
-    loop_.post([this, to, f] { send_on_loop(to, f.bytes(), nullptr); });
-  }
-}
-
-void TcpTransport::send(ReplicaId from, ReplicaId to, WireFrame&& f) {
-  (void)count_send(from, to, f);
-  std::string bytes = f.take_bytes();
-  if (loop_.on_loop_thread()) {
-    send_on_loop(to, bytes, &bytes);
-  } else {
-    loop_.post([this, to, bytes = std::move(bytes)]() mutable {
-      send_on_loop(to, bytes, &bytes);
-    });
+    loop_.post([this, to, f] { send_on_loop(to, f); });
   }
 }
 
@@ -399,13 +381,13 @@ void TcpTransport::lift_fence() {
   release_local();  // in production order, behind any released earlier
 }
 
-void TcpTransport::send_on_loop(ReplicaId to, std::string_view bytes,
-                                std::string* owned) {
+void TcpTransport::send_on_loop(ReplicaId to, const WireFrame& f) {
   if (to == self_) {
-    deliver_local(bytes);
+    deliver_local(f.bytes());
     return;
   }
   if (shut_down_) return;
+  const std::string_view bytes = f.bytes();
   PeerLink& link = peers_[to];
   const std::size_t limit = opt_.max_pending_bytes;
   // An empty queue always admits, whatever the frame's size — otherwise a
@@ -420,11 +402,7 @@ void TcpTransport::send_on_loop(ReplicaId to, std::string_view bytes,
       messages_dropped_.fetch_add(1, std::memory_order_relaxed);
       return;
     }
-    if (owned != nullptr) {
-      link.backlog.push(std::move(*owned));
-    } else {
-      link.backlog.push(bytes);
-    }
+    link.backlog.push(bytes);
     return;
   }
   if (limit > 0 && opt_.policy == BackpressurePolicy::kDrop &&
@@ -433,11 +411,7 @@ void TcpTransport::send_on_loop(ReplicaId to, std::string_view bytes,
     messages_dropped_.fetch_add(1, std::memory_order_relaxed);
     return;
   }
-  if (owned != nullptr) {
-    link.conn->send(std::move(*owned));
-  } else {
-    link.conn->send(bytes);
-  }
+  link.conn->send(bytes);
   mark_dirty(link.conn.get());
   if (limit > 0 && opt_.policy == BackpressurePolicy::kBlock && !fenced_ &&
       link.conn && link.conn->pending_bytes() > limit) {

@@ -132,9 +132,6 @@ class TcpTransport final {
   // --- sending ---
   // `from` must be self(). Callable from any thread; off-loop calls post.
   void send(ReplicaId from, ReplicaId to, const WireFrame& f);
-  // A frame no one else holds: its encoding moves into the link's queue
-  // (a catch-up reply can be megabytes; see net::ByteQueue).
-  void send(ReplicaId from, ReplicaId to, WireFrame&& f);
   // Fan-out: the frame is serialized at most once, whatever the fan-out.
   void multicast(ReplicaId from, const std::vector<ReplicaId>& tos,
                  const WireFrame& f);
@@ -203,11 +200,7 @@ class TcpTransport final {
   // The wire-flush hook: one flush per dirty conn, end of every pass.
   void flush_pass();
 
-  // Checks the ids and counts one send of `f`; returns its wire bytes.
-  std::string_view count_send(ReplicaId from, ReplicaId to, const WireFrame& f);
-  // Queues a frame's bytes for `to`; `owned`, when given, holds the same
-  // bytes and may be moved into the queue instead of copied.
-  void send_on_loop(ReplicaId to, std::string_view bytes, std::string* owned);
+  void send_on_loop(ReplicaId to, const WireFrame& f);
   // Queues a frame's wire bytes for our own handler (held while the fence
   // is up).
   void deliver_local(std::string_view frame);

@@ -376,8 +376,9 @@ TEST(Message, RecordsWrittenFromTheirBytesEncodeLikeRecords) {
   Message bare = m;
   bare.records.clear();
   std::string out = "prefix";
-  bare.encode_with_records(&out, m.records.size(), bytes.size(),
-                           [&](std::string* o) { o->append(bytes); });
+  bare.encode_head(&out, m.records.size(), bytes.size());
+  out += bytes;
+  bare.encode_tail(&out);
   EXPECT_EQ(out, "prefix" + m.encode());
   EXPECT_EQ(Message::decode(std::string_view(out).substr(6)).records, m.records);
 }

@@ -256,36 +256,6 @@ TEST(ByteQueue, RewindSpliceAndPopKeepWholeFrames) {
   EXPECT_TRUE(empty.empty());
 }
 
-// An owned frame of a chunk or more becomes its own chunk, buffer and all;
-// a smaller one is copied and packed. Order and torn writes are kept
-// across both kinds.
-TEST(ByteQueue, OwnedLargeFrameIsKeptNotCopied) {
-  const auto frames = lettered_frames(4, 300);
-  std::string big(ByteQueue::kChunkBytes + 5, 'x');
-  big.front() = 'B';
-  big.back() = 'E';
-  const std::string big_copy = big;
-  const char* big_bytes = big.data();
-  ByteQueue q;
-  q.push(frames[0]);
-  q.push(std::move(big));
-  q.push(std::string(frames[1]));  // small: copied, packed behind
-  q.push(frames[2]);
-  EXPECT_EQ(q.frames(), 4u);
-  const std::string stream = frames[0] + big_copy + frames[1] + frames[2];
-  EXPECT_EQ(contents(q), stream);
-  iovec iov[4];
-  ASSERT_EQ(q.gather(iov, 4, q.size()), 3u);
-  EXPECT_EQ(iov[1].iov_base, big_bytes) << "the big frame was moved, not copied";
-
-  EXPECT_EQ(q.consume(300 + 1000), 1u);  // torn inside the big frame
-  EXPECT_EQ(contents(q), stream.substr(1300));
-  q.rewind();
-  EXPECT_EQ(contents(q), stream.substr(300));
-  EXPECT_EQ(q.consume(q.size()), 3u);
-  EXPECT_TRUE(q.empty());
-}
-
 // --- Acceptor / Connector / FrameConn --------------------------------------
 
 // One established FrameConn pair over loopback: frames sent from one end

@@ -150,6 +150,62 @@ TEST_F(FileLogTest, GarbageTailWithVarintContinuationBitsIsDiscarded) {
   EXPECT_EQ(again.records().to_vector()[1].type, LogType::kCommit);
 }
 
+TEST_F(FileLogTest, FrameWithATrailingByteIsTreatedAsTorn) {
+  {
+    FileLog log(path_.string());
+    log.append(LogRecord::prepare(Timestamp{1, 0}, cmd(1)));
+    log.sync();
+  }
+  const auto good_size = std::filesystem::file_size(path_);
+  // A frame whose length is valid but whose record leaves one byte of the
+  // body unread. The log serves its frames' bytes as they are, so such a
+  // frame (and everything behind it) is cut like any other bad tail.
+  std::string body;
+  encode_log_record(LogRecord::commit(Timestamp{1, 0}), &body);
+  body += 'x';
+  ASSERT_LT(body.size(), 128u);
+  {
+    std::ofstream out(path_, std::ios::binary | std::ios::app);
+    out.put(static_cast<char>(body.size()));
+    out.write(body.data(), static_cast<std::streamsize>(body.size()));
+    std::string next;
+    encode_framed_log_record(LogRecord::commit(Timestamp{1, 0}), &next);
+    out.write(next.data(), static_cast<std::streamsize>(next.size()));
+  }
+  {
+    FileLog reopened(path_.string());
+    ASSERT_EQ(reopened.size(), 1u);
+    EXPECT_EQ(reopened.records().to_vector()[0].cmd, cmd(1));
+  }
+  EXPECT_EQ(std::filesystem::file_size(path_), good_size);
+}
+
+TEST_F(FileLogTest, FrameWithAnOverlongLengthIsTreatedAsTorn) {
+  {
+    FileLog log(path_.string());
+    log.append(LogRecord::prepare(Timestamp{1, 0}, cmd(1)));
+    log.sync();
+  }
+  const auto good_size = std::filesystem::file_size(path_);
+  // A whole record behind a two-byte length varint that decodes to its
+  // size: readable, but not the bytes the encoder writes for it.
+  std::string body;
+  encode_log_record(LogRecord::commit(Timestamp{1, 0}), &body);
+  ASSERT_LT(body.size(), 128u);
+  {
+    std::ofstream out(path_, std::ios::binary | std::ios::app);
+    out.put(static_cast<char>(0x80 | body.size()));
+    out.put(0);
+    out.write(body.data(), static_cast<std::streamsize>(body.size()));
+  }
+  {
+    FileLog reopened(path_.string());
+    ASSERT_EQ(reopened.size(), 1u);
+    EXPECT_EQ(reopened.records().to_vector()[0].cmd, cmd(1));
+  }
+  EXPECT_EQ(std::filesystem::file_size(path_), good_size);
+}
+
 TEST_F(FileLogTest, RemoveUncommittedRewrites) {
   {
     FileLog log(path_.string());
