@@ -622,17 +622,19 @@ void ClockRsmReplica::arm_clocktime_timer() {
     if (!frozen_ && in_config()) {
       const Tick now = env_.clock_now();
       const Tick own = latest_tv_[slot(env_.self())];
-      if (now >= own + opt_.clocktime_delta_us) {
-        Message m;
-        m.type = MsgType::kClockTime;
-        m.epoch = epoch_;
-        m.clock_ts = next_send_ticks();
-        ++stats_.clocktimes_sent;
-        broadcast(std::move(m));
-      }
+      if (now >= own + opt_.clocktime_delta_us) send_clock_time();
     }
     arm_clocktime_timer();
   });
+}
+
+void ClockRsmReplica::send_clock_time() {
+  Message m;
+  m.type = MsgType::kClockTime;
+  m.epoch = epoch_;
+  m.clock_ts = next_send_ticks();
+  ++stats_.clocktimes_sent;
+  broadcast(std::move(m));
 }
 
 // --------------------------------------------------------------------------
@@ -840,6 +842,10 @@ void ClockRsmReplica::begin_catchup() {
     catchup_restaged_.insert(ts);
     ack_prepare(ts, epoch_);
   }
+  // Our clock goes out ahead of the request (the timer would send it a
+  // delta later): peers stalled on our stability commit before answering,
+  // so a reply carries only what we miss, not every stalled command.
+  if (opt_.clocktime_enabled && !frozen_ && in_config()) send_clock_time();
   send_catchup_request();
   arm_catchup_timer();
 }

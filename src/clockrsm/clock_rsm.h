@@ -165,6 +165,7 @@ class ClockRsmReplica final : public ReplicaProtocol {
 
   // --- Algorithm 2 ---
   void arm_clocktime_timer();
+  void send_clock_time();
 
   // --- Algorithm 3 ---
   void handle_suspend(const Message& m);

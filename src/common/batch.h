@@ -6,13 +6,13 @@
 // The protocols (Clock-RSM, Paxos, Mencius), the WAL, catch-up and
 // reconfiguration never look inside a command payload, so a batch gets one
 // PREPARE, one timestamp/ack round and one WAL record with no protocol
-// changes; the runtimes split the envelope back into member commands at
-// execution time (NodeRuntime::deliver, SimWorld's replica deliver) and
-// fan replies out per member.
+// changes; ReplicaCore::deliver, which both engines run, splits the
+// envelope back into member commands at execution time, and the engine
+// fans replies out per member.
 //
-// Both engines accumulate batches through one BatchAccumulator and keep
-// only the decision of *when* to cut: NodeRuntime at the end of an
-// event-loop pass, SimWorld at a same-time simulator event.
+// Both engines accumulate batches through ReplicaCore's BatchAccumulator
+// and keep only the decision of *when* to cut: NodeRuntime at the end of
+// an event-loop pass, SimWorld at a same-time simulator event.
 //
 // The envelope command's identity: `client` is the kBatchClient sentinel
 // (never a real client id, so it can't collide with client routing or

@@ -19,10 +19,10 @@ namespace obs {
 class CommitTracer;
 }  // namespace obs
 
-// Everything a protocol reactor may do to the outside world. Implemented by
-// the discrete-event simulator (SimWorld's replica context) and by the TCP
-// runtime (NodeRuntime); protocol code is engine-agnostic and strictly
-// single-threaded.
+// Everything a protocol reactor may do to the outside world. Both engines,
+// the discrete-event simulator (SimWorld) and the TCP runtime
+// (NodeRuntime), implement it over one ReplicaCore (rsm/replica_core.h);
+// protocol code is engine-agnostic and strictly single-threaded.
 //
 // Guarantees provided by every implementation:
 //  * send(): reliable, per-(sender,receiver) FIFO delivery (Section II-A
@@ -95,14 +95,15 @@ class ProtocolEnv {
 
   // Installs a checkpoint received from a peer during catch-up: restores the
   // state machine from it, truncates the covered log prefix and advances
-  // recovery_floor(). Default no-op: scripted/simulated environments do not
-  // support remote checkpoints.
+  // recovery_floor(). Both engines do (ReplicaCore); the default no-op
+  // serves scripted test environments.
   virtual void install_checkpoint(std::string_view blob) { (void)blob; }
 
   // Commit-pipeline tracer (obs/trace.h), or nullptr when the environment
-  // does not trace (simulator, scripted tests). Protocols cache the pointer
-  // at construction and stamp pipeline stages through it; every stamp site
-  // must tolerate nullptr, so untraced environments stay zero-cost.
+  // does not trace: SimWorld, scripted tests, and a NodeRuntime with
+  // tracing off. Protocols cache the pointer at construction and stamp
+  // pipeline stages through it; every stamp site must tolerate nullptr, so
+  // untraced environments stay zero-cost.
   [[nodiscard]] virtual obs::CommitTracer* tracer() { return nullptr; }
 };
 

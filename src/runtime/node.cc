@@ -7,7 +7,6 @@
 #include <future>
 #include <utility>
 
-#include "common/batch.h"
 #include "common/codec.h"
 #include "common/wire_frame.h"
 #include "kv/kv_store.h"
@@ -16,14 +15,10 @@ namespace crsm {
 
 NodeRuntime::NodeRuntime(NodeConfig cfg, ProtocolFactory protocol_factory,
                          StateMachineFactory sm_factory)
-    : cfg_(cfg),
-      storage_(cfg.storage),
-      transport_(loop_, cfg.id, cfg.transport),
-      sm_(sm_factory()),
-      batch_(cfg.id, cfg.max_batch_cmds, cfg.max_batch_bytes,
-             [this](const std::vector<Command>& members, Command submission) {
-               submit_cut(members, std::move(submission));
-             }) {
+    : ReplicaCore(cfg.id, cfg.max_batch_cmds, cfg.max_batch_bytes),
+      cfg_(cfg),
+      transport_(loop_, cfg.id, cfg.transport) {
+  set_storage(std::make_unique<ReplicaStorage>(cfg_.storage));
   if (cfg_.num_groups > 1) {
     // Disjoint Prometheus series per group: a process scraping its N group
     // registries into one page must not collapse them into one timeline.
@@ -49,22 +44,16 @@ NodeRuntime::NodeRuntime(NodeConfig cfg, ProtocolFactory protocol_factory,
         "crsm_batch_cmds", "commands per protocol submission (batch size)");
   }
   registry_.add_collector([this](obs::Registry& r) { collect_metrics(r); });
-  // The checkpoint (if any) must be in the state machine before the
-  // protocol exists: start() replays the WAL only above recovery_floor().
-  // The executed count resumes from the checkpoint's, so replaying the WAL
-  // suffix on top lands on the count of a node that never restarted.
-  if (storage_.restore_into(*sm_)) {
-    executed_.store(storage_.checkpoint()->applied, std::memory_order_relaxed);
-  }
-  proto_ = protocol_factory(*this, cfg_.id);  // caches tracer() — after it
-  transport_.register_handler([this](const Message& m) { on_peer_message(m); });
+  boot(sm_factory, protocol_factory);  // the protocol caches tracer()
+  transport_.register_handler(
+      [this](const Message& m) { protocol().on_message(m); });
   transport_.set_client_handlers(
       [this](std::uint64_t conn, const Message& m) { on_client_message(conn, m); },
       [this](std::uint64_t conn) { on_client_closed(conn); });
   // Pass-end order matters: cut the pass's command batch first so its WAL
   // append lands inside the same fsync the durability flush issues.
   loop_.set_pass_end_hook([this] {
-    batch_.cut();
+    cut_batch();
     flush_durability();
   });
 }
@@ -79,7 +68,7 @@ void NodeRuntime::start(std::vector<TcpPeer> peers) {
   loop_.post([this, peers = std::move(peers)]() mutable {
     transport_.start(std::move(peers));
     if (metrics_http_) metrics_http_->start();
-    proto_->start();
+    protocol().start();
   });
   thread_ = std::thread([this] { loop_.run(); });
   if (cfg_.pin_core >= 0) {
@@ -112,30 +101,34 @@ void NodeRuntime::stop() {
 }
 
 void NodeRuntime::submit(Command cmd) {
-  loop_.post([this, cmd = std::move(cmd)]() mutable {
-    if (tracer_) tracer_->begin(cmd.client, cmd.seq, net::EventLoop::mono_us());
-    enqueue_write(std::move(cmd));
-  });
+  loop_.post([this, c = std::move(cmd)]() mutable { accept_write(std::move(c)); });
 }
 
 void NodeRuntime::submit_read(Command cmd) {
-  loop_.post([this, cmd = std::move(cmd)]() mutable {
-    if (!proto_->supports_local_reads()) {
-      logged_reads_.insert({cmd.client, cmd.seq});
-    }
-    if (tracer_) tracer_->begin_read(cmd.client, cmd.seq, net::EventLoop::mono_us());
-    proto_->submit_read(std::move(cmd));
-  });
+  loop_.post([this, c = std::move(cmd)]() mutable { accept_read(std::move(c)); });
+}
+
+void NodeRuntime::accept_write(Command cmd) {
+  if (tracer_) tracer_->begin(cmd.client, cmd.seq, net::EventLoop::mono_us());
+  enqueue_write(std::move(cmd));
+}
+
+void NodeRuntime::accept_read(Command cmd) {
+  if (!protocol().supports_local_reads()) {
+    logged_reads_.insert({cmd.client, cmd.seq});
+  }
+  if (tracer_) tracer_->begin_read(cmd.client, cmd.seq, net::EventLoop::mono_us());
+  protocol().submit_read(std::move(cmd));
 }
 
 std::uint64_t NodeRuntime::state_digest() {
   // Stopped (or never started): the loop thread is gone, so a posted task
   // would never run — but with no loop thread the state machine is also
   // safe to read directly.
-  if (!started_) return sm_->state_digest();
+  if (!started_) return state_machine().state_digest();
   std::promise<std::uint64_t> p;
   auto f = p.get_future();
-  loop_.post([this, &p] { p.set_value(sm_->state_digest()); });
+  loop_.post([this, &p] { p.set_value(state_machine().state_digest()); });
   return f.get();
 }
 
@@ -164,10 +157,8 @@ void NodeRuntime::collect_metrics(obs::Registry& r) {
   const TransportStats ts = transport_stats();
   sink("crsm_transport_messages_sent_total", ts.messages_sent);
   sink("crsm_transport_messages_delivered_total", ts.messages_delivered);
-  sink("crsm_transport_messages_dropped_total", ts.messages_dropped);
   sink("crsm_transport_bytes_sent_total", ts.bytes_sent);
   sink("crsm_transport_encode_calls_total", ts.encode_calls);
-  sink("crsm_transport_backpressure_blocks_total", ts.backpressure_blocks);
   sink("crsm_transport_wire_flushes_total", ts.wire_flushes);
   sink("crsm_transport_frames_flushed_total", ts.frames_flushed);
   sink("crsm_transport_wakes_sent_total", ts.wakes_sent);
@@ -175,19 +166,18 @@ void NodeRuntime::collect_metrics(obs::Registry& r) {
   sink("crsm_transport_connected_peers", transport_.connected_peers());
   sink("crsm_transport_backlog_bytes", transport_.backlog_bytes());
 
-  const StorageStats ss = storage_.stats();
+  const StorageStats ss = storage().stats();
   sink("crsm_storage_appends_total", ss.appends);
   sink("crsm_storage_sync_requests_total", ss.sync_requests);
   sink("crsm_storage_syncs_total", ss.syncs);
   sink("crsm_storage_held_messages_total", ss.held_messages);
   sink("crsm_storage_checkpoints_total", ss.checkpoints);
-  sink("crsm_log_records", storage_.log().size());
-  sink("crsm_log_bytes", storage_.log().records().bytes());
+  sink("crsm_log_records", log().size());
+  sink("crsm_log_bytes", log().records().bytes());
   sink("crsm_storage_max_batch", ss.max_batch);
 
-  sink("crsm_executed_total", executed_.load(std::memory_order_relaxed));
-  sink("crsm_reads_served_total",
-       reads_served_.load(std::memory_order_relaxed));
+  sink("crsm_executed_total", executed());
+  sink("crsm_reads_served_total", reads_served());
   if (cfg_.num_groups > 1) {
     r.gauge("crsm_group").set(static_cast<double>(cfg_.group));
     sink("crsm_wrong_group_rejections_total",
@@ -203,8 +193,8 @@ void NodeRuntime::collect_metrics(obs::Registry& r) {
                : static_cast<double>(bs.cmds) /
                      static_cast<double>(bs.submissions));
 
-  proto_->fill_metrics(sink);
-  sm_->fill_metrics(sink);
+  protocol().fill_metrics(sink);
+  state_machine().fill_metrics(sink);
 }
 
 // --- ProtocolEnv -----------------------------------------------------------
@@ -217,52 +207,34 @@ void NodeRuntime::fence_if_owed() {
   // satisfied (e.g. a checkpoint truncation rewrote + synced the WAL):
   // per-link FIFO in increasing-timestamp order is what Clock-RSM's
   // stability argument rests on.
-  if (storage_.sync_pending()) transport_.raise_fence();
+  if (storage().sync_pending()) transport_.raise_fence();
   if (transport_.fenced()) {
-    storage_.count_held_message();
+    storage().count_held_message();
     ++held_this_pass_;
   }
 }
 
-void NodeRuntime::enqueue_write(Command cmd) {
-  batch_cmds_.fetch_add(1, std::memory_order_relaxed);
-  if (cfg_.max_batch_cmds <= 1) {
-    // Batching off: the pre-batching submit path, one protocol submission
-    // per command. kSubmit coincides with acceptance.
-    if (tracer_ && tracer_->active()) {
-      tracer_->stamp(cmd.client, cmd.seq, obs::Stage::kSubmit,
-                     net::EventLoop::mono_us());
-    }
-    batch_submissions_.fetch_add(1, std::memory_order_relaxed);
-    proto_->submit(std::move(cmd));
-    return;
-  }
-  batch_.add(std::move(cmd));
-}
-
-void NodeRuntime::submit_cut(const std::vector<Command>& members,
-                             Command submission) {
-  batch_submissions_.fetch_add(1, std::memory_order_relaxed);
+void NodeRuntime::on_submit(std::span<const Command> members,
+                            const Command& submission) {
   if (batch_size_hist_) batch_size_hist_->observe(members.size());
-  if (tracer_ && tracer_->active()) {
-    // The batched command's kSubmit is the batch cut: queue-delay up to
-    // here is time spent waiting for the batch to fill / the pass to end.
-    const std::uint64_t now = net::EventLoop::mono_us();
-    for (const Command& c : members) {
-      tracer_->stamp(c.client, c.seq, obs::Stage::kSubmit, now);
-    }
-    if (is_batch(submission)) {
-      std::vector<std::pair<ClientId, std::uint64_t>> ids;
-      ids.reserve(members.size());
-      for (const Command& c : members) ids.emplace_back(c.client, c.seq);
-      tracer_->bind_batch(submission.client, submission.seq, ids);
-    }
+  if (!tracer_ || !tracer_->active()) return;
+  // kSubmit is the protocol submission: for a batched command, queue delay
+  // up to here is time spent waiting for the batch to fill or the pass to
+  // end; with batching off it coincides with acceptance.
+  const std::uint64_t now = net::EventLoop::mono_us();
+  for (const Command& c : members) {
+    tracer_->stamp(c.client, c.seq, obs::Stage::kSubmit, now);
   }
-  proto_->submit(std::move(submission));
+  if (members.size() > 1) {  // an envelope: bind its members to it
+    std::vector<std::pair<ClientId, std::uint64_t>> ids;
+    ids.reserve(members.size());
+    for (const Command& c : members) ids.emplace_back(c.client, c.seq);
+    tracer_->bind_batch(submission.client, submission.seq, ids);
+  }
 }
 
 void NodeRuntime::flush_durability() {
-  storage_.flush();  // one fdatasync covers the whole pass's appends
+  storage().flush();  // one fdatasync covers the whole pass's appends
   // The wire flush that follows this hook sends everything the fence held.
   transport_.lift_fence();
   if (held_this_pass_ == 0) return;
@@ -296,32 +268,9 @@ void NodeRuntime::schedule_after(Tick delay_us, std::function<void()> fn) {
   (void)loop_.schedule_after(delay_us, std::move(fn));
 }
 
-void NodeRuntime::install_checkpoint(std::string_view blob) {
-  storage_.install_checkpoint(blob, *sm_);
-  // The peer's snapshot replaces everything executed here so far.
-  executed_.store(storage_.checkpoint()->applied, std::memory_order_relaxed);
-}
-
-void NodeRuntime::deliver(const Command& cmd, Timestamp ts, bool local_origin) {
-  if (is_batch(cmd)) {
-    // One replicated entry, many client commands: apply them in envelope
-    // order (every replica splits identically, so execution order agrees).
-    for (const Command& member : split_batch(cmd)) {
-      apply_and_reply(member, ts, local_origin);
-    }
-  } else {
-    apply_and_reply(cmd, ts, local_origin);
-  }
-  // One checkpoint decision per delivered entry, after the whole batch has
-  // applied: a mid-batch checkpoint would cover ts with only a prefix of
-  // the batch in the snapshot.
-  storage_.note_commit(*sm_, ts, executed_.load(std::memory_order_relaxed));
-}
-
-void NodeRuntime::apply_and_reply(const Command& cmd, Timestamp ts,
-                                  bool local_origin) {
-  const std::string output = sm_->apply(cmd);
-  executed_.fetch_add(1, std::memory_order_relaxed);
+void NodeRuntime::on_applied(const Command& cmd, Timestamp ts,
+                             std::uint32_t /*sub*/, bool local_origin,
+                             const std::string& output) {
   if (commit_hook_) commit_hook_(cmd, ts, local_origin);
   if (!local_origin) return;
   const bool traced = tracer_ && tracer_->active();
@@ -334,8 +283,8 @@ void NodeRuntime::apply_and_reply(const Command& cmd, Timestamp ts,
   const auto rit = logged_reads_.find({cmd.client, cmd.seq});
   if (rit != logged_reads_.end()) {
     logged_reads_.erase(rit);
-    reads_served_.fetch_add(1, std::memory_order_relaxed);
-    finish_read(cmd, output);
+    count_read_served();
+    on_read(cmd, ts, output);
     return;
   }
   if (reply_hook_) reply_hook_(cmd);
@@ -354,14 +303,8 @@ void NodeRuntime::apply_and_reply(const Command& cmd, Timestamp ts,
   if (traced) tracer_->finish(cmd.client, cmd.seq, net::EventLoop::mono_us());
 }
 
-void NodeRuntime::deliver_read(const Command& cmd, Timestamp read_ts) {
-  (void)read_ts;
-  const std::string output = sm_->apply_read(cmd);
-  reads_served_.fetch_add(1, std::memory_order_relaxed);
-  finish_read(cmd, output);
-}
-
-void NodeRuntime::finish_read(const Command& cmd, const std::string& output) {
+void NodeRuntime::on_read(const Command& cmd, Timestamp /*read_ts*/,
+                          const std::string& output) {
   if (tracer_ && tracer_->active()) {
     tracer_->finish(cmd.client, cmd.seq, net::EventLoop::mono_us());
   }
@@ -377,8 +320,6 @@ void NodeRuntime::finish_read(const Command& cmd, const std::string& output) {
 }
 
 // --- inbound ---------------------------------------------------------------
-
-void NodeRuntime::on_peer_message(const Message& m) { proto_->on_message(m); }
 
 bool NodeRuntime::reject_wrong_group(std::uint64_t conn, const Command& cmd) {
   if (cfg_.num_groups <= 1) return false;
@@ -407,14 +348,7 @@ void NodeRuntime::on_client_message(std::uint64_t conn, const Message& m) {
   if (m.type == MsgType::kClientRead) {
     if (reject_wrong_group(conn, m.cmd)) return;
     client_routes_[m.cmd.client] = conn;
-    Command owned = m.cmd;  // copy-on-retain: m views the receive buffer
-    if (!proto_->supports_local_reads()) {
-      logged_reads_.insert({owned.client, owned.seq});
-    }
-    if (tracer_) {
-      tracer_->begin_read(owned.client, owned.seq, net::EventLoop::mono_us());
-    }
-    proto_->submit_read(std::move(owned));
+    accept_read(m.cmd);  // copy-on-retain: m views the receive buffer
     return;
   }
   if (m.type != MsgType::kClientRequest) return;  // protocol misuse; ignore
@@ -422,9 +356,7 @@ void NodeRuntime::on_client_message(std::uint64_t conn, const Message& m) {
   client_routes_[m.cmd.client] = conn;
   // The decoded command views the connection's receive buffer; copying into
   // an owned Command here is the copy-on-retain point.
-  Command owned = m.cmd;
-  if (tracer_) tracer_->begin(owned.client, owned.seq, net::EventLoop::mono_us());
-  enqueue_write(std::move(owned));
+  accept_write(m.cmd);
 }
 
 void NodeRuntime::on_client_closed(std::uint64_t conn) {

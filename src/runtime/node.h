@@ -19,13 +19,14 @@
 // (TcpTransport::raise_fence), and the loop's pass-end hook issues a single
 // fdatasync and then lifts it, so the pass-end wire flush releases every
 // held frame. PREPAREOK therefore never precedes the durability point it
-// acknowledges, at one fsync per pass instead of one per append. On boot
-// the node restores the checkpoint (if any) into the state machine and the
-// hosted protocol replays the WAL; Clock-RSM with catchup_on_recovery then
-// fetches whatever it missed from live peers (see clock_rsm.h). Durable or
-// not, the node checkpoints every StorageOptions::checkpoint_every commits
-// and drops the covered log prefix, so its memory tracks its state and
-// in-flight work, not its history.
+// acknowledges, at one fsync per pass instead of one per append.
+//
+// The replica itself — boot from checkpoint plus WAL (Clock-RSM's
+// catch-up then fetches what it missed), delivery and the batch split,
+// checkpoint cadence, submit-side batching — is ReplicaCore
+// (rsm/replica_core.h), the code SimWorld runs too. The node adds sockets,
+// the clock, timers, the pass-end batch cut and fsync, client reply
+// routing and observability.
 #pragma once
 
 #include <atomic>
@@ -33,6 +34,7 @@
 #include <functional>
 #include <memory>
 #include <set>
+#include <span>
 #include <string>
 #include <string_view>
 #include <thread>
@@ -41,7 +43,6 @@
 #include <vector>
 
 #include "clock/system_clock.h"
-#include "common/batch.h"
 #include "common/command.h"
 #include "common/message.h"
 #include "common/types.h"
@@ -50,7 +51,7 @@
 #include "obs/metrics.h"
 #include "obs/metrics_http.h"
 #include "obs/trace.h"
-#include "rsm/protocol.h"
+#include "rsm/replica_core.h"
 #include "rsm/state_machine.h"
 #include "shard/shard_router.h"
 #include "storage/replica_storage.h"
@@ -108,11 +109,10 @@ struct NodeConfig {
   NodeObsOptions obs;
 };
 
-class NodeRuntime final : private ProtocolEnv {
+class NodeRuntime final : private ReplicaCore {
  public:
-  using ProtocolFactory =
-      std::function<std::unique_ptr<ReplicaProtocol>(ProtocolEnv&, ReplicaId)>;
-  using StateMachineFactory = std::function<std::unique_ptr<StateMachine>()>;
+  using ProtocolFactory = ReplicaCore::ProtocolFactory;
+  using StateMachineFactory = ReplicaCore::StateMachineFactory;
   // Runs on the node's loop thread when a locally originated command
   // executes; in-process harnesses (TcpCluster) unblock their clients here.
   using ReplyHook = std::function<void(const Command&)>;
@@ -135,7 +135,6 @@ class NodeRuntime final : private ProtocolEnv {
 
   [[nodiscard]] std::uint16_t port() const { return transport_.port(); }
   [[nodiscard]] ReplicaId id() const { return cfg_.id; }
-  [[nodiscard]] ShardId group() const { return cfg_.group; }
   // Client commands bounced with kClientRedirect because their key belongs
   // to another group (always 0 when num_groups == 1).
   [[nodiscard]] std::uint64_t wrong_group_rejections() const {
@@ -162,31 +161,18 @@ class NodeRuntime final : private ProtocolEnv {
   // the log; either way the read hook fires with the output.
   void submit_read(Command cmd);
 
-  // Commands this replica's state reflects, including those covered by a
-  // restored or installed checkpoint: equal on every caught-up replica.
-  [[nodiscard]] std::uint64_t executed() const {
-    return executed_.load(std::memory_order_relaxed);
-  }
-  // Protocol-batching counters: write commands accepted into the submit
-  // path vs. submissions handed to the protocol (each = one PREPARE round
-  // at the origin). cmds / submissions is the achieved cmds-per-PREPARE.
-  struct BatchStats {
-    std::uint64_t cmds = 0;
-    std::uint64_t submissions = 0;
-  };
-  [[nodiscard]] BatchStats batch_stats() const {
-    return {batch_cmds_.load(std::memory_order_relaxed),
-            batch_submissions_.load(std::memory_order_relaxed)};
-  }
-  [[nodiscard]] std::uint64_t reads_served() const {
-    return reads_served_.load(std::memory_order_relaxed);
-  }
+  // Thread-safe counters kept by ReplicaCore: executed commands (checkpoint
+  // included), locally served reads, and the batching counters.
+  using BatchStats = ReplicaCore::BatchStats;
+  using ReplicaCore::batch_stats;
+  using ReplicaCore::executed;
+  using ReplicaCore::reads_served;
   [[nodiscard]] TransportStats transport_stats() const {
     return transport_.stats();
   }
-  [[nodiscard]] StorageStats storage_stats() const { return storage_.stats(); }
+  [[nodiscard]] StorageStats storage_stats() const { return storage().stats(); }
   // True when boot found prior durable state (the node is a restart).
-  [[nodiscard]] bool recovering() const { return storage_.recovering(); }
+  [[nodiscard]] bool recovering() const { return storage().recovering(); }
   [[nodiscard]] const TcpTransport& transport() const { return transport_; }
   // Digest of the replica's state machine. While running, executes on the
   // loop thread (posted, blocking the caller); once stopped, reads
@@ -206,31 +192,35 @@ class NodeRuntime final : private ProtocolEnv {
   }
 
  private:
-  // --- ProtocolEnv (loop thread only) ---
-  [[nodiscard]] ReplicaId self() const override { return cfg_.id; }
-  [[nodiscard]] CommandLog& log() override { return storage_.log(); }
-  [[nodiscard]] Timestamp recovery_floor() const override {
-    return storage_.recovery_floor();
-  }
-  [[nodiscard]] std::string encoded_checkpoint() const override {
-    return storage_.encoded_checkpoint();
-  }
+  // --- ProtocolEnv: transport, clock, timers, tracer (loop thread only) ---
   void send(ReplicaId to, Message m) override;
   void send_encoded(ReplicaId to, std::string frame) override;
   void multicast(const std::vector<ReplicaId>& tos, Message m) override;
   [[nodiscard]] Tick clock_now() override { return clock_.now_us(); }
   void schedule_after(Tick delay_us, std::function<void()> fn) override;
-  void deliver(const Command& cmd, Timestamp ts, bool local_origin) override;
-  void deliver_read(const Command& cmd, Timestamp read_ts) override;
-  void install_checkpoint(std::string_view blob) override;
   [[nodiscard]] obs::CommitTracer* tracer() override { return tracer_.get(); }
 
-  void finish_read(const Command& cmd, const std::string& output);
+  // --- ReplicaCore hooks (loop thread) ---
+  // Tracing for the submission's members; batch-size histogram.
+  void on_submit(std::span<const Command> members,
+                 const Command& submission) override;
+  // Commit hook; for a local command, tracing and the reply: a read that
+  // rode the log answers through on_read, a write acknowledges its client.
+  void on_applied(const Command& cmd, Timestamp ts, std::uint32_t sub,
+                  bool local_origin, const std::string& output) override;
+  // Read hook, tracing and the kClientReadReply.
+  void on_read(const Command& cmd, Timestamp read_ts,
+               const std::string& output) override;
+
+  // A client command accepted on the loop thread (in-process or from a
+  // socket): starts its trace, then enqueues the write or submits the read
+  // (remembering a read that will ride the log, which owes a read reply).
+  void accept_write(Command cmd);
+  void accept_read(Command cmd);
   // num_groups > 1 only: if the router assigns cmd's key to another group,
   // bounce it with kClientRedirect (naming the owner) and return true.
   bool reject_wrong_group(std::uint64_t conn, const Command& cmd);
   void collect_metrics(obs::Registry& r);  // loop-thread collector body
-  void on_peer_message(const Message& m);
   void on_client_message(std::uint64_t conn, const Message& m);
   void on_client_closed(std::uint64_t conn);
 
@@ -242,36 +232,20 @@ class NodeRuntime final : private ProtocolEnv {
   // Replies to a networked client (dropped if it has gone away).
   void reply_to_client(std::uint64_t conn, Message reply);
 
-  // Protocol batching: buffers a client write for the pass's batch (or
-  // submits it straight through when batching is off); the batch is cut at
-  // the caps and at pass end, and each cut is submitted by submit_cut().
-  void enqueue_write(Command cmd);
-  void submit_cut(const std::vector<Command>& members, Command submission);
-  // The shared per-command tail of deliver(): apply, count, hooks, reply.
-  void apply_and_reply(const Command& cmd, Timestamp ts, bool local_origin);
-
   NodeConfig cfg_;
-  // Log + checkpoint; outlives proto_, which holds a reference to the log.
-  ReplicaStorage storage_;
   obs::Registry registry_;  // before everything that registers metrics
   net::EventLoop loop_;  // before transport_ (uses it)
   TcpTransport transport_;
-  std::unique_ptr<obs::CommitTracer> tracer_;  // before proto_ (caches it)
+  std::unique_ptr<obs::CommitTracer> tracer_;  // before boot() (cached)
   std::unique_ptr<obs::LoopProfiler> profiler_;
   std::unique_ptr<obs::MetricsHttpServer> metrics_http_;
   SystemClock clock_;
-  std::unique_ptr<StateMachine> sm_;
-  std::unique_ptr<ReplicaProtocol> proto_;
   ReplyHook reply_hook_;
   CommitHook commit_hook_;
   ReadHook read_hook_;
   std::uint64_t held_this_pass_ = 0;  // sends behind the fence this pass
 
-  // Loop-thread-only batch accumulator (cut at the caps / pass end).
-  BatchAccumulator batch_;
   obs::LatencyHistogram* batch_size_hist_ = nullptr;
-  std::atomic<std::uint64_t> batch_cmds_{0};
-  std::atomic<std::uint64_t> batch_submissions_{0};
 
   // client id -> client connection that most recently requested with it.
   std::unordered_map<ClientId, std::uint64_t> client_routes_;
@@ -281,8 +255,6 @@ class NodeRuntime final : private ProtocolEnv {
 
   std::thread thread_;
   bool started_ = false;
-  std::atomic<std::uint64_t> executed_{0};
-  std::atomic<std::uint64_t> reads_served_{0};
   std::atomic<std::uint64_t> wrong_group_rejections_{0};
 };
 

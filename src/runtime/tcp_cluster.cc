@@ -13,8 +13,6 @@ std::unique_ptr<NodeRuntime> TcpCluster::make_node(ReplicaId id,
   cfg.id = id;
   cfg.transport.listen_host = "127.0.0.1";
   cfg.transport.listen_port = port;  // 0 = ephemeral; resolved before start()
-  cfg.transport.max_pending_bytes = opt_.max_pending_bytes;
-  cfg.transport.policy = opt_.policy;
   cfg.transport.max_coalesce_bytes = opt_.max_coalesce_bytes;
   cfg.transport.reconnect = opt_.reconnect;
   cfg.max_batch_cmds = opt_.max_batch_cmds;
@@ -151,10 +149,8 @@ TransportStats TcpCluster::stats() const {
     const TransportStats s = node->transport_stats();
     total.messages_sent += s.messages_sent;
     total.messages_delivered += s.messages_delivered;
-    total.messages_dropped += s.messages_dropped;
     total.bytes_sent += s.bytes_sent;
     total.encode_calls += s.encode_calls;
-    total.backpressure_blocks += s.backpressure_blocks;
     total.wire_flushes += s.wire_flushes;
     total.frames_flushed += s.frames_flushed;
     total.wakes_sent += s.wakes_sent;

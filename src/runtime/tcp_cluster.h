@@ -24,8 +24,6 @@ namespace crsm {
 
 struct TcpClusterOptions {
   // Applied to every node (listen host/port are managed by the cluster).
-  std::size_t max_pending_bytes = 0;
-  BackpressurePolicy policy = BackpressurePolicy::kBlock;
   // Durable nodes: replica i logs to <log_dir>/node-<i> (WAL + checkpoint).
   // Empty = volatile MemLog. With a log dir set, kill()/restart() give the
   // crash-restart story its in-process harness.

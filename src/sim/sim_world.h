@@ -10,6 +10,7 @@
 #include "common/command.h"
 #include "common/types.h"
 #include "rsm/protocol.h"
+#include "rsm/replica_core.h"
 #include "rsm/state_machine.h"
 #include "sim/simulator.h"
 #include "storage/command_log.h"
@@ -78,9 +79,8 @@ struct SimWorldOptions {
 // supplies factories.
 class SimWorld {
  public:
-  using ProtocolFactory =
-      std::function<std::unique_ptr<ReplicaProtocol>(ProtocolEnv&, ReplicaId)>;
-  using StateMachineFactory = std::function<std::unique_ptr<StateMachine>()>;
+  using ProtocolFactory = ReplicaCore::ProtocolFactory;
+  using StateMachineFactory = ReplicaCore::StateMachineFactory;
   // (replica, cmd, ts, local_origin) for every delivery at every replica.
   using CommitHook = std::function<void(ReplicaId, const Command&, Timestamp, bool)>;
   // (replica, cmd, read_ts, output) for every locally served read. Reads

@@ -1,7 +1,5 @@
 #include "transport/tcp_transport.h"
 
-#include <poll.h>
-
 #include <algorithm>
 #include <stdexcept>
 #include <utility>
@@ -389,53 +387,12 @@ void TcpTransport::send_on_loop(ReplicaId to, const WireFrame& f) {
   if (shut_down_) return;
   const std::string_view bytes = f.bytes();
   PeerLink& link = peers_[to];
-  const std::size_t limit = opt_.max_pending_bytes;
-  // An empty queue always admits, whatever the frame's size — otherwise a
-  // single frame larger than the limit could never be sent at all (dropped
-  // on every retry, or blocked on a wait that cannot succeed).
   if (!link.conn || link.conn->closed()) {
-    // Link down: queue for the reconnect. Blocking here would deadlock the
-    // loop that performs the reconnect, so kBlock queues unbounded while
-    // disconnected; kDrop sheds as usual.
-    if (limit > 0 && opt_.policy == BackpressurePolicy::kDrop &&
-        !link.backlog.empty() && link.backlog.size() + bytes.size() > limit) {
-      messages_dropped_.fetch_add(1, std::memory_order_relaxed);
-      return;
-    }
-    link.backlog.push(bytes);
-    return;
-  }
-  if (limit > 0 && opt_.policy == BackpressurePolicy::kDrop &&
-      link.conn->pending_bytes() > 0 &&
-      link.conn->pending_bytes() + bytes.size() > limit) {
-    messages_dropped_.fetch_add(1, std::memory_order_relaxed);
+    link.backlog.push(bytes);  // link down: queue for the reconnect
     return;
   }
   link.conn->send(bytes);
   mark_dirty(link.conn.get());
-  if (limit > 0 && opt_.policy == BackpressurePolicy::kBlock && !fenced_ &&
-      link.conn && link.conn->pending_bytes() > limit) {
-    apply_backpressure(link);
-  }
-}
-
-void TcpTransport::apply_backpressure(PeerLink& link) {
-  // The kernel buffer and our queue are both full: stall this sender until
-  // the peer drains. This intentionally holds up the loop thread — that is
-  // what backpressure means for a single-threaded replica — and bails out
-  // if the connection dies underneath us. The stall is bounded: two peers
-  // back-pressuring each other would otherwise deadlock (neither loop
-  // reads while blocked in here), so after the deadline the frame stays
-  // queued beyond the limit and the loop resumes draining both directions.
-  backpressure_blocks_.fetch_add(1, std::memory_order_relaxed);
-  const std::uint64_t deadline_us = net::EventLoop::mono_us() + 1'000'000;
-  while (!shut_down_ && link.conn && !link.conn->closed() &&
-         link.conn->pending_bytes() > opt_.max_pending_bytes &&
-         net::EventLoop::mono_us() < deadline_us) {
-    pollfd p{link.conn->fd(), POLLOUT, 0};
-    (void)::poll(&p, 1, 50);
-    if (link.conn && !link.conn->closed()) (void)link.conn->flush();
-  }
 }
 
 void TcpTransport::send_to_client(std::uint64_t conn, const WireFrame& f) {
@@ -466,10 +423,8 @@ TransportStats TcpTransport::stats() const {
   TransportStats s;
   s.messages_sent = messages_sent_.load(std::memory_order_relaxed);
   s.messages_delivered = messages_delivered_.load(std::memory_order_relaxed);
-  s.messages_dropped = messages_dropped_.load(std::memory_order_relaxed);
   s.bytes_sent = bytes_sent_.load(std::memory_order_relaxed);
   s.encode_calls = encode_calls_.load(std::memory_order_relaxed);
-  s.backpressure_blocks = backpressure_blocks_.load(std::memory_order_relaxed);
   s.wakes_sent = wakes_sent_.load(std::memory_order_relaxed);
   s.wakes_received = wakes_received_.load(std::memory_order_relaxed);
   s.wire_flushes = wire_metrics_.flushes.load(std::memory_order_relaxed);

@@ -26,26 +26,27 @@
 //    hook), or sooner once the connection's budget is reached.
 //  * Flush fence (group commit): while the host has raised the fence,
 //    nothing queued reaches the wire or a local handler — not the budget
-//    guard, not a reconnect backlog adopted mid-pass, not a kBlock stall,
-//    not a self-delivery. A self-delivery waits as its frame's bytes, fence
-//    or no fence, and is decoded when delivered. The host lifts it right after its pass-end
-//    fsync, and the wire flush that follows sends every held frame, in
-//    production order per destination. A frame produced while the WAL owes
-//    a durability point therefore never precedes that point.
+//    guard, not a reconnect backlog adopted mid-pass, not a self-delivery.
+//    A self-delivery waits as its frame's bytes, fence or no fence, and is
+//    decoded when delivered. The host lifts the fence right after its
+//    pass-end fsync, and the wire flush that follows sends every held
+//    frame, in production order per destination. A frame produced while
+//    the WAL owes a durability point therefore never precedes that point.
 //  * Zero-copy receive: inbound bytes are reassembled (FrameConn) and
 //    decoded as views into the connection's receive buffer
 //    (Message::decode_stream_view); handlers copy only what they retain.
 //  * Uniform accounting: TransportStats counts per-link messages/bytes and
 //    per-frame encodes exactly like SimTransport.
 //
-// Send queues are bounded (Options::max_pending_bytes): a connected link
-// over its limit either blocks the sender until the kernel drains
-// (kBlock — counted; skipped while the fence is up) or sheds the frame
-// (kDrop). While a peer link is down, frames queue in the link's packed
-// backlog and are spliced onto the next connection; a dead connection's
-// unsent frames are spliced back in front of it. Only frames fully written
-// to a socket that then died can be lost, so the channel is reliable-FIFO
-// while a connection lives and at-most-once across repairs.
+// Send queues are unbounded: the transport never blocks a sender or sheds
+// a frame, since Clock-RSM's stable-order rule assumes reliable FIFO links.
+// Bounding memory under overload is the client edge's job (admission
+// control), not the peer links'. While a peer link is down, frames queue
+// in the link's packed backlog and are spliced onto the next connection; a
+// dead connection's unsent frames are spliced back in front of it. Only
+// frames fully written to a socket that then died can be lost, so the
+// channel is reliable-FIFO while a connection lives and at-most-once
+// across repairs.
 //
 // Threading: everything runs on the EventLoop thread, including the
 // registered message handler. send()/multicast() from other threads post
@@ -81,10 +82,6 @@ struct TcpPeer {
 struct TcpTransportOptions {
   std::string listen_host = "127.0.0.1";
   std::uint16_t listen_port = 0;  // 0 = ephemeral; read back with port()
-  // Bounded send queue: max bytes pending per peer link (transport queue +
-  // connection buffer). 0 = unbounded.
-  std::size_t max_pending_bytes = 0;
-  BackpressurePolicy policy = BackpressurePolicy::kBlock;
   // Per-pass wire coalescing budget: frames queued to one peer during an
   // event-loop pass are flushed as one writev at pass end, or sooner once a
   // connection's pending bytes reach this budget. 0 flushes every frame as
@@ -153,19 +150,6 @@ class TcpTransport final {
   // Bytes queued for peer links that are down. Loop-thread only.
   [[nodiscard]] std::size_t backlog_bytes() const;
 
-  [[nodiscard]] std::uint64_t messages_sent() const {
-    return messages_sent_.load(std::memory_order_relaxed);
-  }
-  [[nodiscard]] std::uint64_t messages_delivered() const {
-    return messages_delivered_.load(std::memory_order_relaxed);
-  }
-  [[nodiscard]] std::uint64_t bytes_sent() const {
-    return bytes_sent_.load(std::memory_order_relaxed);
-  }
-  [[nodiscard]] std::uint64_t encode_calls() const {
-    return encode_calls_.load(std::memory_order_relaxed);
-  }
-
  private:
   struct PeerLink {
     TcpPeer addr;
@@ -224,7 +208,6 @@ class TcpTransport final {
   void on_accept(net::Socket&& sock);
   void on_conn_message(net::FrameConn* raw, const Message& m);
   void on_conn_closed(net::FrameConn* raw);
-  void apply_backpressure(PeerLink& link);
   void bury(std::unique_ptr<net::FrameConn> conn);
 
   net::EventLoop& loop_;
@@ -270,10 +253,8 @@ class TcpTransport final {
 
   std::atomic<std::uint64_t> messages_sent_{0};
   std::atomic<std::uint64_t> messages_delivered_{0};
-  std::atomic<std::uint64_t> messages_dropped_{0};
   std::atomic<std::uint64_t> bytes_sent_{0};
   std::atomic<std::uint64_t> encode_calls_{0};
-  std::atomic<std::uint64_t> backpressure_blocks_{0};
   std::atomic<std::uint64_t> wakes_sent_{0};
   std::atomic<std::uint64_t> wakes_received_{0};
 };

@@ -23,15 +23,14 @@ namespace crsm {
 // Uniform traffic accounting. `encode_calls` counts actual Message
 // serializations; with fan-out encode-once it is <= messages_sent (for a
 // broadcast-heavy protocol, roughly messages_sent / fan-out).
-// `messages_dropped` and `backpressure_blocks` surface the bounded
-// send-queue policy (below): overload tests assert on them.
+// `messages_dropped` counts messages a faulty simulated link lost
+// (SimTransport's crash, partition and drop knobs).
 struct TransportStats {
   std::uint64_t messages_sent = 0;
   std::uint64_t messages_delivered = 0;
   std::uint64_t messages_dropped = 0;
   std::uint64_t bytes_sent = 0;
   std::uint64_t encode_calls = 0;
-  std::uint64_t backpressure_blocks = 0;
   // Fault-injection accounting (SimTransport DST knobs): messages dropped by
   // the probabilistic drop knob and extra copies delivered by the duplicate
   // knob. Both are also reflected in messages_dropped / messages_delivered.
@@ -49,15 +48,6 @@ struct TransportStats {
   // torn down unread, so received can trail sent.
   std::uint64_t wakes_sent = 0;
   std::uint64_t wakes_received = 0;
-};
-
-// What a bounded send queue does when an outbound link is over its byte
-// limit. kBlock applies backpressure to the sender (counted in
-// backpressure_blocks); kDrop sheds the message (counted in
-// messages_dropped) — the overload-shedding mode for saturation tests.
-enum class BackpressurePolicy : std::uint8_t {
-  kBlock,
-  kDrop,
 };
 
 }  // namespace crsm

@@ -553,6 +553,49 @@ TEST(ClockRsmUnit, SupersededHeadIsDroppedNotExecuted) {
   EXPECT_EQ(delivered_ts(r.env), (std::vector<Timestamp>{base, committed}));
 }
 
+TEST(ClockRsmUnit, RecoveringReplicaSendsItsClockAheadOfItsCatchupRequest) {
+  // A survivor's command stalls on the dead replica's clock alone (both
+  // survivors acked it). The restarted replica's CLOCKTIME precedes its
+  // CATCHUPREQ, so the survivor commits the command before it answers and
+  // the reply's commit bound covers it, whether or not the restarted
+  // replica had an unresolved tail to re-ack.
+  Fixture survivor;
+  survivor.env.set_clock(9000);
+  const Timestamp stalled{5000, 1};
+  survivor.replica.on_message(prepare(1, stalled, 1));
+  for (const auto& s : survivor.env.sent_of(MsgType::kPrepareOk)) {
+    if (s.to == kSelf) survivor.replica.on_message(s.msg);
+  }
+  survivor.replica.on_message(prepare_ok(1, stalled, 8000));
+  survivor.replica.on_message(clock_time(1, 8000));
+  ASSERT_EQ(survivor.replica.pending_count(), 1u);
+  ASSERT_TRUE(survivor.env.delivered.empty());
+
+  const Timestamp base{100, 1};
+  MockEnv env{2};
+  env.log().append(LogRecord::prepare(base, cmd(100)));
+  env.log().append(LogRecord::commit(base));
+  env.set_clock(9000);
+  ClockRsmOptions opt;
+  opt.catchup_on_recovery = true;
+  ClockRsmReplica restarted(env, kSpec, opt);
+  restarted.start();
+  ASSERT_TRUE(restarted.catching_up());
+
+  std::vector<MsgType> to_survivor;
+  for (const auto& s : env.sent) {
+    if (s.to != kSelf) continue;
+    to_survivor.push_back(s.msg.type);
+    survivor.replica.on_message(s.msg);
+  }
+  EXPECT_EQ(to_survivor,
+            (std::vector<MsgType>{MsgType::kClockTime, MsgType::kCatchupReq}));
+  EXPECT_EQ(delivered_ts(survivor.env), (std::vector<Timestamp>{stalled}));
+  const auto replies = survivor.env.sent_of(MsgType::kCatchupReply);
+  ASSERT_EQ(replies.size(), 1u);
+  EXPECT_EQ(replies[0].msg.ts, stalled);
+}
+
 TEST(ClockRsmUnit, EarlyAckIsPrunedOnceCommitsPassIt) {
   Fixture f;
   f.env.set_clock(9000);

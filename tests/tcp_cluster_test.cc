@@ -3,7 +3,7 @@
 // genuine sockets, the recorded history must pass the linearizability
 // checker, the client wire path (SyncClient speaking
 // kClientRequest/kClientReply) must work, and the transport's encode-once
-// fan-out, coalescing and backpressure accounting must hold.
+// fan-out and coalescing accounting must hold.
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -458,82 +458,6 @@ TEST_P(TcpBackendTest, EncodeOnceAndCoalescingCountersHold) {
     EXPECT_LT(flushes, frames)
         << "coalescing never batched two frames into one flush";
   }
-}
-
-// Bounded send queues on the TCP transport: with a kDrop policy and a dead
-// peer, the per-link backlog sheds beyond the byte limit and the drops are
-// visible in TransportStats (the overload-test contract).
-TEST_P(TcpBackendTest, DropPolicyBoundsDisconnectedBacklog) {
-  net::EventLoop loop;
-  std::thread loop_thread([&] { loop.run(); });
-
-  TcpTransport::Options opt;
-  opt.max_coalesce_bytes = coalesce_budget();
-  opt.max_pending_bytes = 256;
-  opt.policy = BackpressurePolicy::kDrop;
-  // Reserve-and-release a port so peer 1 is genuinely dead but dialable.
-  std::uint16_t dead_port = 0;
-  {
-    net::Socket probe = net::tcp_listen("127.0.0.1", 0);
-    dead_port = net::local_port(probe.fd());
-  }
-  auto transport = std::make_unique<TcpTransport>(loop, /*self=*/0, opt);
-  std::atomic<bool> started{false};
-  loop.post([&] {
-    transport->start({TcpPeer{"127.0.0.1", transport->port()},
-                      TcpPeer{"127.0.0.1", dead_port}});
-    started = true;
-  });
-  ASSERT_TRUE(eventually([&] { return started.load(); }));
-
-  for (int i = 0; i < 200; ++i) {
-    Message m;
-    m.type = MsgType::kMenPropose;
-    m.slot = static_cast<Slot>(i);
-    m.cmd = kv_put(1, i + 1, "key", "payload-payload-payload");
-    transport->send(0, 1, WireFrame(std::move(m)));
-  }
-  // Wait for the loop to work through all 200 posted sends (drops happen on
-  // the loop thread; sampling at the first drop races the remaining posts).
-  ASSERT_TRUE(eventually([&] {
-    return transport->stats().messages_dropped > 100;
-  }));
-  const TransportStats s = transport->stats();
-  EXPECT_GT(s.messages_dropped, 100u);  // limit holds ~a handful of frames
-  EXPECT_EQ(s.backpressure_blocks, 0u);
-
-  std::atomic<bool> cleaned{false};
-  loop.post([&] {
-    transport->shutdown();
-    cleaned = true;
-  });
-  ASSERT_TRUE(eventually([&] { return cleaned.load(); }));
-  loop.stop();
-  loop_thread.join();
-}
-
-// The kBlock policy over live links: with a send-queue limit below one
-// frame, a send that leaves bytes queued stalls the loop until the socket
-// drains (counted in backpressure_blocks), nothing is shed, and the cluster
-// still commits every command — the stall drains instead of deadlocking.
-TEST(TcpBlockPolicy, StallsUntilLinkDrains) {
-  const std::size_t n = 3;
-  TcpClusterOptions o;
-  o.max_pending_bytes = 1;
-  o.policy = BackpressurePolicy::kBlock;
-  TcpCluster cluster(n, clock_rsm_factory(n), kv_factory(), o);
-  std::atomic<int> replies{0};
-  cluster.set_reply_hook([&](ReplicaId, const Command&) { ++replies; });
-  cluster.start();
-  constexpr int kCmds = 30;
-  for (int i = 0; i < kCmds; ++i) {
-    cluster.submit(static_cast<ReplicaId>(i % n),
-                   kv_put(make_client_id(i % n, 0), i / n + 1, "k", "v"));
-  }
-  ASSERT_TRUE(eventually([&] { return replies.load() == kCmds; }));
-  EXPECT_TRUE(eventually([&] { return cluster.stats().backpressure_blocks > 0; }));
-  EXPECT_EQ(cluster.stats().messages_dropped, 0u);
-  cluster.stop();
 }
 
 // The observability acceptance case: a 3-replica durable cluster scraped
