@@ -121,16 +121,16 @@ void ClockRsmReplica::start() {
       rejoin_catchup_pending_ = true;
       reconfigure(spec_);
     }
-  } else if (recovering && opt_.catchup_on_recovery) {
+  } else if (recovering) {
     begin_catchup();
   }
 }
 
 void ClockRsmReplica::replay_from_log() {
   // Crash recovery (Section V-B): committed commands replay in timestamp
-  // order; PREPARE entries without a COMMIT mark stay unresolved until the
-  // replica rejoins via reconfiguration (which re-derives them from a
-  // majority), so they are intentionally not re-entered into PendingCmds.
+  // order; PREPARE entries without a COMMIT mark stay unresolved: catch-up
+  // re-stages them (begin_catchup), and a rejoin via reconfiguration
+  // re-derives them from a majority instead.
   const Timestamp floor = env_.recovery_floor();
   // The replayed records view the log, and delivering them can truncate it.
   const LogMirror::Hold hold(env_.log().records());
@@ -402,15 +402,8 @@ void ClockRsmReplica::on_message(const Message& m) {
     case MsgType::kSuspendOk:
       handle_suspend_ok(m);
       return;
-    case MsgType::kRetrieveCmds:
-      handle_retrieve_cmds(m);
-      return;
-    case MsgType::kRetrieveReply:
-      handle_retrieve_reply(m);
-      return;
-
-    // Catch-up is epoch-agnostic like the retrieve machinery: a recovering
-    // replica's epoch may lag the group's.
+    // Catch-up is epoch-agnostic like the reconfiguration machinery: a
+    // recovering replica's epoch may lag the group's.
     case MsgType::kCatchupReq:
       handle_catchup_req(m);
       return;
@@ -732,66 +725,8 @@ void ClockRsmReplica::handle_suspend_ok(const Message& m) {
   }
 }
 
-void ClockRsmReplica::handle_retrieve_cmds(const Message& m) {
-  // Lines 29-31: return logged commands with from < ts <= to.
-  //
-  // The requester executes everything we hand back as committed (it is
-  // fetching the prefix under a decision's cts), so only prepares with an
-  // actual COMMIT mark may be served: an unmarked prepare may be an orphan
-  // that was superseded without ever committing anywhere, and handing it
-  // out would make the fetcher execute a command the rest of the cluster
-  // never will (found by DST: an orphaned proposal surviving a catch-up's
-  // majority fallback was later state-transferred back to its own origin
-  // rejoining after a crash). The reply carries our commit bound; commits
-  // are gap-free in timestamp order, so a bound covering the range proves
-  // the served set is the *complete* committed range.
-  const Timestamp from = m.ts;
-  const Timestamp to{m.clock_ts, static_cast<ReplicaId>(m.a)};
-  Message r;
-  r.type = MsgType::kRetrieveReply;
-  r.epoch = m.epoch;
-  r.ts = last_commit_ts_;
-  const CommitMarks marks(env_.log().records(), from, to);
-  std::unordered_set<Timestamp, TimestampHash> seen;
-  for (const LogRecord& rec : env_.log().records()) {
-    if (rec.type != LogType::kPrepare || rec.ts <= from || rec.ts > to) continue;
-    if (!marks.contains(rec.ts)) continue;
-    if (seen.insert(rec.ts).second) {
-      r.records.push_back(rec);
-    }
-  }
-  env_.send(m.from, std::move(r));
-}
-
-void ClockRsmReplica::handle_retrieve_reply(const Message& m) {
-  if (!fetching_for_epoch_ || m.epoch != *fetching_for_epoch_) return;
-  if (!fetch_replies_.insert(m.from).second) return;
-  if (m.ts >= fetch_to_) fetch_complete_seen_ = true;
-  for (const LogRecord& rec : m.records) {
-    if (rec.ts > last_commit_ts_ && rec.ts <= fetch_to_) {
-      fetched_cmds_.emplace(rec.ts, rec.cmd);
-    }
-  }
-  // Completion needs a majority AND at least one server whose commit bound
-  // covered the whole range — only that proves no committed command in
-  // (last_commit, cts] is missing from the union (servers behind the range
-  // serve committed subsets). apply_decision's retry timer keeps asking
-  // until such a server exists; the decision's cts is some replica's commit
-  // bound, so one always will.
-  if (fetch_complete_seen_ && fetch_replies_.size() >= majority(spec_.size())) {
-    const Epoch e = *fetching_for_epoch_;
-    fetching_for_epoch_.reset();
-    auto it = undelivered_decisions_.find(e);
-    assert(it != undelivered_decisions_.end());
-    ReconfigDecision dec = it->second;
-    std::map<Timestamp, Command> extra = std::move(fetched_cmds_);
-    fetched_cmds_.clear();
-    finish_decision(e, dec, std::move(extra));
-  }
-}
-
 // --------------------------------------------------------------------------
-// Crash-restart catch-up (Section V-B, durable runtime)
+// Catch-up (Section V-B): the one fetch of missed committed commands
 //
 // A replica that rebooted from its WAL has the committed prefix it synced
 // before the crash, but may have lost in-flight PREPAREs (frames written to
@@ -799,7 +734,7 @@ void ClockRsmReplica::handle_retrieve_reply(const Message& m) {
 // such a command without resending it to us — replication already reached a
 // majority, and stability only needs our post-restart CLOCKTIME — so replay
 // alone cannot rebuild the total order. Catch-up closes the gap with an
-// open-ended RETRIEVECMDS-style fetch: peers return every PREPARE above our
+// open-ended log fetch: peers return every PREPARE above our
 // last commit plus their own commit bound (all their log entries at or below
 // the bound are committed, in timestamp order), and we poll until our commit
 // timestamp passes the barrier — the highest timestamp any peer had seen
@@ -807,6 +742,11 @@ void ClockRsmReplica::handle_retrieve_reply(const Message& m) {
 // While catching up we keep logging and acking new PREPAREs (peers stay
 // unblocked; nothing new can be lost over the fresh connections) but defer
 // local execution and client submissions.
+//
+// Algorithm 3's log fetch (lines 12-14) is the same exchange in a second
+// mode, the decision fetch: a frozen replica whose decision's cts lies above
+// its commit bound takes only the replies' committed records up to cts,
+// then applies the decision (see apply_decision).
 // --------------------------------------------------------------------------
 
 void ClockRsmReplica::begin_catchup() {
@@ -846,17 +786,25 @@ void ClockRsmReplica::begin_catchup() {
   // delta later): peers stalled on our stability commit before answering,
   // so a reply carries only what we miss, not every stalled command.
   if (opt_.clocktime_enabled && !frozen_ && in_config()) send_clock_time();
-  send_catchup_request();
+  send_catchup_request(config_);
   arm_catchup_timer();
 }
 
-void ClockRsmReplica::send_catchup_request() {
+void ClockRsmReplica::cancel_catchup() {
+  catching_up_ = false;
+  catchup_restaged_.clear();
+  catchup_replied_.clear();
+  catchup_barrier_known_ = false;
+  catchup_all_replied_ = false;
+}
+
+void ClockRsmReplica::send_catchup_request(const std::vector<ReplicaId>& members) {
   Message m;
   m.type = MsgType::kCatchupReq;
   m.epoch = epoch_;
   m.ts = last_commit_ts_;
   std::vector<ReplicaId> peers;
-  for (ReplicaId r : config_) {
+  for (ReplicaId r : members) {
     if (r != env_.self()) peers.push_back(r);
   }
   env_.multicast(peers, std::move(m));
@@ -873,7 +821,7 @@ void ClockRsmReplica::arm_catchup_timer() {
     maybe_set_catchup_barrier(catchup_round_polls_ >= kFallbackPolls);
     maybe_finish_catchup();
     if (!catching_up_ || session != catchup_session_) return;
-    send_catchup_request();
+    send_catchup_request(config_);
     arm_catchup_timer();
   });
 }
@@ -945,7 +893,12 @@ void ClockRsmReplica::handle_catchup_req(const Message& m) {
 }
 
 void ClockRsmReplica::handle_catchup_reply(const Message& m) {
-  if (!catching_up_) return;
+  // A catch-up round and a decision fetch never overlap: apply_decision
+  // cancels the round, and finish_decision ends the fetch before it starts
+  // a new one.
+  const bool fetching = fetching_.has_value();
+  assert(!(fetching && catching_up_));
+  if (!catching_up_ && !fetching) return;
 
   // The barrier only grows from *first* replies: anything a later reply
   // adds arrived over the fresh (reliable) connections and is not at risk.
@@ -958,20 +911,22 @@ void ClockRsmReplica::handle_catchup_reply(const Message& m) {
   // commit before catch-up ends. Waiting for them would deadlock when
   // several replicas catch up at once: each would defer exactly the
   // commits the others' barriers wait for.
-  const Timestamp peer_bound = m.ts;
-  for (const LogRecord& rec : m.records) {
-    catchup_restaged_.erase(rec.ts);  // a peer holds it too: not an orphan
-  }
-  if (catchup_replied_.insert(m.from).second) {
-    catchup_candidate_barrier_ = std::max(catchup_candidate_barrier_, peer_bound);
-    maybe_set_catchup_barrier(/*fallback=*/false);
+  if (catching_up_) {
+    for (const LogRecord& rec : m.records) {
+      catchup_restaged_.erase(rec.ts);  // a peer holds it too: not an orphan
+    }
+    if (catchup_replied_.insert(m.from).second) {
+      catchup_candidate_barrier_ = std::max(catchup_candidate_barrier_, m.ts);
+      maybe_set_catchup_barrier(/*fallback=*/false);
+    }
   }
 
   // A checkpoint replaces the committed prefix our peer's log no longer
-  // holds (and anything we replayed below it). Everything the snapshot
-  // covers must leave the soft state too: a pending entry at or below the
-  // new commit floor is already executed inside the snapshot, and running
-  // it again through maybe_commit would re-execute it out of order.
+  // holds (and anything we replayed below it), so it goes in before any
+  // record. Everything the snapshot covers must leave the soft state too: a
+  // pending entry at or below the new commit floor is already executed
+  // inside the snapshot, and running it again through maybe_commit would
+  // re-execute it out of order.
   if (m.a == 1 && !m.blob.empty()) {
     // The covered timestamp leads the encoding; peek it without decoding
     // the (potentially large) snapshot twice — install does the full parse.
@@ -1005,14 +960,18 @@ void ClockRsmReplica::handle_catchup_reply(const Message& m) {
   }
   // Split the fetched prepares at the responder's commit bound: everything
   // at or below it is committed in timestamp order (the peer's log holds no
-  // uncommitted entry under its last commit), the rest is still open.
+  // uncommitted entry under its last commit), the rest is still open. A
+  // decision fetch commits no further than the decision's cts.
   //
   // A PREPARE above last_commit_ts_ is already logged exactly when it is
   // pending: while catching up, the runs hold every logged PREPARE above
-  // last_commit_ts_.
-  const auto open_begin =
-      std::partition_point(records.begin(), records.end(),
-                           [&](const LogRecord& rec) { return rec.ts <= m.ts; });
+  // last_commit_ts_. A decision fetch may log one a second time (a
+  // replayed unresolved tail is not staged); the log tolerates that, as it
+  // does a duplicate PREPARE.
+  const Timestamp committed_bound = fetching ? std::min(m.ts, fetching_->dec.cts) : m.ts;
+  const auto open_begin = std::partition_point(
+      records.begin(), records.end(),
+      [&](const LogRecord& rec) { return rec.ts <= committed_bound; });
   bool appended = false;
   for (auto it = records.begin(); it != open_begin; ++it) {
     const LogRecord& rec = *it;
@@ -1049,7 +1008,11 @@ void ClockRsmReplica::handle_catchup_reply(const Message& m) {
   // live peers already hold a majority would wait here for re-acks that are
   // never coming, head-blocking maybe_commit at this replica forever while
   // the rest of the cluster commits it and moves on.
-  for (auto it = open_begin; it != records.end(); ++it) {
+  //
+  // A decision fetch stages and acks none: the decision itself settles
+  // everything above its cts.
+  const auto open_end = fetching ? open_begin : records.end();
+  for (auto it = open_begin; it != open_end; ++it) {
     const LogRecord& rec = *it;
     const Timestamp ts = rec.ts;
     if (rec.type != LogType::kPrepare || ts <= last_commit_ts_) continue;
@@ -1065,7 +1028,11 @@ void ClockRsmReplica::handle_catchup_reply(const Message& m) {
   // subsequent open-entry sync; skipped entirely for an empty reply (no
   // pointless fdatasync per poll round).
   if (appended) env_.log().sync();
-  maybe_finish_catchup();
+  if (fetching) {
+    maybe_finish_fetch();
+  } else {
+    maybe_finish_catchup();
+  }
 }
 
 void ClockRsmReplica::maybe_set_catchup_barrier(bool fallback) {
@@ -1102,7 +1069,7 @@ void ClockRsmReplica::maybe_finish_catchup() {
   // Restore the committed-prefix invariant: a pre-crash PREPARE of ours that
   // no majority saw has no COMMIT mark but may now sit below last_commit_ts_
   // (or is a dropped orphan above it); it must not linger, or a later
-  // catch-up/retrieve served from this log would hand it out again. Only
+  // catch-up reply served from this log would hand it out again. Only
   // rewrite the log when such a record actually exists — a FileLog rewrite
   // is a full rewrite.
   const CommitMarks marks(env_.log().records());
@@ -1148,7 +1115,7 @@ void ClockRsmReplica::on_consensus_decide(Epoch instance, const std::string& blo
 }
 
 void ClockRsmReplica::try_apply_decisions() {
-  if (fetching_for_epoch_) return;  // state transfer in flight
+  if (fetching_) return;  // state transfer in flight
   // Decisions are self-contained (config + cts + all commands above cts from
   // a majority), so when several epochs are pending only the newest matters.
   while (!undelivered_decisions_.empty()) {
@@ -1168,55 +1135,49 @@ void ClockRsmReplica::try_apply_decisions() {
 void ClockRsmReplica::apply_decision(Epoch e, const ReconfigDecision& dec) {
   if (dec.cts > last_commit_ts_) {
     // Lines 12-14: we lag behind the decided timestamp; fetch the missing
-    // prefix from a majority before applying the decided commands.
+    // prefix from peers (handle_catchup_reply commits their committed
+    // records up to cts) before applying the decided commands. A catch-up
+    // round in flight is cancelled, as finish_decision would cancel it.
     frozen_ = true;
-    fetching_for_epoch_ = e;
-    undelivered_decisions_[e] = dec;
-    fetch_to_ = dec.cts;
-    fetch_replies_.clear();
-    fetched_cmds_.clear();
-    fetch_complete_seen_ = false;
-    send_retrieve_cmds(e);
+    cancel_catchup();
+    fetching_ = DecisionFetch{e, dec};
+    poll_decision_fetch(e);
     return;
   }
-  finish_decision(e, dec, {});
+  finish_decision(e, dec);
 }
 
-void ClockRsmReplica::send_retrieve_cmds(Epoch e) {
-  Message m;
-  m.type = MsgType::kRetrieveCmds;
-  m.epoch = e;
-  m.ts = last_commit_ts_;
-  m.clock_ts = fetch_to_.ticks;
-  m.a = fetch_to_.origin;
-  env_.multicast(spec_, m);
-  // Keep asking until some server's commit bound covers the range (see
-  // handle_retrieve_reply): servers still catching up toward cts answer
-  // with partial content at first. Duplicate replies are deduplicated by
-  // sender, so retries are idempotent.
-  env_.schedule_after(opt_.consensus_retry_us, [this, e] {
-    if (fetching_for_epoch_ && *fetching_for_epoch_ == e) {
-      fetch_replies_.clear();
-      send_retrieve_cmds(e);
-    }
+void ClockRsmReplica::poll_decision_fetch(Epoch e) {
+  // Every spec peer is asked: a server still behind cts answers with a
+  // shorter committed prefix, and the decision's cts is some replica's
+  // commit bound, so some reply eventually covers it.
+  send_catchup_request(spec_);
+  env_.schedule_after(opt_.catchup_interval_us, [this, e] {
+    if (fetching_ && fetching_->epoch == e) poll_decision_fetch(e);
   });
 }
 
-void ClockRsmReplica::finish_decision(Epoch e, const ReconfigDecision& dec,
-                                      std::map<Timestamp, Command> extra) {
+void ClockRsmReplica::maybe_finish_fetch() {
+  if (!fetching_ || last_commit_ts_ < fetching_->dec.cts) return;
+  const DecisionFetch done = std::move(*fetching_);
+  fetching_.reset();
+  finish_decision(done.epoch, done.dec);
+}
+
+void ClockRsmReplica::finish_decision(Epoch e, const ReconfigDecision& dec) {
   if (debug_reconfig()) {
     std::fprintf(stderr,
-                 "[r%u] finish e=%llu cts=%s cmds=%zu extra=%zu last_commit=%s "
+                 "[r%u] finish e=%llu cts=%s cmds=%zu last_commit=%s "
                  "ncfg=%zu pending=%zu clock=%llu\n",
                  env_.self(), static_cast<unsigned long long>(e),
-                 dec.cts.to_string().c_str(), dec.cmds.size(), extra.size(),
+                 dec.cts.to_string().c_str(), dec.cmds.size(),
                  last_commit_ts_.to_string().c_str(), dec.config.size(),
                  pending_size_, static_cast<unsigned long long>(env_.clock_now()));
   }
 
-  // `extra` holds state-transferred commands in (last_commit_ts, dec.cts];
+  // The prefix up to dec.cts is committed (apply_decision fetched it);
   // dec.cmds holds every command above dec.cts that could have committed.
-  std::map<Timestamp, Command> to_apply = std::move(extra);
+  std::map<Timestamp, Command> to_apply;
   std::unordered_set<Timestamp, TimestampHash> decided_set;
   for (const LogRecord& rec : dec.cmds) {
     decided_set.insert(rec.ts);
@@ -1270,11 +1231,7 @@ void ClockRsmReplica::finish_decision(Epoch e, const ReconfigDecision& dec,
   // decision-wiped proposal back to a fake majority). Cancel it — the
   // trigger below starts a fresh round, against post-truncation logs, when
   // one is still needed.
-  catching_up_ = false;
-  catchup_restaged_.clear();
-  catchup_replied_.clear();
-  catchup_barrier_known_ = false;
-  catchup_all_replied_ = false;
+  cancel_catchup();
 
   // Ways this application can be blind to committed commands:
   //  * first decision since a crash-restart (see start()) — survivors may

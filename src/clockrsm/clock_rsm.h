@@ -52,15 +52,15 @@ struct ClockRsmOptions {
   Tick fd_check_interval_us = 150'000;
   Tick consensus_retry_us = 400'000;
 
-  // Crash-restart catch-up (Section V-B, specialized for the durable TCP
-  // runtime): a replica that boots with prior state (log/checkpoint) replays
-  // it, then retrieves the commands it missed from live peers via
-  // CATCHUPREQ/CATCHUPREPLY — an open-ended variant of the RETRIEVECMDS
-  // log-range fetch — before it resumes committing and accepting clients.
-  // Off by default: simulator restart tests keep replay-only behavior, and
-  // the reconfiguration path subsumes catch-up via SUSPEND + consensus.
-  // Requires a live majority; see docs/OPERATIONS.md.
-  bool catchup_on_recovery = false;
+  // Catch-up (Section V-B's log fetch as an open-ended exchange,
+  // CATCHUPREQ/CATCHUPREPLY): the one way a replica fetches committed
+  // commands it missed. A replica that boots with prior state
+  // (log/checkpoint) replays it, then catches up from live peers before it
+  // resumes committing and accepting clients; with reconfig_enabled it
+  // rejoins through Algorithm 3 instead and catches up after the decision.
+  // A replica whose decision's cts lies above its commit bound polls the
+  // same exchange for the prefix up to cts. Requires a live majority; see
+  // docs/OPERATIONS.md.
   Tick catchup_interval_us = 100'000;  // poll until caught up
 };
 
@@ -170,21 +170,22 @@ class ClockRsmReplica final : public ReplicaProtocol {
   // --- Algorithm 3 ---
   void handle_suspend(const Message& m);
   void handle_suspend_ok(const Message& m);
-  void handle_retrieve_cmds(const Message& m);
-  void handle_retrieve_reply(const Message& m);
   void on_consensus_decide(Epoch instance, const std::string& blob);
   void try_apply_decisions();
   void apply_decision(Epoch e, const ReconfigDecision& dec);
-  void send_retrieve_cmds(Epoch e);
-  void finish_decision(Epoch e, const ReconfigDecision& dec,
-                       std::map<Timestamp, Command> extra);
+  // Polls every spec peer for the committed prefix up to the decision's
+  // cts, once per catchup interval until maybe_finish_fetch applies it.
+  void poll_decision_fetch(Epoch e);
+  void maybe_finish_fetch();
+  void finish_decision(Epoch e, const ReconfigDecision& dec);
   SingleDecreePaxos& consensus(Epoch instance);
   void arm_failure_detector_timer();
   void replay_from_log();
 
-  // --- crash-restart catch-up (durable runtime) ---
+  // --- catch-up: the one fetch of missed committed commands ---
   void begin_catchup();
-  void send_catchup_request();
+  void cancel_catchup();
+  void send_catchup_request(const std::vector<ReplicaId>& members);
   void arm_catchup_timer();
   void handle_catchup_req(const Message& m);
   void handle_catchup_reply(const Message& m);
@@ -294,15 +295,13 @@ class ClockRsmReplica final : public ReplicaProtocol {
   // that lands us in the configuration runs a catch-up round (see start()).
   bool rejoin_catchup_pending_ = false;
 
-  // State-transfer-in-progress bookkeeping (per pending decision epoch).
-  // The fetch completes only after a reply whose server commit bound covers
-  // the full range arrived (fetch_complete_seen_); send_retrieve_cmds
-  // re-asks periodically until then.
-  std::optional<Epoch> fetching_for_epoch_;
-  Timestamp fetch_to_;
-  std::set<ReplicaId> fetch_replies_;
-  bool fetch_complete_seen_ = false;
-  std::map<Timestamp, Command> fetched_cmds_;
+  // Decision fetch in progress (Algorithm 3, lines 12-14): the decision
+  // waits here while catch-up replies commit the prefix up to its cts.
+  struct DecisionFetch {
+    Epoch epoch = 0;
+    ReconfigDecision dec;
+  };
+  std::optional<DecisionFetch> fetching_;
   std::deque<Command> deferred_submits_;
   std::unique_ptr<FailureDetector> fd_;
 

@@ -118,12 +118,6 @@ Shape shape_of(MsgType t) {
     case MsgType::kMenAck: return {.slot = true, .a = true};
     case MsgType::kSuspend: return {.ts = true};
     case MsgType::kSuspendOk: return {.records = true};
-    case MsgType::kRetrieveCmds: return {.ts = true, .clock_ts = true, .a = true};
-    case MsgType::kRetrieveReply:
-      // ts = the serving replica's last commit bound: the requester may only
-      // treat the transferred range as complete once some reply's bound
-      // covers it (a server behind the range can serve a committed subset).
-      return {.ts = true, .a = true, .records = true};
     case MsgType::kCatchupReq: return {.ts = true};
     case MsgType::kCatchupReply:
       // ts = responder's last commit bound; a = 1 when blob carries the

@@ -29,8 +29,9 @@ namespace crsm {
 //   1..4   Clock-RSM (Algorithm 1 + 2) + the batch envelope
 //  10..13  Multi-Paxos / Paxos-bcast
 //  20..21  Mencius-bcast
-//  30..33  Reconfiguration (Algorithm 3)
-//  34..35  Crash-restart catch-up (Section V-B, durable runtime)
+//  30..31  Reconfiguration (Algorithm 3)
+//  32..33  retired (Algorithm 3's log fetch; it is CATCHUPREQ/CATCHUPREPLY now)
+//  34..35  Catch-up: the one fetch of missed committed commands (Section V)
 //  40..44  Single-decree Paxos used by reconfiguration PROPOSE/DECIDE
 //  50..53  Client <-> node wire protocol (crsm_node / crsm_client)
 #define CRSM_MSG_TYPE_LIST(X)                                                  \
@@ -46,8 +47,6 @@ namespace crsm {
   X(kMenAck, 21, "M-ACK")           /* bcast ack(slot) + sender skip bound */  \
   X(kSuspend, 30, "SUSPEND")        /* <SUSPEND e, cts> */                     \
   X(kSuspendOk, 31, "SUSPENDOK")    /* <SUSPENDOK e, cmds> */                  \
-  X(kRetrieveCmds, 32, "RETRIEVECMDS")   /* <RETRIEVECMDS from, to> */         \
-  X(kRetrieveReply, 33, "RETRIEVEREPLY") /* <RETRIEVEREPLY cmds> */            \
   X(kCatchupReq, 34, "CATCHUPREQ")  /* <CATCHUPREQ from-ts>, open-ended */     \
   X(kCatchupReply, 35, "CATCHUPREPLY") /* <commit-bound, prepares, ckpt?> */   \
   X(kConsPrepare, 40, "C-PREPARE")  /* phase 1a (ballot) */                    \
@@ -85,13 +84,13 @@ struct Message {
 
   Timestamp ts;       // command timestamp (Clock-RSM); reconfig cts
   Tick clock_ts = 0;  // PREPAREOK/CLOCKTIME physical clock value
-  Slot slot = 0;      // Paxos / Mencius slot; RETRIEVECMDS `from` bound
-  std::uint64_t a = 0;  // generic: origin replica, skip bound, ballot, `to` bound
+  Slot slot = 0;      // Paxos / Mencius slot
+  std::uint64_t a = 0;  // generic: origin replica, skip bound, ballot, checkpoint flag
   std::uint64_t b = 0;  // generic: accepted ballot
 
   Command cmd;
   std::vector<Command> cmds;       // CMDBATCH envelope member commands
-  std::vector<LogRecord> records;  // SUSPENDOK / RETRIEVEREPLY payloads
+  std::vector<LogRecord> records;  // SUSPENDOK / CATCHUPREPLY payloads
   Bytes blob;                      // consensus value (encoded ReconfigDecision)
 
   // Serialization. `encode` appends to `out`, framed with a length prefix so

@@ -21,7 +21,7 @@
 namespace crsm {
 
 // Upper bound on a single frame body. Real messages are far smaller (the
-// largest are RETRIEVEREPLY record batches); anything bigger coming off a
+// largest are CATCHUPREPLY record batches); anything bigger coming off a
 // socket is a corrupt or hostile length prefix, and rejecting it here keeps
 // stream reassembly from buffering gigabytes before the decoder ever runs.
 inline constexpr std::uint64_t kMaxFrameBody = 1ull << 30;

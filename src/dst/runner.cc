@@ -64,21 +64,17 @@ SimWorld::ProtocolFactory make_factory(const ScenarioSpec& spec) {
   const std::size_t n = spec.replicas;
   switch (spec.protocol) {
     case Protocol::kClockRsm: {
+      // Without reconfiguration a restarted replica catches up: plain log
+      // replay is not enough, since commands committed while it was down
+      // would leave a permanent hole it later commits around (the stability
+      // vector jumps past the gap once heartbeats resume — found by the
+      // first swarm runs).
       ClockRsmOptions o;
       if (spec.reconfig) {
         o.reconfig_enabled = true;
         o.fd_timeout_us = 400'000;
         o.fd_check_interval_us = 100'000;
         o.consensus_retry_us = 300'000;
-      } else {
-        // Without reconfiguration, plain log replay is not enough: commands
-        // committed while a replica was down would leave a permanent hole it
-        // later commits around (the stability vector jumps past the gap once
-        // heartbeats resume — found by the first swarm runs). Section V-B
-        // catch-up fetches the hole from live peers before the replica
-        // resumes executing.
-        o.catchup_on_recovery = true;
-        o.catchup_interval_us = 100'000;
       }
       return clock_rsm_factory(n, o);
     }

@@ -54,7 +54,7 @@ struct LatencyExperimentResult {
 [[nodiscard]] SimWorld::ProtocolFactory clock_rsm_factory(std::size_t n,
                                                           bool clocktime_enabled = true,
                                                           Tick delta_us = 5'000);
-// Full-options variant (durable runtimes enable catchup_on_recovery here).
+// Full-options variant.
 [[nodiscard]] SimWorld::ProtocolFactory clock_rsm_factory(
     std::size_t n, const ClockRsmOptions& opt);
 // clock_rsm_factory(n, {}) would silently pick the bool overload above

@@ -17,7 +17,8 @@ NodeRuntime::NodeRuntime(NodeConfig cfg, ProtocolFactory protocol_factory,
                          StateMachineFactory sm_factory)
     : ReplicaCore(cfg.id, cfg.max_batch_cmds, cfg.max_batch_bytes),
       cfg_(cfg),
-      transport_(loop_, cfg.id, cfg.transport) {
+      transport_(loop_, cfg.id, cfg.transport),
+      profiler_(registry_) {
   set_storage(std::make_unique<ReplicaStorage>(cfg_.storage));
   if (cfg_.num_groups > 1) {
     // Disjoint Prometheus series per group: a process scraping its N group
@@ -30,10 +31,7 @@ NodeRuntime::NodeRuntime(NodeConfig cfg, ProtocolFactory protocol_factory,
     topt.slow_us = cfg_.obs.trace_slow_us;
     tracer_ = std::make_unique<obs::CommitTracer>(registry_, topt);
   }
-  if (cfg_.obs.profile_loop) {
-    profiler_ = std::make_unique<obs::LoopProfiler>(registry_);
-    loop_.set_observer(profiler_.get());
-  }
+  loop_.set_observer(&profiler_);
   if (cfg_.obs.metrics_http) {
     // Binds now, so an ephemeral port is readable before start().
     metrics_http_ = std::make_unique<obs::MetricsHttpServer>(
@@ -238,7 +236,7 @@ void NodeRuntime::flush_durability() {
   // The wire flush that follows this hook sends everything the fence held.
   transport_.lift_fence();
   if (held_this_pass_ == 0) return;
-  if (profiler_) profiler_->note_batch(held_this_pass_);
+  profiler_.note_batch(held_this_pass_);
   held_this_pass_ = 0;
 }
 

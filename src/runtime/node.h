@@ -75,8 +75,6 @@ struct NodeObsOptions {
   std::uint32_t trace_sample_every = 64;
   // Traced commands slower than this print a rate-limited breakdown line.
   std::uint64_t trace_slow_us = 0;
-  // Per-pass event-loop phase profiling (obs/loop_profiler.h).
-  bool profile_loop = true;
 };
 
 struct NodeConfig {
@@ -237,7 +235,7 @@ class NodeRuntime final : private ReplicaCore {
   net::EventLoop loop_;  // before transport_ (uses it)
   TcpTransport transport_;
   std::unique_ptr<obs::CommitTracer> tracer_;  // before boot() (cached)
-  std::unique_ptr<obs::LoopProfiler> profiler_;
+  obs::LoopProfiler profiler_;  // per-pass loop phases (obs/loop_profiler.h)
   std::unique_ptr<obs::MetricsHttpServer> metrics_http_;
   SystemClock clock_;
   ReplyHook reply_hook_;

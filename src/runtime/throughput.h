@@ -54,8 +54,7 @@ struct ThroughputResult {
   // (crsm_loop_busy_us, obs/loop_profiler.h). On hosts with >= N cores this
   // converges to kops_per_sec; on smaller hosts it is the meaningful number
   // for comparing protocols whose load distribution differs (the Paxos
-  // leader vs the symmetric multi-leader protocols). Zero when the nodes
-  // run without the loop profiler (TcpClusterOptions::obs.profile_loop).
+  // leader vs the symmetric multi-leader protocols).
   double kops_per_sec_bottleneck = 0.0;
   // Busiest replica's share of the cluster's total busy time (1/N =
   // perfectly even).

@@ -22,8 +22,8 @@ struct ReplayResult {
   // Timestamp of the last commit mark (kZeroTimestamp if none).
   Timestamp last_commit_ts = kZeroTimestamp;
   // PREPARE entries near the tail with no matching COMMIT mark. The
-  // recovering replica must consult a majority (RETRIEVECMDS) before
-  // executing any of these.
+  // recovering replica must consult its peers (catch-up, or a rejoin
+  // through reconfiguration) before executing any of these.
   std::vector<LogRecord> unresolved;
 };
 

@@ -259,7 +259,6 @@ class DurableBatchTest : public ::testing::Test {
   }
   TcpCluster::ProtocolFactory factory() const {
     ClockRsmOptions o;
-    o.catchup_on_recovery = true;
     o.catchup_interval_us = 30'000;
     return clock_rsm_factory(3, o);
   }

@@ -11,6 +11,7 @@
 
 #include "clockrsm/clock_rsm.h"
 #include "mock_env.h"
+#include "storage/checkpoint.h"
 #include "storage/replica_storage.h"
 
 namespace crsm {
@@ -258,43 +259,6 @@ TEST(ClockRsmUnit, SuspendOkCarriesOnlyEntriesAboveCts) {
   EXPECT_EQ(oks[0].msg.records[0].ts, (Timestamp{6500, 2}));
 }
 
-TEST(ClockRsmUnit, RetrieveCmdsReturnsCommittedRequestedRangeOnly) {
-  // The fetcher executes everything a RETRIEVEREPLY carries as committed,
-  // so the server must hand out only committed (marked) prepares — an
-  // uncommitted in-range prepare may be an orphan no replica ever executes
-  // — and must report its commit bound so the fetcher can tell a complete
-  // range from a partial one.
-  Fixture f;
-  f.env.set_clock(5000);
-  f.replica.on_message(prepare(1, Timestamp{1000, 1}, 1));
-  f.replica.on_message(prepare(1, Timestamp{2000, 1}, 2));
-  for (ReplicaId r = 0; r < 3; ++r) {
-    f.replica.on_message(prepare_ok(r, Timestamp{1000, 1}, 4000 + r));
-  }
-  for (ReplicaId r = 0; r < 3; ++r) {
-    f.replica.on_message(prepare_ok(r, Timestamp{2000, 1}, 4100 + r));
-  }
-  ASSERT_EQ(f.env.delivered.size(), 2u);  // both committed here
-  f.replica.on_message(prepare(2, Timestamp{2200, 2}, 3));  // uncommitted
-  f.env.clear_sent();
-
-  Message r;
-  r.type = MsgType::kRetrieveCmds;
-  r.from = 2;
-  r.epoch = 1;
-  r.ts = Timestamp{1000, 1};  // from (exclusive)
-  r.clock_ts = 2500;          // to.ticks
-  r.a = 9;                    // to.origin
-  f.replica.on_message(r);
-  const auto replies = f.env.sent_of(MsgType::kRetrieveReply);
-  ASSERT_EQ(replies.size(), 1u);
-  ASSERT_EQ(replies[0].msg.records.size(), 1u);
-  EXPECT_EQ(replies[0].msg.records[0].ts, (Timestamp{2000, 1}));
-  // The reply advertises the server's commit bound.
-  EXPECT_EQ(replies[0].msg.ts, (Timestamp{2000, 1}));
-  EXPECT_EQ(replies[0].to, 2u);
-}
-
 TEST(ClockRsmUnit, CatchupRequestAnsweredOncePerIntervalPerRequester) {
   // A restarted replica polls every catchup interval; polls that queued
   // while its links were down arrive back to back, and each reply may carry
@@ -439,17 +403,16 @@ TEST(ClockRsmUnit, ClockTimeTimerBroadcastsWhenIdle) {
 
 // --- pending runs and the early-ack stash --------------------------------
 
-// A replica recovering from `log` with catch-up on: start() replays the log
-// and sends its CATCHUPREQ.
+// A replica recovering from `log`: start() replays the log and sends its
+// CATCHUPREQ.
 struct Recovering {
   MockEnv env{kSelf};
   std::unique_ptr<ClockRsmReplica> replica;
 
   explicit Recovering(const std::vector<LogRecord>& log) {
     for (const LogRecord& r : log) env.log().append(r);
-    ClockRsmOptions opt{.clocktime_enabled = false};
-    opt.catchup_on_recovery = true;
-    replica = std::make_unique<ClockRsmReplica>(env, kSpec, opt);
+    replica = std::make_unique<ClockRsmReplica>(
+        env, kSpec, ClockRsmOptions{.clocktime_enabled = false});
     replica->start();
   }
 };
@@ -470,6 +433,101 @@ std::vector<Timestamp> delivered_ts(const MockEnv& env) {
   std::vector<Timestamp> out;
   for (const auto& d : env.delivered) out.push_back(d.ts);
   return out;
+}
+
+// --- decision fetch (Algorithm 3, lines 12-14, over the catch-up exchange) --
+
+Message decide(Epoch e, const ReconfigDecision& dec) {
+  Message m;
+  m.type = MsgType::kConsDecide;
+  m.from = 1;
+  m.epoch = e;
+  m.blob = dec.encode();
+  return m;
+}
+
+TEST(ClockRsmUnit, DecisionFetchCommitsOnlyCommittedRecordsUpToCts) {
+  // A decision whose cts lies above our commit bound freezes us and polls
+  // every spec peer with CATCHUPREQ. Each reply's committed records commit
+  // here up to min(its bound, cts); open records and committed ones above
+  // cts are left alone (the decision settles everything above cts). Once
+  // the commit bound reaches cts the decision applies.
+  Fixture f;
+  f.env.set_clock(9000);
+  const Timestamp t100{100, 1}, t200{200, 2}, open250{250, 2}, cts{300, 1};
+  const Timestamp decided400{400, 2}, above450{450, 1}, open600{600, 2};
+  ReconfigDecision dec;
+  dec.config = kSpec;
+  dec.cts = cts;
+  dec.cmds = {LogRecord::prepare(decided400, cmd(400))};
+  dec.collectors = {1, 2};
+  f.replica.on_message(decide(1, dec));
+  EXPECT_TRUE(f.replica.frozen());
+  EXPECT_EQ(f.replica.epoch(), 0u);
+  auto reqs = f.env.sent_of(MsgType::kCatchupReq);
+  ASSERT_EQ(reqs.size(), 2u);
+  EXPECT_EQ(reqs[0].to, 1u);
+  EXPECT_EQ(reqs[1].to, 2u);
+  EXPECT_EQ(reqs[0].msg.ts, f.replica.last_commit_ts());
+
+  // A server behind cts: its committed prefix commits, its open record does
+  // not, and the decision still waits.
+  f.replica.on_message(catchup_reply(2, t200, {t100, t200, open250}));
+  EXPECT_EQ(delivered_ts(f.env), (std::vector<Timestamp>{t100, t200}));
+  EXPECT_EQ(f.replica.last_commit_ts(), t200);
+  EXPECT_EQ(f.replica.pending_count(), 0u);
+  EXPECT_EQ(f.replica.early_ack_count(), 0u);
+  EXPECT_EQ(f.env.count_sent(MsgType::kPrepareOk), 0u);
+  EXPECT_EQ(f.replica.epoch(), 0u);
+  EXPECT_TRUE(f.replica.frozen());
+
+  // The poll repeats every catchup interval from the new commit bound.
+  f.env.clear_sent();
+  f.env.set_clock(f.env.clock() + ClockRsmOptions{}.catchup_interval_us);
+  f.env.fire_due_timers();
+  reqs = f.env.sent_of(MsgType::kCatchupReq);
+  ASSERT_EQ(reqs.size(), 2u);
+  EXPECT_EQ(reqs[0].msg.ts, t200);
+
+  // A server past cts: only its records up to cts commit, then the decided
+  // command applies.
+  f.replica.on_message(
+      catchup_reply(1, above450, {t200, cts, above450, open600}));
+  EXPECT_EQ(delivered_ts(f.env), (std::vector<Timestamp>{t100, t200, cts, decided400}));
+  EXPECT_EQ(f.replica.epoch(), 1u);
+  EXPECT_FALSE(f.replica.frozen());
+  EXPECT_EQ(f.replica.last_commit_ts(), decided400);
+  EXPECT_EQ(f.env.count_sent(MsgType::kPrepareOk), 0u);
+}
+
+TEST(ClockRsmUnit, DecisionFetchInstallsATruncatedServersCheckpointFirst) {
+  // The serving peer's log was truncated past our commit bound: its reply
+  // carries its checkpoint, which goes in before any record or decided
+  // command is delivered.
+  Fixture f;
+  f.env.set_clock(9000);
+  const Timestamp covered{300, 1}, t400{400, 1}, cts{450, 2}, decided600{600, 1};
+  ReconfigDecision dec;
+  dec.config = kSpec;
+  dec.cts = cts;
+  dec.cmds = {LogRecord::prepare(decided600, cmd(600))};
+  dec.collectors = {1, 2};
+  f.replica.on_message(decide(1, dec));
+  ASSERT_TRUE(f.replica.frozen());
+
+  Checkpoint cp;
+  cp.last_applied = covered;
+  cp.state = "snapshot";
+  cp.applied = 3;
+  Message reply = catchup_reply(1, cts, {t400, cts});
+  reply.a = 1;
+  reply.blob = cp.encode();
+  f.replica.on_message(reply);
+  ASSERT_EQ(f.env.installed.size(), 1u);
+  EXPECT_EQ(f.env.installed[0].blob, cp.encode());
+  EXPECT_EQ(f.env.installed[0].deliveries_before, 0u);
+  EXPECT_EQ(delivered_ts(f.env), (std::vector<Timestamp>{t400, cts, decided600}));
+  EXPECT_EQ(f.replica.epoch(), 1u);
 }
 
 TEST(ClockRsmUnit, EarlyAcksFromAThirdReplicaCountForTwoOrigins) {
@@ -576,9 +634,7 @@ TEST(ClockRsmUnit, RecoveringReplicaSendsItsClockAheadOfItsCatchupRequest) {
   env.log().append(LogRecord::prepare(base, cmd(100)));
   env.log().append(LogRecord::commit(base));
   env.set_clock(9000);
-  ClockRsmOptions opt;
-  opt.catchup_on_recovery = true;
-  ClockRsmReplica restarted(env, kSpec, opt);
+  ClockRsmReplica restarted(env, kSpec, ClockRsmOptions{});
   restarted.start();
   ASSERT_TRUE(restarted.catching_up());
 
@@ -615,8 +671,10 @@ TEST(ClockRsmUnit, EarlyAckIsPrunedOnceCommitsPassIt) {
 
 TEST(ClockRsmUnit, CatchupReplyCarriesEachWantedTimestampOnceInOrder) {
   // The reply holds every PREPARE above the request: committed ones below
-  // our commit bound (stale uncommitted ones are not), open ones above it,
-  // each once however often the log holds it.
+  // our commit bound, open ones above it, each once however often the log
+  // holds it. Below the bound only COMMIT-marked PREPAREs travel: the
+  // requester executes them as committed, and an unmarked one there (`stale`)
+  // may be an orphan no replica ever executes.
   const Timestamp c50{50, 1}, c100{100, 1}, stale{200, 2}, c300{300, 1};
   const Timestamp open400{400, 2}, open500{500, 2};
   std::vector<LogRecord> log = {

@@ -133,8 +133,8 @@ TEST(Message, AllTypesRoundTripWithoutError) {
       MsgType::kPrepare,      MsgType::kPrepareOk,    MsgType::kClockTime,
       MsgType::kForward,      MsgType::kPhase2a,      MsgType::kPhase2b,
       MsgType::kCommitNotify, MsgType::kMenPropose,   MsgType::kMenAck,
-      MsgType::kSuspend,      MsgType::kSuspendOk,    MsgType::kRetrieveCmds,
-      MsgType::kRetrieveReply, MsgType::kConsPrepare, MsgType::kConsPromise,
+      MsgType::kSuspend,      MsgType::kSuspendOk,    MsgType::kCatchupReq,
+      MsgType::kCatchupReply, MsgType::kConsPrepare,  MsgType::kConsPromise,
       MsgType::kConsAccept,   MsgType::kConsAccepted, MsgType::kConsDecide};
   for (MsgType t : types) {
     Message m;
@@ -249,8 +249,6 @@ RefShape ref_shape(MsgType t) {
     case MsgType::kMenAck: return {0, 0, 1, 1, 0, 0, 0, 0, 0};
     case MsgType::kSuspend: return {1, 0, 0, 0, 0, 0, 0, 0, 0};
     case MsgType::kSuspendOk: return {0, 0, 0, 0, 0, 0, 0, 1, 0};
-    case MsgType::kRetrieveCmds: return {1, 1, 0, 1, 0, 0, 0, 0, 0};
-    case MsgType::kRetrieveReply: return {1, 0, 0, 1, 0, 0, 0, 1, 0};
     case MsgType::kCatchupReq: return {1, 0, 0, 0, 0, 0, 0, 0, 0};
     case MsgType::kCatchupReply: return {1, 0, 0, 1, 0, 0, 0, 1, 1};
     case MsgType::kConsPrepare: return {0, 0, 0, 1, 0, 0, 0, 0, 0};

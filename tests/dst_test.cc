@@ -17,8 +17,9 @@
 //    set applied it blind to commands proposed after the collection (fixed:
 //    collectors ride the decision; non-collectors run catch-up);
 //  * clockrsm-orphan-transfer    — reconfiguration state transfer served
-//    uncommitted orphaned prepares as committed state (fixed: retrieve
-//    serves marked prepares only and replies carry the commit bound);
+//    uncommitted orphaned prepares as committed state (fixed: below its
+//    commit bound, which the reply carries, a server serves marked prepares
+//    only; the fetch is the catch-up exchange's decision-fetch mode);
 //  * clockrsm-stale-collector    — a restarted replica replaying the epoch
 //    decisions it slept through found its pre-crash self among the last
 //    decision's collectors and skipped the follow-up catch-up (fixed:

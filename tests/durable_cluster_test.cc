@@ -80,10 +80,9 @@ std::size_t established_links(const TcpCluster& cluster) {
   return links;
 }
 
-// Clock-RSM with crash-restart catch-up on, polling fast for test speed.
+// Clock-RSM polling catch-up fast, for test speed.
 TcpCluster::ProtocolFactory durable_clock_rsm_factory(std::size_t n) {
   ClockRsmOptions o;
-  o.catchup_on_recovery = true;
   o.catchup_interval_us = 30'000;
   return clock_rsm_factory(n, o);
 }

@@ -6,6 +6,7 @@
 #include <functional>
 #include <memory>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "rsm/protocol.h"
@@ -32,6 +33,10 @@ class MockEnv final : public ProtocolEnv {
     Tick due;
     std::function<void()> fn;
   };
+  struct InstalledCheckpoint {
+    std::string blob;
+    std::size_t deliveries_before;  // delivered.size() at install time
+  };
 
   explicit MockEnv(ReplicaId self) : self_(self) {}
 
@@ -53,6 +58,9 @@ class MockEnv final : public ProtocolEnv {
     delivered_reads.push_back({cmd, read_ts});
   }
   [[nodiscard]] Timestamp recovery_floor() const override { return floor; }
+  void install_checkpoint(std::string_view blob) override {
+    installed.push_back({std::string(blob), delivered.size()});
+  }
 
   // --- test helpers ---
   void set_clock(Tick t) { clock_ = t; }
@@ -95,6 +103,7 @@ class MockEnv final : public ProtocolEnv {
   std::vector<Delivered> delivered;
   std::vector<DeliveredRead> delivered_reads;
   std::vector<Timer> timers;
+  std::vector<InstalledCheckpoint> installed;
   Timestamp floor = kZeroTimestamp;
 
  private:

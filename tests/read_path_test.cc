@@ -186,8 +186,6 @@ TEST(ReadPathSim, ReadYourWritesFromAnyReplica) {
 
 TEST(ReadPathSim, ReadsDuringCatchupObservePostRecoveryState) {
   ClockRsmOptions o;
-  o.catchup_on_recovery = true;
-  o.catchup_interval_us = 100'000;
   SimWorld w(test::world_opts(test::tri(10, 10, 10)), clock_rsm_factory(3, o),
              test::kv_factory());
   std::string got = "<unserved>";

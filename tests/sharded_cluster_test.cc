@@ -65,10 +65,9 @@ Tick now_us() {
           .count());
 }
 
-// Clock-RSM with crash-restart catch-up on, polling fast for test speed.
+// Clock-RSM polling catch-up fast, for test speed.
 ShardedTcpCluster::ProtocolFactory durable_clock_rsm_factory(std::size_t n) {
   ClockRsmOptions o;
-  o.catchup_on_recovery = true;
   o.catchup_interval_us = 30'000;
   return clock_rsm_factory(n, o);
 }

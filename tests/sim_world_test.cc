@@ -139,10 +139,8 @@ void put_waves(SimWorld& w, const std::vector<ReplicaId>& homes,
 }
 
 TEST(SimWorld, LogStaysBoundedPastCheckpointCadenceAndCatchupShipsCheckpoint) {
-  ClockRsmOptions copt;
-  copt.catchup_on_recovery = true;
-  SimWorld w(world_opts(LatencyMatrix::uniform(3, 10.0)), clock_rsm_factory(3, copt),
-             kv_factory());
+  SimWorld w(world_opts(LatencyMatrix::uniform(3, 10.0)),
+             clock_rsm_factory(3, ClockRsmOptions{}), kv_factory());
   w.start();
   put_waves(w, {0, 1, 2}, 0, 25'000);
   w.sim().run_until(w.sim().now() + ms_to_us(500.0));
@@ -188,10 +186,8 @@ TEST(SimWorld, LogStaysBoundedPastCheckpointCadenceAndCatchupShipsCheckpoint) {
 // pending runs hold every PREPARE it has logged above its commit bound,
 // which is what lets a catch-up reply tell what is already logged.
 TEST(SimWorld, CatchupPendingRunsHoldEveryLoggedPrepareAboveTheCommitBound) {
-  ClockRsmOptions copt;
-  copt.catchup_on_recovery = true;
-  SimWorld w(world_opts(LatencyMatrix::uniform(3, 10.0), 3), clock_rsm_factory(3, copt),
-             kv_factory());
+  SimWorld w(world_opts(LatencyMatrix::uniform(3, 10.0), 3),
+             clock_rsm_factory(3, ClockRsmOptions{}), kv_factory());
   w.start();
   std::uint64_t n = 0;
   const auto load = [&](double ms) {

@@ -65,6 +65,7 @@
 #include <cstdlib>
 #include <cstring>
 #include <memory>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -72,6 +73,7 @@
 #include "harness/latency_experiment.h"
 #include "kv/kv_store.h"
 #include "net/event_loop.h"
+#include "net/socket.h"
 #include "runtime/multi_group_node.h"
 #include "runtime/node.h"
 
@@ -197,11 +199,9 @@ int main(int argc, char** argv) {
   }
   NodeRuntime::ProtocolFactory factory;
   if (protocol == "clockrsm") {
-    ClockRsmOptions copt;
-    // A durable node that reboots with prior state must refetch what it
-    // missed before it resumes ordering.
-    copt.catchup_on_recovery = !storage.dir.empty();
-    factory = clock_rsm_factory(n, copt);
+    // A durable node that reboots with prior state catches up from its
+    // peers before it resumes ordering.
+    factory = clock_rsm_factory(n, ClockRsmOptions{});
   } else if (protocol == "paxos") {
     factory = paxos_factory(n, 0, false);
   } else if (protocol == "paxos-bcast") {
@@ -231,8 +231,17 @@ int main(int argc, char** argv) {
   sigaddset(&stop_signals, SIGTERM);
   pthread_sigmask(SIG_BLOCK, &stop_signals, nullptr);
 
-  MultiGroupNode node(cfg, mg, factory,
-                      [] { return std::make_unique<KvStore>(); });
+  // The listeners bind in the constructor: a taken port is an operator
+  // error, reported like a bad flag rather than left to abort the process.
+  std::optional<MultiGroupNode> built;
+  try {
+    built.emplace(cfg, mg, factory, [] { return std::make_unique<KvStore>(); });
+  } catch (const net::NetError& e) {
+    std::fprintf(stderr, "cannot listen on %s:%u: %s\n", peers[id].host.c_str(),
+                 peers[id].port, e.what());
+    return 2;
+  }
+  MultiGroupNode& node = *built;
   const std::size_t groups = node.num_groups();
 
   node.start(peers);

@@ -27,8 +27,11 @@ CLIENT=$BUILD/tools/crsm_client
 GROUPS_N=2
 WORK=$(mktemp -d /tmp/crsm_smoke.XXXXXX)
 # Port stride: group g of process p listens at its base port + g, so base
-# ports (and metrics base ports) are spaced GROUPS_N apart.
-BASE=$(( 21000 + RANDOM % 20000 ))
+# ports (and metrics base ports) are spaced GROUPS_N apart. Every port stays
+# below Linux's default ephemeral range (32768-60999): there, an outgoing
+# connection's local port can take a listener's port first. The highest one
+# is MBASE + 2*GROUPS_N + 1 = BASE + 105 <= 32104.
+BASE=$(( 21000 + RANDOM % 11000 ))
 P0=$BASE; P1=$(( BASE + GROUPS_N )); P2=$(( BASE + 2 * GROUPS_N ))
 PEERS=127.0.0.1:$P0,127.0.0.1:$P1,127.0.0.1:$P2
 declare -a PIDS=()
