@@ -99,19 +99,18 @@ int main(int argc, char** argv) {
           (row.coalesce ? "coalesce_" : "nocoalesce_") +
           (row.batch > 1 ? "b" + std::to_string(row.batch) + "_" : "");
 
-      TcpClusterOptions copt;
-      copt.max_coalesce_bytes = row.coalesce ? 256 * 1024 : 0;
-      opt.max_batch_cmds = row.batch;
+      NodeConfig node;
+      node.transport.max_coalesce_bytes = row.coalesce ? 256 * 1024 : 0;
+      node.max_batch_cmds = row.batch;
       std::string dir;
       if (is_wal) {
         dir = (std::filesystem::temp_directory_path() /
                ("fig10_wal_" + std::to_string(::getpid()) + "_b" +
                 std::to_string(row.batch)))
                   .string();
-        copt.log_dir = dir;
+        node.storage.dir = dir;
       }
-      const ThroughputResult r = run_throughput(opt, p.factory, copt);
-      opt.max_batch_cmds = 1;
+      const ThroughputResult r = run_throughput(opt, p.factory, node);
       if (!dir.empty()) std::filesystem::remove_all(dir);
 
       jr.add(prefix + "kcmds_per_sec", r.kops_per_sec);

@@ -1,11 +1,12 @@
 // Figure 12 (extension, not in the paper): multi-group scaling over real
 // sockets.
 //
-// The bench runs sharding on the production shape — ShardedTcpCluster boots
-// `groups` independent Clock-RSM groups, each a full three-replica TCP
-// cluster with its own event-loop threads, loopback sockets and durable WAL
-// (per-pass group commit) under <tmp>/group-<g>, exactly the topology a set
-// of multi-group crsm_node processes forms. Closed-loop clients are
+// The bench runs sharding on the production shape — a TcpCluster of three
+// MultiGroupNodes (what `crsm_node --groups N` runs) hosting `groups`
+// independent Clock-RSM groups, each group with its own event-loop threads,
+// loopback sockets and durable WAL (per-pass group commit) under
+// <tmp>/node-<r>/group-<g>, exactly the topology a set of multi-group
+// crsm_node processes forms. Closed-loop clients are
 // partitioned by key: each client owns keys that hash (kv_key_hash, the
 // ShardRouter mapping) to its group, so no command ever crosses a group —
 // the independence that lets aggregate throughput scale.
@@ -38,7 +39,7 @@
 #include "harness/latency_experiment.h"
 #include "harness/report.h"
 #include "kv/kv_store.h"
-#include "runtime/sharded_tcp_cluster.h"
+#include "runtime/tcp_cluster.h"
 #include "shard/shard_router.h"
 #include "util/stats.h"
 #include "workload/workload.h"
@@ -83,15 +84,15 @@ GroupsResult run_groups(std::size_t groups, std::size_t replicas,
         std::to_string(groups)))
           .string();
 
-  ShardedTcpClusterOptions opt;
+  NodeConfig node;
+  node.storage.dir = dir;
+  node.max_batch_cmds = 16;  // the durable sweet spot from fig10
+  TcpClusterOptions opt;
   opt.groups = groups;
-  opt.replicas = replicas;
   opt.pin_cores = true;
-  opt.base.log_dir = dir;
-  opt.base.max_batch_cmds = 16;  // the durable sweet spot from fig10
 
-  ShardedTcpCluster cluster(opt, clock_rsm_factory(replicas),
-                            [] { return std::make_unique<KvStore>(); });
+  TcpCluster cluster(replicas, clock_rsm_factory(replicas),
+                     [] { return std::make_unique<KvStore>(); }, node, opt);
 
   // Per-group key sets: scan "key-<i>" until every group owns kKeysPerGroup
   // keys under the cluster's own router. Payloads are pre-encoded once.
@@ -119,8 +120,7 @@ GroupsResult run_groups(std::size_t groups, std::size_t replicas,
           std::make_unique<Completion>());
     }
   }
-  cluster.set_reply_hook([&completions](ShardId, ReplicaId,
-                                        const Command& cmd) {
+  cluster.set_reply_hook([&completions](ReplicaId, const Command& cmd) {
     auto it = completions.find(cmd.client);
     if (it != completions.end()) it->second->complete(cmd.seq);
   });
@@ -153,7 +153,7 @@ GroupsResult run_groups(std::size_t groups, std::size_t replicas,
           cmd.payload = payloads[g][static_cast<std::size_t>(
               rng.uniform_int(0, payloads[g].size() - 1))];
           const auto t0 = std::chrono::steady_clock::now();
-          cluster.group(static_cast<ShardId>(g)).submit(home, std::move(cmd));
+          cluster.node(home, static_cast<ShardId>(g)).submit(std::move(cmd));
           auto* comp = completions.at(id).get();
           if (!comp->wait_for_seq(seq, std::chrono::milliseconds(2000))) {
             break;  // stuck or shutting down

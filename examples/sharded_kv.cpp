@@ -12,7 +12,7 @@
 #include "harness/latency_experiment.h"
 #include "kv/kv_store.h"
 #include "net/sync_client.h"
-#include "runtime/sharded_tcp_cluster.h"
+#include "runtime/tcp_cluster.h"
 #include "shard/sharded_client.h"
 #include "workload/workload.h"
 
@@ -32,14 +32,16 @@ Command kv_command(ClientId client, std::uint64_t seq, KvOp op,
 }  // namespace
 
 int main() {
-  // 1. Two replica groups of three replicas each. Every node is a full
-  //    NodeRuntime on its own loopback port that knows which group it
-  //    serves, so it refuses commands whose key another group owns.
-  ShardedTcpClusterOptions opts;
-  opts.groups = 2;
-  opts.replicas = 3;
-  ShardedTcpCluster cluster(opts, clock_rsm_factory(opts.replicas),
-                            [] { return std::make_unique<KvStore>(); });
+  // 1. Two replica groups of three replicas each. Each replica is one
+  //    MultiGroupNode (what `crsm_node --groups 2` runs) hosting a full
+  //    NodeRuntime per group, each on its own loopback port and knowing
+  //    which group it serves, so it refuses commands whose key another
+  //    group owns.
+  TcpClusterOptions two_groups;
+  two_groups.groups = 2;
+  TcpCluster cluster(3, clock_rsm_factory(3),
+                     [] { return std::make_unique<KvStore>(); }, NodeConfig{},
+                     two_groups);
   cluster.start();
 
   // 2. A shard-aware client: one connection per group (to replica 0 of
@@ -66,9 +68,9 @@ int main() {
   //    independently.
   for (ShardId g = 0; g < cluster.num_groups(); ++g) {
     std::printf("group %u executed %llu, digest %016llx\n", g,
-                static_cast<unsigned long long>(cluster.executed(g, 0)),
+                static_cast<unsigned long long>(cluster.executed(0, g)),
                 static_cast<unsigned long long>(
-                    cluster.group(g).node(0).state_digest()));
+                    cluster.node(0, g).state_digest()));
   }
 
   // 5. Reads go to the key's owning group, served from its local state.
@@ -84,7 +86,7 @@ int main() {
   const std::string& key0 = writes.front().first;
   const ShardId other = (client.router().shard_of_key(key0) + 1) %
                         static_cast<ShardId>(cluster.num_groups());
-  net::SyncClient wrong("127.0.0.1", cluster.group(other).port(0));
+  net::SyncClient wrong("127.0.0.1", cluster.port(0, other));
   try {
     (void)wrong.call(kv_command(id, ++seq, KvOp::kPut, key0, "x"), 5000);
     std::printf("mis-routed write was applied\n");

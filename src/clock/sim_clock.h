@@ -3,7 +3,6 @@
 
 #include <functional>
 
-#include "clock/clock_source.h"
 #include "common/types.h"
 
 namespace crsm {
@@ -12,12 +11,13 @@ namespace crsm {
 // local_time = simulation_time * rate + skew, clamped to be strictly
 // increasing across reads. Skew models a constant NTP offset; rate models
 // oscillator drift (1.0 = perfect).
-class SimClock final : public ClockSource {
+class SimClock {
  public:
   // `sim_now` reads the simulator's current virtual time in microseconds.
   SimClock(std::function<Tick()> sim_now, double skew_us = 0.0, double rate = 1.0);
 
-  [[nodiscard]] Tick now_us() override;
+  // Strictly increasing across reads (ProtocolEnv::clock_now's contract).
+  [[nodiscard]] Tick now_us();
 
   // Converts a delay expressed in this clock's local time domain to the
   // simulator's time domain (used to honor timer requests under drift).

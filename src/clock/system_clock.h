@@ -1,7 +1,8 @@
 // Real monotonic clock used by the multithreaded runtime.
 #pragma once
 
-#include "clock/clock_source.h"
+#include <cstdint>
+
 #include "common/types.h"
 
 namespace crsm {
@@ -10,11 +11,12 @@ namespace crsm {
 // NTP keeping wall time loosely synchronized). Within a single process all
 // replicas share one time base, so "skew" is zero; an optional fixed offset
 // lets tests and the runtime inject skew explicitly.
-class SystemClock final : public ClockSource {
+class SystemClock {
  public:
   explicit SystemClock(std::int64_t offset_us = 0);
 
-  [[nodiscard]] Tick now_us() override;
+  // Strictly increasing across reads (ProtocolEnv::clock_now's contract).
+  [[nodiscard]] Tick now_us();
 
  private:
   std::int64_t offset_us_;

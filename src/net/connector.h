@@ -22,6 +22,9 @@ namespace crsm::net {
 struct ConnectorOptions {
   std::uint64_t initial_backoff_us = 10'000;  // 10 ms
   std::uint64_t max_backoff_us = 1'000'000;   // 1 s
+
+  friend bool operator==(const ConnectorOptions&,
+                         const ConnectorOptions&) = default;
 };
 
 class Connector {

@@ -6,71 +6,56 @@
 
 namespace crsm {
 
-MultiGroupNode::MultiGroupNode(const NodeConfig& base, MultiGroupOptions opt,
+NodeConfig group_config(const NodeConfig& base, ShardId g, std::size_t groups,
+                        std::size_t core_stride) {
+  if (groups <= 1) return base;
+  NodeConfig cfg = base;
+  cfg.group = g;
+  cfg.num_groups = groups;
+  if (base.transport.listen_port != 0) {
+    cfg.transport.listen_port =
+        static_cast<std::uint16_t>(base.transport.listen_port + g);
+  }
+  if (base.obs.metrics_http && base.obs.metrics_port != 0) {
+    cfg.obs.metrics_port = static_cast<std::uint16_t>(base.obs.metrics_port + g);
+  }
+  if (!base.storage.dir.empty()) {
+    cfg.storage.dir += "/group-" + std::to_string(g);
+  }
+  if (base.pin_core >= 0) {
+    const long ncpu = ::sysconf(_SC_NPROCESSORS_ONLN);
+    cfg.pin_core = static_cast<int>(
+        (static_cast<std::size_t>(base.pin_core) + g * core_stride) %
+        static_cast<std::size_t>(ncpu > 0 ? ncpu : 1));
+  }
+  return cfg;
+}
+
+std::vector<TcpPeer> group_peers(const std::vector<TcpPeer>& base_peers,
+                                 ShardId g, std::size_t groups) {
+  std::vector<TcpPeer> peers = base_peers;
+  if (groups > 1) {
+    for (TcpPeer& p : peers) p.port = static_cast<std::uint16_t>(p.port + g);
+  }
+  return peers;
+}
+
+MultiGroupNode::MultiGroupNode(const std::vector<NodeConfig>& configs,
                                const ProtocolFactory& protocol_factory,
                                const StateMachineFactory& sm_factory) {
-  const std::size_t n = opt.groups == 0 ? 1 : opt.groups;
-  const long ncpu_raw = ::sysconf(_SC_NPROCESSORS_ONLN);
-  const int ncpu = static_cast<int>(ncpu_raw > 0 ? ncpu_raw : 1);
-  groups_.reserve(n);
-  for (std::size_t g = 0; g < n; ++g) {
-    NodeConfig cfg = base;
-    cfg.group = static_cast<ShardId>(g);
-    cfg.num_groups = n;
-    if (opt.pin_cores) cfg.pin_core = static_cast<int>(g) % ncpu;
-    if (n > 1) {
-      // Port stride: group g of every process listens at base port + g. A
-      // base of 0 (tests) keeps every listener ephemeral instead.
-      if (cfg.transport.listen_port != 0) {
-        cfg.transport.listen_port =
-            static_cast<std::uint16_t>(base.transport.listen_port + g);
-      }
-      if (!cfg.storage.dir.empty()) {
-        cfg.storage.dir += "/group-" + std::to_string(g);
-      }
-      if (cfg.obs.metrics_http && cfg.obs.metrics_port != 0) {
-        cfg.obs.metrics_port =
-            static_cast<std::uint16_t>(base.obs.metrics_port + g);
-      }
-    }
+  groups_.reserve(configs.size());
+  for (const NodeConfig& cfg : configs) {
     groups_.push_back(
         std::make_unique<NodeRuntime>(cfg, protocol_factory, sm_factory));
   }
 }
 
-void MultiGroupNode::start(const std::vector<TcpPeer>& base_peers) {
-  for (std::size_t g = 0; g < groups_.size(); ++g) {
-    std::vector<TcpPeer> peers = base_peers;
-    if (groups_.size() > 1) {
-      for (TcpPeer& p : peers) {
-        p.port = static_cast<std::uint16_t>(p.port + g);
-      }
-    }
-    groups_[g]->start(std::move(peers));
-  }
+void MultiGroupNode::start(const std::vector<std::vector<TcpPeer>>& peers) {
+  for (std::size_t g = 0; g < groups_.size(); ++g) groups_[g]->start(peers.at(g));
 }
 
 void MultiGroupNode::stop() {
   for (auto& node : groups_) node->stop();
-}
-
-std::uint64_t MultiGroupNode::executed() const {
-  std::uint64_t total = 0;
-  for (const auto& node : groups_) total += node->executed();
-  return total;
-}
-
-std::uint64_t MultiGroupNode::reads_served() const {
-  std::uint64_t total = 0;
-  for (const auto& node : groups_) total += node->reads_served();
-  return total;
-}
-
-bool MultiGroupNode::recovering() const {
-  for (const auto& node : groups_) {
-    if (node->recovering()) return true;
-  }
-  return false;
 }
 
 }  // namespace crsm

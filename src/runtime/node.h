@@ -75,6 +75,8 @@ struct NodeObsOptions {
   std::uint32_t trace_sample_every = 64;
   // Traced commands slower than this print a rate-limited breakdown line.
   std::uint64_t trace_slow_us = 0;
+
+  friend bool operator==(const NodeObsOptions&, const NodeObsOptions&) = default;
 };
 
 struct NodeConfig {
@@ -105,6 +107,8 @@ struct NodeConfig {
   // processes pin one group per core so groups scale instead of timeslicing.
   int pin_core = -1;
   NodeObsOptions obs;
+
+  friend bool operator==(const NodeConfig&, const NodeConfig&) = default;
 };
 
 class NodeRuntime final : private ReplicaCore {

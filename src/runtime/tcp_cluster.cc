@@ -3,80 +3,88 @@
 #include <unistd.h>
 
 #include <stdexcept>
+#include <string>
 #include <utility>
 
 namespace crsm {
 
-std::unique_ptr<NodeRuntime> TcpCluster::make_node(ReplicaId id,
-                                                   std::uint16_t port) const {
-  NodeConfig cfg;
-  cfg.id = id;
-  cfg.transport.listen_host = "127.0.0.1";
-  cfg.transport.listen_port = port;  // 0 = ephemeral; resolved before start()
-  cfg.transport.max_coalesce_bytes = opt_.max_coalesce_bytes;
-  cfg.transport.reconnect = opt_.reconnect;
-  cfg.max_batch_cmds = opt_.max_batch_cmds;
-  cfg.max_batch_bytes = opt_.max_batch_bytes;
-  cfg.group = opt_.group;
-  cfg.num_groups = opt_.num_groups;
-  if (opt_.pin_core_base >= 0) {
-    const long ncpu = ::sysconf(_SC_NPROCESSORS_ONLN);
-    cfg.pin_core = (opt_.pin_core_base + static_cast<int>(id)) %
-                   static_cast<int>(ncpu > 0 ? ncpu : 1);
-  }
-  cfg.obs = opt_.obs;
-  cfg.obs.metrics_port = 0;  // per-node ephemeral; fixed ports would collide
-  cfg.storage.checkpoint_every = opt_.checkpoint_every;
-  if (!opt_.log_dir.empty()) {
-    cfg.storage.dir = opt_.log_dir + "/node-" + std::to_string(id);
-    cfg.storage.group_commit = opt_.group_commit;
-    cfg.storage.test_fsync_delay_us = opt_.test_fsync_delay_us;
-  }
-  return std::make_unique<NodeRuntime>(cfg, protocol_factory_, sm_factory_);
-}
-
-void TcpCluster::install_hooks(NodeRuntime& node) const {
-  if (reply_hook_) {
-    node.set_reply_hook([hook = reply_hook_, r = node.id()](const Command& cmd) {
-      hook(r, cmd);
-    });
-  }
-  if (commit_hook_) {
-    node.set_commit_hook([hook = commit_hook_, r = node.id()](
-                             const Command& cmd, Timestamp ts, bool local) {
-      hook(r, cmd, ts, local);
-    });
-  }
-  if (read_hook_) {
-    node.set_read_hook([hook = read_hook_, r = node.id()](
-                           const Command& cmd, std::string_view output) {
-      hook(r, cmd, output);
-    });
-  }
-}
-
-std::vector<TcpPeer> TcpCluster::peer_table() const {
-  std::vector<TcpPeer> peers;
-  peers.reserve(ports_.size());
-  for (std::uint16_t p : ports_) peers.push_back(TcpPeer{"127.0.0.1", p});
-  return peers;
-}
-
 TcpCluster::TcpCluster(std::size_t n, ProtocolFactory protocol_factory,
-                       StateMachineFactory sm_factory, Options opt)
+                       StateMachineFactory sm_factory, NodeConfig node,
+                       Options opt)
     : protocol_factory_(std::move(protocol_factory)),
       sm_factory_(std::move(sm_factory)),
-      opt_(std::move(opt)) {
+      router_(opt.groups) {
+  const long ncpu = ::sysconf(_SC_NPROCESSORS_ONLN);
   for (std::size_t i = 0; i < n; ++i) {
-    nodes_.push_back(make_node(static_cast<ReplicaId>(i), 0));
-    // The kernel-assigned port is the node's address for the whole cluster
-    // lifetime: a restarted node rebinds it (SO_REUSEADDR) so peers' redial
-    // loops find the replacement at the same place.
-    ports_.push_back(nodes_.back()->port());
+    const auto r = static_cast<ReplicaId>(i);
+    NodeConfig base = node;
+    base.id = r;
+    base.transport.listen_host = "127.0.0.1";
+    base.transport.listen_port = 0;  // ephemeral; resolved below
+    base.obs.metrics_port = 0;  // per-node ephemeral; fixed ports would collide
+    if (!base.storage.dir.empty()) {
+      base.storage.dir += "/node-" + std::to_string(r);
+    }
+    base.pin_core =
+        opt.pin_cores ? static_cast<int>(i % static_cast<std::size_t>(
+                                                 ncpu > 0 ? ncpu : 1))
+                      : -1;
+    std::vector<NodeConfig> cfgs;
+    for (ShardId g = 0; g < num_groups(); ++g) {
+      cfgs.push_back(group_config(base, g, num_groups(), /*core_stride=*/n));
+      if (opt.tweak) opt.tweak(g, cfgs.back());
+    }
+    nodes_.push_back(
+        std::make_unique<MultiGroupNode>(cfgs, protocol_factory_, sm_factory_));
+    for (ShardId g = 0; g < num_groups(); ++g) {
+      cfgs[g].transport.listen_port = nodes_.back()->group(g).port();
+    }
+    configs_.push_back(std::move(cfgs));
   }
 }
 
 TcpCluster::~TcpCluster() { stop(); }
+
+void TcpCluster::install_hooks(MultiGroupNode& node) const {
+  for (std::size_t g = 0; g < node.num_groups(); ++g) {
+    NodeRuntime& n = node.group(g);
+    if (reply_hook_) {
+      n.set_reply_hook([hook = reply_hook_, r = n.id()](const Command& cmd) {
+        hook(r, cmd);
+      });
+    }
+    if (commit_hook_) {
+      n.set_commit_hook([hook = commit_hook_, r = n.id()](
+                            const Command& cmd, Timestamp ts, bool local) {
+        hook(r, cmd, ts, local);
+      });
+    }
+    if (read_hook_) {
+      n.set_read_hook([hook = read_hook_, r = n.id()](
+                          const Command& cmd, std::string_view output) {
+        hook(r, cmd, output);
+      });
+    }
+  }
+}
+
+std::vector<std::vector<TcpPeer>> TcpCluster::peer_tables() const {
+  std::vector<std::vector<TcpPeer>> tables(num_groups());
+  for (ShardId g = 0; g < num_groups(); ++g) {
+    for (ReplicaId r = 0; r < num_replicas(); ++r) {
+      tables[g].push_back(TcpPeer{"127.0.0.1", port(r, g)});
+    }
+  }
+  return tables;
+}
+
+std::vector<ShardEndpoint> TcpCluster::endpoints(ReplicaId r) const {
+  std::vector<ShardEndpoint> out;
+  for (ShardId g = 0; g < num_groups(); ++g) {
+    out.push_back(ShardEndpoint{"127.0.0.1", port(r, g)});
+  }
+  return out;
+}
 
 void TcpCluster::set_reply_hook(ReplyHook hook) {
   reply_hook_ = std::move(hook);
@@ -105,8 +113,9 @@ void TcpCluster::start() {
   // Every listener was bound in the constructor, so the full address table
   // is known before any node dials. A node killed before this start stays
   // down until restart(r).
+  const auto peers = peer_tables();
   for (auto& node : nodes_) {
-    if (node) node->start(peer_table());
+    if (node) node->start(peers);
   }
 }
 
@@ -124,37 +133,42 @@ void TcpCluster::kill(ReplicaId r) {
 
 void TcpCluster::restart(ReplicaId r) {
   if (nodes_.at(r)) return;
-  auto node = make_node(r, ports_.at(r));
+  auto node = std::make_unique<MultiGroupNode>(configs_.at(r),
+                                               protocol_factory_, sm_factory_);
   install_hooks(*node);
-  if (started_) node->start(peer_table());
+  if (started_) node->start(peer_tables());
   nodes_.at(r) = std::move(node);
 }
 
-void TcpCluster::submit(ReplicaId r, Command cmd) {
+NodeRuntime& TcpCluster::owner(ReplicaId r, const Command& cmd) {
   auto& node = nodes_.at(r);
-  if (!node) throw std::runtime_error("TcpCluster::submit: replica killed");
-  node->submit(std::move(cmd));
+  if (!node) throw std::runtime_error("TcpCluster: replica killed");
+  return node->group(num_groups() == 1 ? 0 : router_.shard_of(cmd));
+}
+
+void TcpCluster::submit(ReplicaId r, Command cmd) {
+  owner(r, cmd).submit(std::move(cmd));
 }
 
 void TcpCluster::submit_read(ReplicaId r, Command cmd) {
-  auto& node = nodes_.at(r);
-  if (!node) throw std::runtime_error("TcpCluster::submit_read: replica killed");
-  node->submit_read(std::move(cmd));
+  owner(r, cmd).submit_read(std::move(cmd));
 }
 
 TransportStats TcpCluster::stats() const {
   TransportStats total;
   for (const auto& node : nodes_) {
     if (!node) continue;
-    const TransportStats s = node->transport_stats();
-    total.messages_sent += s.messages_sent;
-    total.messages_delivered += s.messages_delivered;
-    total.bytes_sent += s.bytes_sent;
-    total.encode_calls += s.encode_calls;
-    total.wire_flushes += s.wire_flushes;
-    total.frames_flushed += s.frames_flushed;
-    total.wakes_sent += s.wakes_sent;
-    total.wakes_received += s.wakes_received;
+    for (std::size_t g = 0; g < node->num_groups(); ++g) {
+      const TransportStats s = node->group(g).transport_stats();
+      total.messages_sent += s.messages_sent;
+      total.messages_delivered += s.messages_delivered;
+      total.bytes_sent += s.bytes_sent;
+      total.encode_calls += s.encode_calls;
+      total.wire_flushes += s.wire_flushes;
+      total.frames_flushed += s.frames_flushed;
+      total.wakes_sent += s.wakes_sent;
+      total.wakes_received += s.wakes_received;
+    }
   }
   return total;
 }
@@ -163,9 +177,11 @@ NodeRuntime::BatchStats TcpCluster::batch_stats() const {
   NodeRuntime::BatchStats total;
   for (const auto& node : nodes_) {
     if (!node) continue;
-    const NodeRuntime::BatchStats s = node->batch_stats();
-    total.cmds += s.cmds;
-    total.submissions += s.submissions;
+    for (std::size_t g = 0; g < node->num_groups(); ++g) {
+      const NodeRuntime::BatchStats s = node->group(g).batch_stats();
+      total.cmds += s.cmds;
+      total.submissions += s.submissions;
+    }
   }
   return total;
 }

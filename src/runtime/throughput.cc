@@ -69,13 +69,10 @@ void fill_per_cmd(ThroughputResult* res, const TransportStats& before,
 
 ThroughputResult run_throughput(const ThroughputOptions& opt,
                                 const TcpCluster::ProtocolFactory& factory,
-                                const TcpClusterOptions& coptin) {
-  TcpClusterOptions copt = coptin;
+                                NodeConfig node) {
   if (opt.stage_breakdown) {
-    copt.obs.trace_sample_every = 16;  // dense enough for 2 s windows
+    node.obs.trace_sample_every = 16;  // dense enough for 2 s windows
   }
-  copt.max_batch_cmds = opt.max_batch_cmds;
-  copt.max_batch_bytes = opt.max_batch_bytes;
 
   std::unordered_map<ClientId, std::unique_ptr<Completion>> completions;
   for (ReplicaId r = 0; r < opt.num_replicas; ++r) {
@@ -90,7 +87,8 @@ ThroughputResult run_throughput(const ThroughputOptions& opt,
   };
   // Declared after the completions its hooks use, so it stops first.
   TcpCluster cluster(opt.num_replicas, factory,
-                     [] { return std::make_unique<KvStore>(); }, copt);
+                     [] { return std::make_unique<KvStore>(); },
+                     std::move(node));
   cluster.set_reply_hook(
       [&complete](ReplicaId, const Command& cmd) { complete(cmd); });
   cluster.set_read_hook([&complete](ReplicaId, const Command& cmd,

@@ -1,7 +1,7 @@
 // Closed-loop saturating throughput measurement on a loopback TcpCluster
 // (paper Figure 8 methodology): N NodeRuntimes in one process, every
 // inter-replica message over a real TCP socket, replicas logging to memory
-// unless TcpClusterOptions::log_dir makes them durable.
+// unless the node template's storage.dir makes them durable.
 #pragma once
 
 #include <cstddef>
@@ -28,10 +28,6 @@ struct ThroughputOptions {
   // (every 16th origin command), so the overhead it measures is also the
   // overhead it costs.
   bool stage_breakdown = false;
-  // Protocol-level command batching on every node (see
-  // NodeConfig::max_batch_cmds / max_batch_bytes). 1 = off.
-  std::size_t max_batch_cmds = 1;
-  std::size_t max_batch_bytes = 256 * 1024;
 };
 
 // One commit-pipeline stage over the whole run: count-weighted p50/p99
@@ -84,11 +80,11 @@ struct ThroughputResult {
 
 // Spawns closed-loop client threads (one outstanding request each) against
 // a TcpCluster running the given protocol and measures committed ops/s over
-// the measurement window. `copt` configures the cluster (durable WAL nodes
-// via copt.log_dir: the group-commit cost measurement); its batching knobs
-// are overridden by ThroughputOptions.
+// the measurement window. `node` is the cluster's node template (durable WAL
+// nodes via node.storage.dir: the group-commit cost measurement; batching
+// via node.max_batch_cmds / max_batch_bytes).
 [[nodiscard]] ThroughputResult run_throughput(
     const ThroughputOptions& opt, const TcpCluster::ProtocolFactory& factory,
-    const TcpClusterOptions& copt = {});
+    NodeConfig node = {});
 
 }  // namespace crsm

@@ -9,7 +9,6 @@
 #include <system_error>
 
 #include "common/codec.h"
-#include "storage/recovery.h"
 
 namespace crsm {
 
@@ -47,20 +46,6 @@ Checkpoint take_checkpoint(const StateMachine& sm, Timestamp last_applied,
 
 void truncate_covered_prefix(CommandLog& log, const Checkpoint& cp) {
   log.truncate_prefix(cp.last_applied);
-}
-
-Timestamp recover_with_checkpoint(const std::optional<Checkpoint>& cp,
-                                  const CommandLog& log, StateMachine& sm) {
-  Timestamp floor = kZeroTimestamp;
-  if (cp) {
-    sm.restore(cp->state);
-    floor = cp->last_applied;
-  }
-  ReplayResult rr = replay_log(log.records());
-  for (const LogRecord& rec : rr.committed) {
-    if (rec.ts > floor) sm.apply(rec.cmd);
-  }
-  return std::max(floor, rr.last_commit_ts);
 }
 
 void write_checkpoint_file(const std::string& path, const Checkpoint& cp) {

@@ -41,12 +41,6 @@ struct Checkpoint {
 // (commands execute in timestamp order), so nothing recoverable is lost.
 void truncate_covered_prefix(CommandLog& log, const Checkpoint& cp);
 
-// Restores `sm` from the checkpoint and replays the remaining log suffix,
-// applying committed commands above the checkpoint in timestamp order.
-// Returns the resulting last-applied timestamp.
-Timestamp recover_with_checkpoint(const std::optional<Checkpoint>& cp,
-                                  const CommandLog& log, StateMachine& sm);
-
 // File persistence (atomic via write-to-temp + rename).
 void write_checkpoint_file(const std::string& path, const Checkpoint& cp);
 [[nodiscard]] std::optional<Checkpoint> read_checkpoint_file(const std::string& path);

@@ -36,10 +36,4 @@ ReplayResult replay_log(const LogMirror& records) {
   return out;
 }
 
-void replay_and_apply(const LogMirror& records,
-                      const std::function<void(const Command&, Timestamp)>& apply) {
-  ReplayResult r = replay_log(records);
-  for (const LogRecord& rec : r.committed) apply(rec.cmd, rec.ts);
-}
-
 }  // namespace crsm

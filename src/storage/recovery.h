@@ -1,8 +1,6 @@
 // Log replay for crash recovery (Section V-B).
 #pragma once
 
-#include <functional>
-#include <map>
 #include <vector>
 
 #include "common/command.h"
@@ -32,9 +30,5 @@ struct ReplayResult {
 // matching PREPARE to `committed`. COMMIT marks appear in timestamp order,
 // so `committed` comes out sorted.
 [[nodiscard]] ReplayResult replay_log(const LogMirror& records);
-
-// Convenience: replay and apply every committed command through `apply`.
-void replay_and_apply(const LogMirror& records,
-                      const std::function<void(const Command&, Timestamp)>& apply);
 
 }  // namespace crsm

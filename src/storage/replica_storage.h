@@ -57,6 +57,8 @@ struct StorageOptions {
   // isolation tests stall one group's storage and assert the others keep
   // committing at full speed.
   std::uint64_t test_fsync_delay_us = 0;
+
+  friend bool operator==(const StorageOptions&, const StorageOptions&) = default;
 };
 
 // Storage-side counters, in the TransportStats mold: sampled from any thread

@@ -94,6 +94,9 @@ struct TcpTransportOptions {
   // dropped — otherwise silent connections (port scanners, wedged peers)
   // would pin fds forever.
   std::uint64_t hello_timeout_us = 10'000'000;
+
+  friend bool operator==(const TcpTransportOptions&,
+                         const TcpTransportOptions&) = default;
 };
 
 class TcpTransport final {

@@ -31,7 +31,6 @@ LatencyStats::LatencyStats(const LatencyStats& other)
       samples_(other.samples_),
       count_(other.count_),
       sum_(other.sum_),
-      sumsq_(other.sumsq_),
       min_(other.min_),
       max_(other.max_) {
   if (other.hist_) {
@@ -51,16 +50,15 @@ LatencyStats::LatencyStats(LatencyStats&&) noexcept = default;
 LatencyStats& LatencyStats::operator=(LatencyStats&&) noexcept = default;
 LatencyStats::~LatencyStats() = default;
 
-void LatencyStats::note_moments(double sample_ms, std::size_t n) {
+void LatencyStats::note_moments(double sample_ms) {
   if (count_ == 0) {
     min_ = max_ = sample_ms;
   } else {
     min_ = std::min(min_, sample_ms);
     max_ = std::max(max_, sample_ms);
   }
-  count_ += n;
-  sum_ += sample_ms * static_cast<double>(n);
-  sumsq_ += sample_ms * sample_ms * static_cast<double>(n);
+  ++count_;
+  sum_ += sample_ms;
 }
 
 obs::LatencyHistogram& LatencyStats::ensure_hist() {
@@ -100,7 +98,6 @@ void LatencyStats::merge(const LatencyStats& other) {
   }
   count_ += other.count_;
   sum_ += other.sum_;
-  sumsq_ += other.sumsq_;
 
   if (!hist_ && !other.hist_ && samples_.size() + other.samples_.size() <= exact_cap_) {
     samples_.insert(samples_.end(), other.samples_.begin(), other.samples_.end());
@@ -113,18 +110,6 @@ void LatencyStats::merge(const LatencyStats& other) {
   auto& h = ensure_hist();
   for (double s : other.samples_) h.observe(to_us(s));
   if (other.hist_) h.merge(*other.hist_);
-}
-
-void LatencyStats::clear() {
-  samples_.clear();
-  sorted_.clear();
-  sorted_valid_ = false;
-  count_ = 0;
-  sum_ = 0.0;
-  sumsq_ = 0.0;
-  min_ = 0.0;
-  max_ = 0.0;
-  hist_.reset();
 }
 
 void LatencyStats::sort_if_needed() const {
@@ -142,21 +127,6 @@ double LatencyStats::mean() const {
 double LatencyStats::min() const { return count_ == 0 ? 0.0 : min_; }
 
 double LatencyStats::max() const { return count_ == 0 ? 0.0 : max_; }
-
-double LatencyStats::stddev() const {
-  if (count_ < 2) return 0.0;
-  if (!hist_) {
-    // Two-pass over retained samples: numerically safest for the paper figs.
-    const double m = mean();
-    double acc = 0.0;
-    for (double s : samples_) acc += (s - m) * (s - m);
-    return std::sqrt(acc / static_cast<double>(samples_.size() - 1));
-  }
-  const double n = static_cast<double>(count_);
-  const double m = sum_ / n;
-  const double var = (sumsq_ - n * m * m) / (n - 1.0);
-  return var > 0.0 ? std::sqrt(var) : 0.0;
-}
 
 double LatencyStats::percentile(double p) const {
   if (count_ == 0) return 0.0;
@@ -204,33 +174,6 @@ std::vector<std::pair<double, double>> LatencyStats::cdf(std::size_t points) con
     out.emplace_back(v, frac);
   }
   return out;
-}
-
-std::vector<std::size_t> LatencyStats::histogram(double lo, double hi,
-                                                 std::size_t buckets) const {
-  if (buckets == 0 || hi <= lo) throw std::invalid_argument("bad histogram spec");
-  std::vector<std::size_t> bins(buckets, 0);
-  const double width = (hi - lo) / static_cast<double>(buckets);
-  const auto bin_of = [&](double s) {
-    auto idx = static_cast<long>((s - lo) / width);
-    return static_cast<std::size_t>(
-        std::clamp<long>(idx, 0, static_cast<long>(buckets) - 1));
-  };
-  for (double s : samples_) bins[bin_of(s)]++;
-  if (hist_) {
-    // Attribute each log-scale bucket's count to the fixed-width bin of its
-    // midpoint — coarse, but bounded by the same 6.25 % bucket width.
-    for (std::size_t i = 0; i < obs::LatencyHistogram::kNumBuckets; ++i) {
-      const std::uint64_t c = hist_->bucket_count(i);
-      if (c == 0) continue;
-      const double mid =
-          to_ms(static_cast<double>(obs::LatencyHistogram::bucket_lower_us(i) +
-                                    obs::LatencyHistogram::bucket_upper_us(i)) /
-                2.0);
-      bins[bin_of(mid)] += c;
-    }
-  }
-  return bins;
 }
 
 double paper_median(std::vector<double> v) {

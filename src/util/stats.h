@@ -1,4 +1,4 @@
-// Latency statistics: mean, percentiles, CDFs, histograms.
+// Latency statistics: mean, percentiles, CDFs.
 #pragma once
 
 #include <cstddef>
@@ -38,7 +38,6 @@ class LatencyStats {
 
   void add(double sample_ms);
   void merge(const LatencyStats& other);
-  void clear();
 
   [[nodiscard]] std::size_t count() const { return count_; }
   [[nodiscard]] bool empty() const { return count_ == 0; }
@@ -48,7 +47,6 @@ class LatencyStats {
   [[nodiscard]] double mean() const;
   [[nodiscard]] double min() const;
   [[nodiscard]] double max() const;
-  [[nodiscard]] double stddev() const;
 
   // Nearest-rank percentile, p in [0, 100]. Exact while exact(); bounded by
   // the histogram bucket width (<= 6.25 % of the value) after.
@@ -58,17 +56,12 @@ class LatencyStats {
   // ranks, suitable for plotting the paper's CDF figures (Figs. 3, 4, 6).
   [[nodiscard]] std::vector<std::pair<double, double>> cdf(std::size_t points = 100) const;
 
-  // Fixed-width histogram over [lo, hi) with `buckets` bins; out-of-range
-  // samples clamp into the first/last bin.
-  [[nodiscard]] std::vector<std::size_t> histogram(double lo, double hi,
-                                                   std::size_t buckets) const;
-
   // The retained exact samples. Empty once degraded — check exact().
   [[nodiscard]] const std::vector<double>& samples() const { return samples_; }
 
  private:
   void sort_if_needed() const;
-  void note_moments(double sample_ms, std::size_t n = 1);
+  void note_moments(double sample_ms);
   // Folds samples_ into hist_ (allocating it) and drops the vector.
   void degrade();
   obs::LatencyHistogram& ensure_hist();
@@ -79,10 +72,9 @@ class LatencyStats {
   mutable bool sorted_valid_ = false;
 
   // Running moments, maintained in both regimes (merge needs them even
-  // while exact, and they keep mean/stddev drift-free after degradation).
+  // while exact, and they keep the mean drift-free after degradation).
   std::size_t count_ = 0;
   double sum_ = 0.0;
-  double sumsq_ = 0.0;
   double min_ = 0.0;
   double max_ = 0.0;
 

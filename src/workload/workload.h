@@ -41,24 +41,6 @@ struct WorkloadOptions {
   }
 };
 
-// YCSB-style read/write mixes over the same closed loop (workload A is the
-// 50/50 update-heavy mix, B the 95/5 read-heavy mix, C read-only).
-[[nodiscard]] inline WorkloadOptions ycsb_a() {
-  WorkloadOptions w;
-  w.read_fraction = 0.5;
-  return w;
-}
-[[nodiscard]] inline WorkloadOptions ycsb_b() {
-  WorkloadOptions w;
-  w.read_fraction = 0.95;
-  return w;
-}
-[[nodiscard]] inline WorkloadOptions ycsb_c() {
-  WorkloadOptions w;
-  w.read_fraction = 1.0;
-  return w;
-}
-
 // Packs (home replica, client index) into a globally unique non-zero id.
 // Layout: bits 48..63 shard (0 for unsharded), 32..47 home replica,
 // 0..31 index + 1. Each field is masked to its width so an out-of-range

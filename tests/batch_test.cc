@@ -108,8 +108,8 @@ TEST(BatchEnvelope, SplitRejectsWrongMessageType) {
 
 class BatchClusterTest : public ::testing::Test {
  protected:
-  static TcpClusterOptions opts(std::size_t max_cmds, std::size_t max_bytes) {
-    TcpClusterOptions o;
+  static NodeConfig opts(std::size_t max_cmds, std::size_t max_bytes) {
+    NodeConfig o;
     o.max_batch_cmds = max_cmds;
     o.max_batch_bytes = max_bytes;
     return o;
@@ -251,9 +251,9 @@ class DurableBatchTest : public ::testing::Test {
   }
   void TearDown() override { std::filesystem::remove_all(dir_); }
 
-  TcpClusterOptions opts() const {
-    TcpClusterOptions o;
-    o.log_dir = dir_.string();
+  NodeConfig opts() const {
+    NodeConfig o;
+    o.storage.dir = dir_.string();
     o.max_batch_cmds = 16;
     return o;
   }

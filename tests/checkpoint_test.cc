@@ -1,5 +1,6 @@
-// Tests for checkpointing (Section V-B): snapshot, log truncation, recovery
-// from checkpoint + log suffix, and integration with the simulated cluster.
+// Tests for checkpointing (Section V-B): snapshot, log truncation, file
+// persistence, and integration with the simulated cluster. Recovery from
+// checkpoint + log suffix is ReplicaCore's boot (replica_core_test).
 #include <gtest/gtest.h>
 
 #include <unistd.h>
@@ -94,33 +95,6 @@ TEST(Checkpoint, TruncatesCoveredPrefix) {
   truncate_covered_prefix(log, cp);
   ASSERT_EQ(log.size(), 1u);
   EXPECT_EQ(log.records().to_vector()[0].ts, (Timestamp{3, 0}));
-}
-
-TEST(Checkpoint, RecoveryAppliesSuffixAboveFloor) {
-  // Checkpoint covers ts <= (2,1); log holds the suffix.
-  const KvStore base = store_with({{"a", "1"}, {"b", "2"}});
-  const Checkpoint cp = take_checkpoint(base, Timestamp{2, 1}, 0);
-
-  MemLog log;
-  log.append(LogRecord::prepare(Timestamp{3, 0}, kv_put(1, 3, "c", "3")));
-  log.append(LogRecord::commit(Timestamp{3, 0}));
-
-  KvStore recovered;
-  const Timestamp last = recover_with_checkpoint(cp, log, recovered);
-  EXPECT_EQ(last, (Timestamp{3, 0}));
-  EXPECT_EQ(recovered.size(), 3u);
-  ASSERT_NE(recovered.get("c"), nullptr);
-  EXPECT_EQ(*recovered.get("c"), "3");
-}
-
-TEST(Checkpoint, RecoveryWithoutCheckpointReplaysEverything) {
-  MemLog log;
-  log.append(LogRecord::prepare(Timestamp{1, 0}, kv_put(1, 1, "a", "1")));
-  log.append(LogRecord::commit(Timestamp{1, 0}));
-  KvStore recovered;
-  const Timestamp last = recover_with_checkpoint(std::nullopt, log, recovered);
-  EXPECT_EQ(last, (Timestamp{1, 0}));
-  EXPECT_EQ(recovered.size(), 1u);
 }
 
 TEST(Checkpoint, FilePersistenceRoundTrip) {

@@ -106,16 +106,16 @@ class DurableClusterTest : public ::testing::TestWithParam<std::size_t> {
   }
   void TearDown() override { std::filesystem::remove_all(dir_); }
 
-  TcpClusterOptions volatile_opts() const {
-    TcpClusterOptions o;
+  NodeConfig volatile_opts() const {
+    NodeConfig o;
     o.max_batch_cmds = batch();
     return o;
   }
 
-  TcpClusterOptions durable_opts(std::uint64_t checkpoint_every = 0) const {
-    TcpClusterOptions o = volatile_opts();
-    o.log_dir = dir_.string();
-    o.checkpoint_every = checkpoint_every;
+  NodeConfig durable_opts(std::uint64_t checkpoint_every = 0) const {
+    NodeConfig o = volatile_opts();
+    o.storage.dir = dir_.string();
+    o.storage.checkpoint_every = checkpoint_every;
     return o;
   }
 
@@ -235,9 +235,9 @@ TEST_P(DurableClusterTest, KilledReplicaRestartsCatchesUpAndHistoryLinearizable)
 // have every link back within 150 ms, keep one socket per replica pair,
 // and leave a linearizable history.
 TEST_P(DurableClusterTest, RestartedReplicaRejoinsWithoutWaitingOutBackoff) {
-  TcpClusterOptions o = durable_opts();
-  o.reconnect.initial_backoff_us = 200'000;
-  o.reconnect.max_backoff_us = 2'000'000;
+  NodeConfig o = durable_opts();
+  o.transport.reconnect.initial_backoff_us = 200'000;
+  o.transport.reconnect.max_backoff_us = 2'000'000;
   TcpCluster cluster(3, durable_clock_rsm_factory(3), kv_factory(), o);
 
   std::mutex mu;

@@ -3,18 +3,25 @@
 // a batch envelope splits into members that apply in envelope order, the
 // executed count rises by one per member, the checkpoint decision comes
 // once per delivered entry — after the whole batch — and an installed
-// checkpoint resets the executed count. SimWorld and NodeRuntime both run
-// this code, so the engine tests (sim_world_test, batch_test) cover it end
-// to end; these pin the rules themselves.
+// checkpoint resets the executed count, and a restart restores the boot
+// checkpoint and replays only the log suffix above it. SimWorld and
+// NodeRuntime both run this code, so the engine tests (sim_world_test,
+// batch_test, durable_cluster_test) cover it end to end; these pin the
+// rules themselves.
 #include <gtest/gtest.h>
 
+#include <unistd.h>
+
+#include <filesystem>
 #include <functional>
 #include <memory>
 #include <string>
 #include <utility>
 #include <vector>
 
+#include "clockrsm/clock_rsm.h"
 #include "common/batch.h"
+#include "harness/latency_experiment.h"
 #include "kv/kv_store.h"
 #include "rsm/replica_core.h"
 #include "storage/checkpoint.h"
@@ -60,6 +67,20 @@ class FakeEngine final : public ReplicaCore {
            proto = p.get();
            return p;
          });
+  }
+  // The restart path: boots Clock-RSM (replica 0 of 3) over the durable
+  // state in `dir` and starts it, as NodeRuntime does. Sends go nowhere, so
+  // the catch-up it begins never completes; what it replayed stays.
+  explicit FakeEngine(const std::string& dir)
+      : ReplicaCore(/*id=*/0, /*max_batch_cmds=*/1, /*max_batch_bytes=*/0) {
+    StorageOptions so;
+    so.dir = dir;
+    so.checkpoint_every = 0;
+    so.group_commit = false;
+    set_storage(std::make_unique<ReplicaStorage>(std::move(so)));
+    boot([] { return std::make_unique<KvStore>(); },
+         clock_rsm_factory(3, ClockRsmOptions{}));
+    protocol().start();
   }
 
   void send(ReplicaId to, Message m) override {
@@ -197,6 +218,76 @@ TEST(ReplicaCore, EnqueueWriteBuffersUntilTheEngineCuts) {
   e.drop_batch();
   e.cut_batch();
   EXPECT_EQ(e.proto->submitted.size(), 1u);
+}
+
+// Durable state a crashed replica left behind in a fresh directory: the
+// checkpoint file (if any) and the WAL records, written with the same code
+// the runtime uses.
+class ReplicaCoreBootTest : public ::testing::Test {
+ protected:
+  void SetUp() override {
+    dir_ = std::filesystem::temp_directory_path() /
+           ("crsm_core_boot_" + std::to_string(::getpid()) + "_" +
+            ::testing::UnitTest::GetInstance()->current_test_info()->name());
+    std::filesystem::remove_all(dir_);
+    std::filesystem::create_directories(dir_);
+  }
+  void TearDown() override { std::filesystem::remove_all(dir_); }
+
+  void write_wal(const std::vector<LogRecord>& records) const {
+    FileLog wal((dir_ / "wal.log").string());
+    for (const LogRecord& r : records) wal.append(r);
+    wal.sync();
+  }
+
+  std::filesystem::path dir_;
+};
+
+TEST_F(ReplicaCoreBootTest, RecoveryAppliesSuffixAboveFloor) {
+  // The checkpoint covers ts <= (2,1): two puts. The WAL still holds the
+  // covered entry (2,1) and the suffix entry (3,0).
+  KvStore base;
+  base.apply(kv_put(kClient, 1, "a", "1"));
+  base.apply(kv_put(kClient, 2, "b", "2"));
+  write_checkpoint_file((dir_ / "checkpoint.bin").string(),
+                        take_checkpoint(base, Timestamp{2, 1}, 0,
+                                        /*applied=*/2));
+  write_wal({LogRecord::prepare(Timestamp{2, 1}, kv_put(kClient, 2, "b", "2")),
+             LogRecord::commit(Timestamp{2, 1}),
+             LogRecord::prepare(Timestamp{3, 0}, kv_put(kClient, 3, "c", "3")),
+             LogRecord::commit(Timestamp{3, 0})});
+
+  FakeEngine e(dir_.string());
+  EXPECT_TRUE(e.storage().recovering());
+  // Only the entry above the checkpoint re-executes; the count resumes
+  // from the checkpoint's.
+  ASSERT_EQ(e.applied.size(), 1u);
+  EXPECT_EQ(e.applied[0].seq, 3u);
+  EXPECT_EQ(e.applied[0].ts, (Timestamp{3, 0}));
+  EXPECT_FALSE(e.applied[0].local_origin);
+  EXPECT_EQ(e.executed(), 3u);
+  EXPECT_EQ(e.recovery_floor(), (Timestamp{2, 1}));
+  const auto& proto = dynamic_cast<const ClockRsmReplica&>(e.protocol());
+  EXPECT_EQ(proto.last_commit_ts(), (Timestamp{3, 0}));
+  auto& kv = dynamic_cast<KvStore&>(e.state_machine());
+  EXPECT_EQ(kv.size(), 3u);
+  ASSERT_NE(kv.get("c"), nullptr);
+  EXPECT_EQ(*kv.get("c"), "3");
+}
+
+TEST_F(ReplicaCoreBootTest, RecoveryWithoutCheckpointReplaysEverything) {
+  write_wal({LogRecord::prepare(Timestamp{1, 0}, kv_put(kClient, 1, "a", "1")),
+             LogRecord::commit(Timestamp{1, 0})});
+
+  FakeEngine e(dir_.string());
+  EXPECT_TRUE(e.storage().recovering());
+  EXPECT_EQ(e.recovery_floor(), kZeroTimestamp);
+  ASSERT_EQ(e.applied.size(), 1u);
+  EXPECT_EQ(e.applied[0].ts, (Timestamp{1, 0}));
+  EXPECT_EQ(e.executed(), 1u);
+  const auto& proto = dynamic_cast<const ClockRsmReplica&>(e.protocol());
+  EXPECT_EQ(proto.last_commit_ts(), (Timestamp{1, 0}));
+  EXPECT_EQ(dynamic_cast<KvStore&>(e.state_machine()).size(), 1u);
 }
 
 }  // namespace

@@ -290,17 +290,6 @@ TEST(Replay, OutOfOrderCommitMarksThrow) {
   EXPECT_THROW((void)replay_log(recs), std::runtime_error);
 }
 
-TEST(Replay, ApplyCallbackRunsInOrder) {
-  LogMirror recs;
-  recs.append(LogRecord::prepare(Timestamp{5, 0}, cmd(5)));
-  recs.append(LogRecord::prepare(Timestamp{4, 1}, cmd(4)));
-  recs.append(LogRecord::commit(Timestamp{4, 1}));
-  recs.append(LogRecord::commit(Timestamp{5, 0}));
-  std::vector<std::uint64_t> seen;
-  replay_and_apply(recs, [&](const Command& c, Timestamp) { seen.push_back(c.seq); });
-  EXPECT_EQ(seen, (std::vector<std::uint64_t>{4, 5}));
-}
-
 // --- LogMirror equivalence ----------------------------------------------
 //
 // Every log keeps its records in a LogMirror. These tests run scripts

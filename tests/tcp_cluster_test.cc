@@ -59,8 +59,8 @@ class TcpClusterTest
     if (p == "paxos-bcast") return paxos_factory(n, 0, true);
     return mencius_factory(n);
   }
-  TcpClusterOptions opts() const {
-    TcpClusterOptions o;
+  NodeConfig opts() const {
+    NodeConfig o;
     o.max_batch_cmds = std::get<1>(GetParam());
     return o;
   }
@@ -136,7 +136,7 @@ INSTANTIATE_TEST_SUITE_P(
 
 // Single-protocol suites, run under batch sizes {1, 16} and two wire
 // coalescing budgets: the default, and 0 (one sendmsg per frame).
-constexpr std::size_t kDefaultCoalesce = TcpClusterOptions{}.max_coalesce_bytes;
+constexpr std::size_t kDefaultCoalesce = TcpTransportOptions{}.max_coalesce_bytes;
 
 std::string config_name(std::size_t batch, std::size_t coalesce_budget) {
   return (coalesce_budget > 0 ? "coalesce_b" : "nocoalesce_b") +
@@ -149,10 +149,10 @@ class TcpBackendTest
   std::size_t batch() const { return std::get<0>(GetParam()); }
   std::size_t coalesce_budget() const { return std::get<1>(GetParam()); }
 
-  TcpClusterOptions opts() const {
-    TcpClusterOptions o;
+  NodeConfig opts() const {
+    NodeConfig o;
     o.max_batch_cmds = batch();
-    o.max_coalesce_bytes = coalesce_budget();
+    o.transport.max_coalesce_bytes = coalesce_budget();
     return o;
   }
 };
@@ -471,8 +471,8 @@ TEST_P(TcpBackendTest, MetricsScrapeAgreesWithStatsAndIsMonotone) {
       ("crsm_metrics_test_" + std::to_string(::getpid()) + "_" +
        config_name(batch(), coalesce_budget()));
   std::filesystem::remove_all(dir);
-  TcpClusterOptions o = opts();
-  o.log_dir = dir.string();      // durable: the WAL stage histogram is live
+  NodeConfig o = opts();
+  o.storage.dir = dir.string();  // durable: the WAL stage histogram is live
   o.obs.metrics_http = true;     // ephemeral port per node
   o.obs.trace_sample_every = 1;  // trace every origin command
   TcpCluster cluster(3, clock_rsm_factory(3), kv_factory(), o);

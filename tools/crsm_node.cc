@@ -6,7 +6,7 @@
 //
 //   crsm_node --id 0 --peers 127.0.0.1:7000,127.0.0.1:7001,127.0.0.1:7002
 //             [--protocol clockrsm|paxos|paxos-bcast|mencius] [--stats-every 5]
-//             [--log-dir DIR] [--checkpoint-every N] [--no-group-commit]
+//             [--log-dir DIR] [--checkpoint-every N]
 //             [--max-coalesce-bytes N]
 //             [--max-batch-cmds N] [--max-batch-bytes N]
 //             [--groups N] [--pin-cores]
@@ -40,7 +40,7 @@
 // rather than its history. A volatile node keeps the checkpoint in memory.
 //
 // With --log-dir the node is durable and restartable: commands are logged
-// to DIR/wal.log (group-commit fsync batching unless --no-group-commit),
+// to DIR/wal.log with group commit (one fdatasync per loop pass),
 // each checkpoint is written to DIR/checkpoint.bin before the WAL prefix it
 // covers is truncated, and a restarted node recovers from checkpoint + WAL,
 // then (Clock-RSM) catches up over TCP from live peers. See
@@ -85,7 +85,7 @@ namespace {
                "          [--protocol clockrsm|paxos|paxos-bcast|mencius] "
                "[--stats-every SECONDS] \\\n"
                "          [--log-dir DIR] [--checkpoint-every N (default %llu, "
-               "0 = never)] [--no-group-commit] \\\n"
+               "0 = never)] \\\n"
                "          [--max-coalesce-bytes N] \\\n"
                "          [--max-batch-cmds N] [--max-batch-bytes N] \\\n"
                "          [--groups N] [--pin-cores] \\\n"
@@ -127,12 +127,9 @@ int main(int argc, char** argv) {
   std::vector<TcpPeer> peers;
   std::string protocol = "clockrsm";
   int stats_every = 5;
-  StorageOptions storage;
-  std::size_t max_coalesce_bytes = 256 * 1024;
-  std::size_t max_batch_cmds = 1;
-  std::size_t max_batch_bytes = 256 * 1024;
-  MultiGroupOptions mg;
-  NodeObsOptions obs;
+  // The base config each group's config derives from (group_config).
+  NodeConfig cfg;
+  std::size_t groups = 1;
 
   try {
     for (int i = 1; i < argc; ++i) {
@@ -150,31 +147,29 @@ int main(int argc, char** argv) {
       } else if (a == "--stats-every") {
         stats_every = std::atoi(next().c_str());
       } else if (a == "--log-dir") {
-        storage.dir = next();
+        cfg.storage.dir = next();
       } else if (a == "--checkpoint-every") {
-        storage.checkpoint_every = std::stoull(next());
-      } else if (a == "--no-group-commit") {
-        storage.group_commit = false;
+        cfg.storage.checkpoint_every = std::stoull(next());
       } else if (a == "--max-coalesce-bytes") {
-        max_coalesce_bytes = std::stoull(next());
+        cfg.transport.max_coalesce_bytes = std::stoull(next());
       } else if (a == "--max-batch-cmds") {
-        max_batch_cmds = std::stoull(next());
-        if (max_batch_cmds == 0) max_batch_cmds = 1;
+        cfg.max_batch_cmds = std::stoull(next());
+        if (cfg.max_batch_cmds == 0) cfg.max_batch_cmds = 1;
       } else if (a == "--max-batch-bytes") {
-        max_batch_bytes = std::stoull(next());
+        cfg.max_batch_bytes = std::stoull(next());
       } else if (a == "--groups") {
-        mg.groups = std::stoull(next());
-        if (mg.groups == 0) mg.groups = 1;
+        groups = std::stoull(next());
+        if (groups == 0) groups = 1;
       } else if (a == "--pin-cores") {
-        mg.pin_cores = true;
+        cfg.pin_core = 0;  // group g on core g
       } else if (a == "--metrics-port") {
-        obs.metrics_http = true;
-        obs.metrics_host = "0.0.0.0";
-        obs.metrics_port = static_cast<std::uint16_t>(std::stoul(next()));
+        cfg.obs.metrics_http = true;
+        cfg.obs.metrics_host = "0.0.0.0";
+        cfg.obs.metrics_port = static_cast<std::uint16_t>(std::stoul(next()));
       } else if (a == "--trace-sample") {
-        obs.trace_sample_every = static_cast<std::uint32_t>(std::stoul(next()));
+        cfg.obs.trace_sample_every = static_cast<std::uint32_t>(std::stoul(next()));
       } else if (a == "--slow-ms") {
-        obs.trace_slow_us = std::stoull(next()) * 1000;
+        cfg.obs.trace_slow_us = std::stoull(next()) * 1000;
       } else {
         std::fprintf(stderr, "unknown flag %s\n", a.c_str());
         usage(argv[0]);
@@ -187,7 +182,7 @@ int main(int argc, char** argv) {
   if (id == kNoReplica || peers.empty() || id >= peers.size()) usage(argv[0]);
 
   const std::size_t n = peers.size();
-  if (!storage.dir.empty() && protocol != "clockrsm") {
+  if (!cfg.storage.dir.empty() && protocol != "clockrsm") {
     // The other protocols would append to the WAL but have no replay or
     // catch-up path: a restart would silently diverge while paying the
     // full durability cost. Refuse rather than pretend.
@@ -213,15 +208,15 @@ int main(int argc, char** argv) {
     usage(argv[0]);
   }
 
-  NodeConfig cfg;
   cfg.id = id;
   cfg.transport.listen_host = peers[id].host;
   cfg.transport.listen_port = peers[id].port;
-  cfg.transport.max_coalesce_bytes = max_coalesce_bytes;
-  cfg.storage = storage;
-  cfg.max_batch_cmds = max_batch_cmds;
-  cfg.max_batch_bytes = max_batch_bytes;
-  cfg.obs = obs;
+  std::vector<NodeConfig> configs;
+  std::vector<std::vector<TcpPeer>> group_tables;
+  for (ShardId g = 0; g < groups; ++g) {
+    configs.push_back(group_config(cfg, g, groups));
+    group_tables.push_back(group_peers(peers, g, groups));
+  }
 
   // Blocked before any thread exists, so every loop thread inherits the
   // mask and the main thread's sigtimedwait below is the only taker.
@@ -235,44 +230,40 @@ int main(int argc, char** argv) {
   // error, reported like a bad flag rather than left to abort the process.
   std::optional<MultiGroupNode> built;
   try {
-    built.emplace(cfg, mg, factory, [] { return std::make_unique<KvStore>(); });
+    built.emplace(configs, factory, [] { return std::make_unique<KvStore>(); });
   } catch (const net::NetError& e) {
     std::fprintf(stderr, "cannot listen on %s:%u: %s\n", peers[id].host.c_str(),
                  peers[id].port, e.what());
     return 2;
   }
   MultiGroupNode& node = *built;
-  const std::size_t groups = node.num_groups();
 
-  node.start(peers);
+  node.start(group_tables);
   std::fprintf(stderr,
                "crsm_node: replica %u (%s) listening on %s:%u, %zu peers "
                "| coalesce %zu bytes | batch %zu cmds%s\n",
                id, protocol.c_str(), peers[id].host.c_str(),
-               node.group(0).port(), n - 1, max_coalesce_bytes, max_batch_cmds,
+               node.group(0).port(), n - 1, cfg.transport.max_coalesce_bytes,
+               cfg.max_batch_cmds,
                groups > 1
                    ? (" | " + std::to_string(groups) + " groups (port stride)" +
-                      (mg.pin_cores ? ", pinned" : ""))
+                      (cfg.pin_core >= 0 ? ", pinned" : ""))
                          .c_str()
                    : "");
-  if (!storage.dir.empty()) {
+  if (!cfg.storage.dir.empty()) {
     // One line per group: each has its own WAL dir and recovers on its own.
     for (std::size_t g = 0; g < groups; ++g) {
-      const std::string dir =
-          groups > 1 ? storage.dir + "/group-" + std::to_string(g)
-                     : storage.dir;
-      std::fprintf(stderr, "crsm_node[%u]: durable in %s (%s)%s\n", id,
-                   dir.c_str(),
-                   storage.group_commit ? "group commit" : "sync per append",
+      std::fprintf(stderr, "crsm_node[%u]: durable in %s (group commit)%s\n",
+                   id, configs[g].storage.dir.c_str(),
                    node.group(g).recovering()
                        ? ", recovering from prior state"
                        : "");
     }
   }
-  if (obs.metrics_http) {
+  if (cfg.obs.metrics_http) {
     for (std::size_t g = 0; g < groups; ++g) {
       std::fprintf(stderr, "crsm_node[%u]: metrics on http://%s:%u/metrics%s\n",
-                   id, obs.metrics_host.c_str(), node.group(g).metrics_port(),
+                   id, cfg.obs.metrics_host.c_str(), node.group(g).metrics_port(),
                    groups > 1 ? (" (group " + std::to_string(g) + ")").c_str()
                               : "");
     }
